@@ -3,13 +3,20 @@
 All rates and frequencies share one arbitrary unit (hbar = 1).  The Fourier
 convention everywhere in the package is d/dt -> -i*omega, which makes the
 cavity susceptibility (gamma/2 - i*omega)^(-1).
+
+Every function takes the frequency (and the coupling mix eta) either as a
+float or as a numpy array, elementwise; a failure names the first offending
+frequency in array order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Union
+
+import numpy as np
+from numpy.typing import NDArray
 
 from .errors import MechanicalResonanceSingularity, ZeroResponseSusceptibility
 
@@ -18,35 +25,50 @@ if TYPE_CHECKING:
 
 _TINY = 1e-300
 
+#: a frequency or coupling mix: one value, or an array evaluated elementwise
+FloatOrArray = Union[float, NDArray[np.float64]]
 
-def chi_mech(params: DetectorParams, omega: float) -> complex:
+
+def _any(mask) -> bool:
+    """Whether a scalar or array mask holds anywhere; plain bools skip numpy."""
+    return mask is True or (mask is not False and bool(mask.any()))
+
+
+def _first(omega: FloatOrArray, bad) -> float:
+    """The first frequency at which the (scalar or array) mask `bad` holds."""
+    return float(np.broadcast_to(omega, np.shape(bad))[bad][0])
+
+
+def chi_mech(params: DetectorParams, omega: FloatOrArray):
     """Mechanical susceptibility Omega / ((Gamma/2 - i w)^2 + Omega^2)."""
     d = params.Gamma / 2.0 - 1j * omega
     denom = d * d + params.Omega * params.Omega
-    if abs(denom) < _TINY:
+    singular = abs(denom) < _TINY
+    if _any(singular):
         raise MechanicalResonanceSingularity(
-            f"undamped oscillator driven on resonance (omega = {omega!r})"
+            "undamped oscillator driven on resonance "
+            f"(omega = {_first(omega, singular)!r})"
         )
     return params.Omega / denom
 
 
-def chi_cav(params: DetectorParams, omega: float) -> complex:
+def chi_cav(params: DetectorParams, omega: FloatOrArray):
     """Cavity susceptibility 1 / (gamma/2 - i w)."""
     return 1.0 / (params.gamma / 2.0 - 1j * omega)
 
 
-def inverse_chi_mech(params: DetectorParams, omega: float) -> complex:
+def inverse_chi_mech(params: DetectorParams, omega: FloatOrArray):
     """1/chi_mech, whose imaginary part -w*Gamma/Omega sets the dissipation bound."""
     d = params.Gamma / 2.0 - 1j * omega
     return (d * d + params.Omega * params.Omega) / params.Omega
 
 
-def sql(params: DetectorParams, omega: float) -> float:
+def sql(params: DetectorParams, omega: FloatOrArray):
     """Standard quantum limit 1/|chi_mech|: the optimal shot/backaction tradeoff."""
     return 1.0 / abs(chi_mech(params, omega))
 
 
-def uql(params: DetectorParams, omega: float) -> float:
+def uql(params: DetectorParams, omega: FloatOrArray):
     """Dissipation-set quantum limit |Im(1/chi_mech)| = w*Gamma/Omega."""
     return abs(omega) * params.Gamma / params.Omega
 
@@ -55,13 +77,13 @@ def uql(params: DetectorParams, omega: float) -> float:
 class CouplingSusceptibilities:
     """Self- and cross-susceptibility of the coupling operator q = x + eta*p."""
 
-    omega: float
-    chi_qq: complex
-    chi_qx: complex
+    omega: FloatOrArray
+    chi_qq: complex | NDArray[np.complex128]
+    chi_qx: complex | NDArray[np.complex128]
 
 
 def coupling_susceptibilities(
-    params: DetectorParams, eta: float, omega: float
+    params: DetectorParams, eta: FloatOrArray, omega: FloatOrArray
 ) -> CouplingSusceptibilities:
     """Susceptibilities of the mixed coupling operator q = x + eta*p.
 
@@ -75,31 +97,31 @@ def coupling_susceptibilities(
     return CouplingSusceptibilities(omega=omega, chi_qq=chi_qq, chi_qx=chi_qx)
 
 
-def generalized_uql(q: CouplingSusceptibilities) -> float:
+def generalized_uql(q: CouplingSusceptibilities):
     """Lower bound |Im chi_qq| / |chi_qx|^2 for a detector coupled through q."""
     mag = abs(q.chi_qx)
-    if mag < math.sqrt(_TINY):
+    vanished = mag < math.sqrt(_TINY)
+    if _any(vanished):
         raise ZeroResponseSusceptibility(
-            f"chi_qx vanished at omega = {q.omega!r}"
+            f"chi_qx vanished at omega = {_first(q.omega, vanished)!r}"
         )
     return abs(q.chi_qq.imag) / (mag * mag)
 
 
-def optimal_uql(params: DetectorParams, omega: float) -> float:
+def optimal_uql(params: DetectorParams, omega: FloatOrArray):
     """Generalized bound minimized over all linear couplings q = x + eta*p.
 
     Equal to (Gamma/(2 w Omega)) * [Gamma^2/4 + w^2 + Omega^2
     - sqrt((Gamma^2/4 + w^2 - Omega^2)^2 + Gamma^2 Omega^2)], evaluated here
     in the rationalized form 2 Gamma Omega w / (a + sqrt(b^2 + c)), which is
     algebraically identical but avoids the cancellation that destroys the
-    direct form for w >> Omega.
+    direct form for w >> Omega.  The denominator stays positive, so w = 0
+    gives exactly 0.
     """
-    if omega == 0.0:
-        return 0.0
     w2 = omega * omega
     om2 = params.Omega * params.Omega
     quarter_g2 = params.Gamma * params.Gamma / 4.0
     a = quarter_g2 + w2 + om2
     b = quarter_g2 + w2 - om2
     c = params.Gamma * params.Gamma * om2
-    return 2.0 * params.Gamma * params.Omega * abs(omega) / (a + math.sqrt(b * b + c))
+    return 2.0 * params.Gamma * params.Omega * abs(omega) / (a + np.sqrt(b * b + c))

@@ -10,6 +10,7 @@ import argparse
 import configparser
 import math
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping
@@ -251,8 +252,6 @@ def cmd_fig2b(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    import time
-
     start = time.perf_counter()
     results = verify.run_suite(args.suite, seed=args.seed)
     for result in results:

@@ -17,24 +17,24 @@ class SingularAtFrequency(ForceLimitsError):
     """The frequency-domain system matrix is numerically singular."""
 
     def __init__(self, omega: float, message: str | None = None):
-        self.omega = omega
-        super().__init__(message or f"system matrix singular at omega = {omega!r}")
+        self.omega = float(omega)
+        super().__init__(message or f"system matrix singular at omega = {self.omega!r}")
 
 
 class ParametricDivergence(ForceLimitsError):
     """The detuned-cavity feedback denominator vanished at this frequency."""
 
     def __init__(self, omega: float, message: str | None = None):
-        self.omega = omega
-        super().__init__(message or f"parametric divergence at omega = {omega!r}")
+        self.omega = float(omega)
+        super().__init__(message or f"parametric divergence at omega = {self.omega!r}")
 
 
 class ZeroResponse(ForceLimitsError):
     """The force response vanishes at the chosen readout quadrature."""
 
     def __init__(self, omega: float, message: str | None = None):
-        self.omega = omega
-        super().__init__(message or f"force invisible at readout, omega = {omega!r}")
+        self.omega = float(omega)
+        super().__init__(message or f"force invisible at readout, omega = {self.omega!r}")
 
 
 class MechanicalResonanceSingularity(ForceLimitsError):

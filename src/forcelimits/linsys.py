@@ -119,11 +119,19 @@ def stability_check(drift: DriftMatrix) -> tuple[bool, NDArray[np.complex128]]:
     return stable, eigenvalues
 
 
-def _system_matrix(model: LinearModel, omega: float) -> NDArray[np.complex128]:
-    m = model.drift.entries + 1j * omega * np.eye(model.drift.n)
-    if np.linalg.cond(m) > _COND_LIMIT:
-        raise SingularAtFrequency(omega)
+def _system_matrices(
+    model: LinearModel, omegas: NDArray[np.float64]
+) -> NDArray[np.complex128]:
+    """Stack of A + i w I, one per frequency; the first singular one raises."""
+    m = model.drift.entries + 1j * omegas[:, None, None] * np.eye(model.drift.n)
+    singular = np.linalg.cond(m) > _COND_LIMIT
+    if singular.any():
+        raise SingularAtFrequency(omegas[np.argmax(singular)])
     return m
+
+
+def _system_matrix(model: LinearModel, omega: float) -> NDArray[np.complex128]:
+    return _system_matrices(model, np.array([omega], dtype=float))[0]
 
 
 def _refined_solve(
@@ -134,6 +142,7 @@ def _refined_solve(
     The schemes cancel large internal paths exactly; refining with the
     residual accumulated in extended precision keeps that cancellation at
     working precision instead of at the magnitude of the intermediates.
+    `m` may be a stack (..., n, n), with right-hand sides b of (..., n, k).
     """
     x = np.linalg.solve(m, b)
     m_hi = m.astype(np.clongdouble)
@@ -142,6 +151,28 @@ def _refined_solve(
         residual = b_hi - m_hi @ x.astype(np.clongdouble)
         x = x + np.linalg.solve(m, residual.astype(np.complex128))
     return x
+
+
+def readout_adjoint(
+    model: LinearModel, omegas: NDArray[np.float64], d: NDArray[np.float64]
+) -> NDArray[np.complex128]:
+    """Response of the readout quadrature d . out to a unit drive of each state row.
+
+    Row k solves the adjoint system (A + i w I)^T y = -sqrt(rate) (d0 e_r0 +
+    d1 e_r1) at w = omegas[k], with r0, r1 the readout rows; all frequencies
+    go through one stacked, refined solve.
+    """
+    m = np.swapaxes(_system_matrices(model, omegas), -1, -2)
+    readout = model.readout
+    b = np.zeros((len(omegas), model.drift.n, 1), dtype=complex)
+    b[:, readout.rows, 0] = -np.sqrt(readout.rate) * d
+    y = _refined_solve(m, b)[..., 0]
+    finite = np.isfinite(y).all(axis=1)
+    if not finite.all():
+        raise SingularAtFrequency(
+            omegas[np.argmin(finite)], "non-finite transfer entries"
+        )
+    return y
 
 
 def solve_frequency(

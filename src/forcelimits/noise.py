@@ -16,8 +16,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import bounds
-from .errors import ZeroResponse
-from .linsys import FrequencyResponse, LinearModel, transfer
+from .errors import SingularAtFrequency, ZeroResponse
+from .linsys import FrequencyResponse, LinearModel, readout_adjoint
 from .schemes import ANCILLA, SchemeConfig, build
 from .spectra import QuadratureSpectrum, squeeze_spectrum, thermal, vacuum
 
@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 _RESPONSE_FLOOR = 1e-14
+
+#: frequencies per stacked solve; keeps the solve's memory fixed for any grid size
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,15 @@ def added_noise(resp: FrequencyResponse, phi: float) -> AddedNoiseCoeffs:
     return AddedNoiseCoeffs(omega=resp.omega, coeffs=coeffs, norm=norm)
 
 
+def _channel_power(c1, c2, spec: QuadratureSpectrum):
+    """Noise power of one channel's coefficient pair (scalars or arrays)."""
+    return (
+        abs(c1) ** 2 * spec.u
+        + abs(c2) ** 2 * spec.v
+        + 2.0 * (c1 * c2.conjugate()).real * spec.w
+    )
+
+
 def power_density(
     coeffs: AddedNoiseCoeffs, spectra: Mapping[str, QuadratureSpectrum]
 ) -> float:
@@ -72,11 +84,7 @@ def power_density(
         spec = spectra.get(cid)
         if spec is None:
             continue
-        total += (
-            abs(c1) ** 2 * spec.u
-            + abs(c2) ** 2 * spec.v
-            + 2.0 * (c1 * c2.conjugate()).real * spec.w
-        )
+        total += _channel_power(c1, c2, spec)
     return total
 
 
@@ -97,6 +105,39 @@ def noise_budget(
     return budget
 
 
+def _sensitivity(
+    model: LinearModel,
+    budget: Mapping[str, QuadratureSpectrum],
+    phi: float,
+    omegas: NDArray[np.float64],
+) -> NDArray[np.float64]:
+    """S_f over `omegas`, one stacked adjoint solve per block of frequencies.
+
+    The readout quadrature's response to every state row gives each budget
+    channel's coefficients, sqrt(rate) * y[rows] (minus d for the readout's
+    own input), normalized by the force response y[force_row].
+    """
+    d = np.array([math.sin(phi), math.cos(phi)])
+    channels = [ch for ch in model.channels if ch.id in budget]
+    s_f = np.empty_like(omegas)
+    for start in range(0, len(omegas), _BLOCK):
+        block = omegas[start:start + _BLOCK]
+        y = readout_adjoint(model, block, d)
+        norm = y[:, model.force_row]
+        invisible = np.abs(norm) <= _RESPONSE_FLOOR
+        if invisible.any():
+            raise ZeroResponse(block[np.argmax(invisible)])
+        total = np.zeros(len(block))
+        for ch in channels:
+            c = np.sqrt(ch.rate) * y[:, ch.rows]
+            if ch.is_readout:
+                c = c - d
+            c = c / norm[:, None]
+            total += _channel_power(c[:, 0], c[:, 1], budget[ch.id])
+        s_f[start:start + _BLOCK] = total
+    return s_f
+
+
 def sensitivity_at(
     config: SchemeConfig, omega: float, model: LinearModel | None = None
 ) -> float:
@@ -104,8 +145,8 @@ def sensitivity_at(
     if model is None:
         model = build(config)
     budget = noise_budget(config, model)
-    coeffs = added_noise(transfer(model, omega), config.readout_angle)
-    return power_density(coeffs, budget)
+    omegas = np.array([omega], dtype=float)
+    return float(_sensitivity(model, budget, config.readout_angle, omegas)[0])
 
 
 @dataclass(frozen=True)
@@ -150,26 +191,37 @@ def sensitivity_spectrum(
         raise ValueError("grid must be strictly increasing and positive")
 
     model = build(config)
-    budget = noise_budget(config, model)
+    return _spectrum(config, model, noise_budget(config, model), omegas)
+
+
+def _spectrum(
+    config: SchemeConfig,
+    model: LinearModel,
+    budget: Mapping[str, QuadratureSpectrum],
+    omegas: NDArray[np.float64],
+) -> SensitivitySpectrum:
+    """sensitivity_spectrum on a checked grid.
+
+    A failure is the one a frequency-by-frequency loop would meet first.
+    """
     params = config.params
     eta = config.eta if config.variant == "toy" else 0.0
-
-    s_f = np.empty_like(omegas)
-    col_sql = np.empty_like(omegas)
-    col_uql = np.empty_like(omegas)
-    col_guql = np.empty_like(omegas)
-    col_opt = np.empty_like(omegas)
-    for i, omega in enumerate(omegas):
-        coeffs = added_noise(transfer(model, omega), config.readout_angle)
-        s_f[i] = power_density(coeffs, budget)
-        col_sql[i] = bounds.sql(params, omega)
-        col_uql[i] = bounds.uql(params, omega)
-        col_guql[i] = bounds.generalized_uql(
-            bounds.coupling_susceptibilities(params, eta, omega)
+    try:
+        s_f = _sensitivity(model, budget, config.readout_angle, omegas)
+    except (SingularAtFrequency, ZeroResponse) as exc:
+        failure = exc
+    else:
+        return SensitivitySpectrum(
+            omegas=omegas,
+            s_f=s_f,
+            sql=bounds.sql(params, omegas),
+            uql=bounds.uql(params, omegas),
+            guql=bounds.generalized_uql(
+                bounds.coupling_susceptibilities(params, eta, omegas)
+            ),
+            opt_uql=bounds.optimal_uql(params, omegas),
         )
-        col_opt[i] = bounds.optimal_uql(params, omega)
-
-    return SensitivitySpectrum(
-        omegas=omegas, s_f=s_f, sql=col_sql, uql=col_uql,
-        guql=col_guql, opt_uql=col_opt,
-    )
+    # grid order: a failure of any stage, the bound columns included, at a
+    # lower frequency is the one to report
+    _spectrum(config, model, budget, omegas[omegas < failure.omega])
+    raise failure

@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from . import bounds, linresp, noise, presets
 from .errors import UnstableModel
@@ -57,14 +56,15 @@ def _relative_slack(value: float, floor: float) -> float:
 
 def sql_balance_frequency(params: DetectorParams) -> float:
     """Frequency where shot and backaction noise balance, i.e. S_f touches the SQL."""
+    from scipy import optimize  # deferred: scipy is slow to import
 
-    def mismatch(omega: float) -> float:
+    def mismatch(omega):
         cb2 = abs(bounds.chi_cav(params, omega)) ** 2
         ca = abs(bounds.chi_mech(params, omega))
         return params.g * params.g * params.gamma * cb2 * ca - 1.0
 
     grid = np.geomspace(1e-4, 1e2, 4001)
-    values = np.array([mismatch(w) for w in grid])
+    values = mismatch(grid)
     sign_flip = np.nonzero(np.diff(np.sign(values)) != 0)[0]
     if sign_flip.size == 0:
         raise ValueError("no shot/backaction balance point in the scanned range")
@@ -327,6 +327,7 @@ def random_detector(rng: np.random.Generator) -> linresp.GenericDetector:
 
 def numeric_coupling_minimum(det: linresp.GenericDetector) -> float:
     """Brute-force minimum of S'_f over the coupling strength."""
+    from scipy import optimize  # deferred: scipy is slow to import
 
     def objective(log_g: float) -> float:
         return linresp.sprime_f(replace(det, g=math.exp(log_g)))
@@ -422,14 +423,15 @@ def suite_feedback(seed: int = 0) -> list[CheckResult]:
 
 def eta_scan_minimum(params: DetectorParams, omega: float) -> float:
     """Scan-and-refine minimum of the generalized bound over the coupling mix."""
+    from scipy import optimize  # deferred: scipy is slow to import
 
-    def objective(eta: float) -> float:
+    def objective(eta):
         return bounds.generalized_uql(
             bounds.coupling_susceptibilities(params, eta, omega)
         )
 
     etas = np.linspace(-1000.0, 1000.0, 4001)
-    values = np.array([objective(e) for e in etas])
+    values = objective(etas)
     k = int(np.argmin(values))
     lo = etas[max(k - 1, 0)]
     hi = etas[min(k + 1, len(etas) - 1)]

@@ -213,3 +213,70 @@ def test_bounds_scale_linearly_with_frequency_unit():
         assert bounds.generalized_uql(q_scaled) == pytest.approx(
             lam * bounds.generalized_uql(q)
         )
+
+
+class TestArrayArguments:
+    # arrays divide complex numbers with numpy's algorithm instead of
+    # Python's: agreement to a few float64 ulps, fixed before measuring
+    RTOL = 1e-14
+
+    def test_frequency_arrays_match_scalar_calls(self):
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            p = params(Omega=rng.uniform(0.1, 4), Gamma=rng.uniform(0.0, 2),
+                       gamma=rng.uniform(0.5, 5))
+            eta = rng.uniform(-3, 3)
+            ws = np.sort(rng.uniform(0.01, 10, size=50))
+            cases = {
+                "chi_mech": lambda w: bounds.chi_mech(p, w),
+                "chi_cav": lambda w: bounds.chi_cav(p, w),
+                "inverse_chi_mech": lambda w: bounds.inverse_chi_mech(p, w),
+                "sql": lambda w: bounds.sql(p, w),
+                "uql": lambda w: bounds.uql(p, w),
+                "generalized_uql": lambda w: bounds.generalized_uql(
+                    bounds.coupling_susceptibilities(p, eta, w)
+                ),
+                "optimal_uql": lambda w: bounds.optimal_uql(p, w),
+            }
+            for name, of in cases.items():
+                np.testing.assert_allclose(
+                    of(ws), [of(float(w)) for w in ws], rtol=self.RTOL, atol=0,
+                    err_msg=name,
+                )
+
+    def test_mix_array_matches_scalar_calls(self):
+        p = params(Omega=1.3, Gamma=0.7)
+        etas = np.linspace(-50.0, 50.0, 201)
+        q = bounds.coupling_susceptibilities(p, etas, 0.77)
+        scalar = [bounds.coupling_susceptibilities(p, float(e), 0.77) for e in etas]
+        np.testing.assert_allclose(q.chi_qq, [s.chi_qq for s in scalar], rtol=self.RTOL)
+        np.testing.assert_allclose(q.chi_qx, [s.chi_qx for s in scalar], rtol=self.RTOL)
+        np.testing.assert_allclose(
+            bounds.generalized_uql(q), [bounds.generalized_uql(s) for s in scalar],
+            rtol=self.RTOL,
+        )
+
+    def test_resonance_in_array_names_first_frequency(self):
+        p = params(Omega=1.0, Gamma=0.0)
+        with pytest.raises(MechanicalResonanceSingularity, match=r"omega = 1\.0\)"):
+            bounds.sql(p, np.array([0.5, 1.0, 2.0]))
+        with pytest.raises(MechanicalResonanceSingularity, match=r"omega = 1\.0\)"):
+            bounds.coupling_susceptibilities(p, 0.3, np.array([0.5, 1.0, 1.0]))
+
+    def test_vanishing_cross_susceptibility_in_array(self):
+        p = params(Omega=1.0, Gamma=1.0)
+        q = bounds.coupling_susceptibilities(p, np.array([-1.0, -2.0, -3.0]), 0.0)
+        with pytest.raises(ZeroResponseSusceptibility, match=r"omega = 0\.0$"):
+            bounds.generalized_uql(q)
+
+    def test_optimal_bound_zero_frequency_in_array(self):
+        values = bounds.optimal_uql(params(), np.array([0.0, 0.5]))
+        assert values[0] == 0.0
+        assert values[1] == bounds.optimal_uql(params(), 0.5)
+
+    def test_empty_arrays(self):
+        none = np.array([], dtype=float)
+        assert bounds.sql(params(Gamma=0.0), none).shape == (0,)
+        q = bounds.coupling_susceptibilities(params(), 1.0, none)
+        assert bounds.generalized_uql(q).shape == (0,)
+        assert bounds.optimal_uql(params(), none).shape == (0,)

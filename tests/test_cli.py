@@ -2,7 +2,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from forcelimits import cli
 from forcelimits.cli import fmt12
 
 
@@ -126,6 +128,35 @@ class TestSpectrumCommand:
         comments = [ln for ln in result.stdout.splitlines() if ln.startswith("# ")]
         assert any(ln.startswith("# variant = ") for ln in comments)
         assert any(ln.startswith("# points = ") for ln in comments)
+
+
+class TestNumericalFailureInProcess:
+    # the first failure in grid order is reported, with a plain float
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            ("0", "force invisible at readout, omega = 0.5"),
+            ("0.5", "system matrix singular at omega = 1.0"),
+        ],
+    )
+    def test_first_failing_frequency(self, capsys, g, message):
+        code = cli.main([
+            "spectrum", "--Omega", "1", "--Gamma", "0", "--g", g,
+            "--omega-min", "0.5", "--omega-max", "2", "--points", "4",
+            "--spacing", "linear",
+        ])
+        assert code == 4
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, forcelimits.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestPresetCommands:

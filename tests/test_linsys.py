@@ -163,3 +163,34 @@ class TestTransfer:
             linsys.LinearModel(drift=drift(-np.eye(4)), channels=channels, force_row=1)
         with pytest.raises(ValueError):
             linsys.NoiseChannel("a", 1.0, (2, 2), vacuum())
+
+
+class TestReadoutAdjoint:
+    def test_matches_transfer_blocks(self):
+        from forcelimits.presets import fig2a_configs, fig2a_grid, fig2b_config, fig2b_grid
+
+        cases = [(cfg, fig2a_grid()) for cfg in fig2a_configs().values()]
+        cases.append((fig2b_config(), fig2b_grid()))
+        for cfg, grid in cases:
+            model = build(cfg)
+            d = np.array([np.sin(cfg.readout_angle), np.cos(cfg.readout_angle)])
+            omegas = grid[::37]
+            y = linsys.readout_adjoint(model, omegas, d)
+            for omega, row in zip(omegas, y):
+                resp = linsys.transfer(model, omega)
+                blocks = {resp.readout_id: resp.M, **resp.cross}
+                scale = np.max(np.abs(row))
+                assert abs(row[model.force_row] - d @ resp.v) < 1e-12 * scale
+                for ch in model.channels:
+                    adjoint = np.sqrt(ch.rate) * row[list(ch.rows)]
+                    if ch.is_readout:
+                        adjoint = adjoint - d
+                    assert np.max(np.abs(adjoint - d @ blocks[ch.id])) < 1e-12 * scale
+
+    def test_first_singular_frequency_raises(self):
+        params = DetectorParams(Omega=1.0, Gamma=0.0, gamma=3.0, g=0.5)
+        model = build(SchemeConfig("standard", params))
+        with pytest.raises(SingularAtFrequency, match=r"omega = 1\.0$"):
+            linsys.readout_adjoint(
+                model, np.array([0.5, 1.0, 1.5, 1.0]), np.array([0.0, 1.0])
+            )

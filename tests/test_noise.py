@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forcelimits import bounds, noise
-from forcelimits.errors import UnstableModel, ZeroResponse
+from forcelimits.errors import ForceLimitsError, UnstableModel, ZeroResponse
 from forcelimits.linsys import transfer
 from forcelimits.schemes import DetectorParams, SchemeConfig, build
 from forcelimits.spectra import QuadratureSpectrum, squeeze_spectrum, vacuum
@@ -311,3 +311,136 @@ class TestSensitivitySpectrum:
         ) == pytest.approx(
             noise.sensitivity_at(SchemeConfig("standard", cold), omega), rel=1e-14
         )
+
+
+def pointwise_spectrum(config, grid):
+    """Reference loop: S_f and the bound columns one frequency at a time."""
+    model = build(config)
+    budget = noise.noise_budget(config, model)
+    params = config.params
+    eta = config.eta if config.variant == "toy" else 0.0
+    rows = []
+    for omega in grid:
+        coeffs = noise.added_noise(transfer(model, omega), config.readout_angle)
+        rows.append((
+            noise.power_density(coeffs, budget),
+            bounds.sql(params, omega),
+            bounds.uql(params, omega),
+            bounds.generalized_uql(
+                bounds.coupling_susceptibilities(params, eta, omega)
+            ),
+            bounds.optimal_uql(params, omega),
+        ))
+    return np.array(rows)
+
+
+def outcome(evaluate, *args):
+    """The value of `evaluate(*args)`, or the type and message it raised."""
+    try:
+        return evaluate(*args)
+    except ForceLimitsError as exc:
+        return type(exc), str(exc)
+
+
+def preset_cases():
+    from forcelimits import presets
+
+    cases = {name: (cfg, presets.fig2a_grid())
+             for name, cfg in presets.fig2a_configs().items()}
+    cases["squeezed"] = (
+        SchemeConfig("standard", FIG2A, readout_angle=0.4,
+                     input_spectrum=squeeze_spectrum(0.8, 0.3)),
+        presets.fig2a_grid(),
+    )
+    cases["toy"] = (presets.fig2b_config(), presets.fig2b_grid())
+    return cases
+
+
+def random_stable_configs(variant, count, seed):
+    """Stable draws of one variant, ranges as in verify.random_stable_standard."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    while len(configs) < count:
+        params = DetectorParams(
+            Omega=float(rng.uniform(0.05, 3.0)),
+            Gamma=float(rng.uniform(0.01, 1.0)),
+            gamma=float(rng.uniform(0.3, 6.0)),
+            Delta=float(rng.uniform(-4.0, 4.0)) if variant == "standard" else 0.0,
+            g=float(rng.uniform(0.2, 4.0) * rng.choice([-1.0, 1.0])),
+        )
+        spectrum = (squeeze_spectrum(float(rng.uniform(0.0, 1.5)),
+                                     float(rng.uniform(-math.pi, math.pi)))
+                    if rng.uniform() < 0.5 else vacuum())
+        cfg = SchemeConfig(
+            variant, params, readout_angle=float(rng.uniform(-1.3, 1.3)),
+            input_spectrum=spectrum, eta=float(rng.uniform(-2.0, 2.0)),
+        )
+        try:
+            build(cfg)
+        except UnstableModel:
+            continue
+        configs.append(cfg)
+    return configs
+
+
+# the bound columns divide complex numbers with numpy's algorithm instead of
+# Python's: agreement to a few float64 ulps, fixed before measuring
+BOUND_RTOL = 1e-14
+
+
+class TestBlockedEngine:
+    @pytest.mark.parametrize(
+        "name", ["standard", "vm", "cd", "cqnc", "squeezed", "toy"]
+    )
+    def test_presets_match_pointwise_path(self, name):
+        cfg, grid = preset_cases()[name]
+        spec = noise.sensitivity_spectrum(cfg, grid)
+        reference = pointwise_spectrum(cfg, grid)
+        np.testing.assert_allclose(spec.s_f, reference[:, 0], rtol=1e-12, atol=0)
+        columns = np.column_stack([spec.sql, spec.uql, spec.guql, spec.opt_uql])
+        np.testing.assert_allclose(columns, reference[:, 1:], rtol=BOUND_RTOL, atol=0)
+
+    @pytest.mark.parametrize("variant", ["standard", "cqnc", "toy"])
+    def test_random_draws_match_pointwise_path(self, variant):
+        grid = np.geomspace(0.01, 12.0, 24)
+        for cfg in random_stable_configs(variant, 32, seed=61):
+            spec = noise.sensitivity_spectrum(cfg, grid)
+            reference = pointwise_spectrum(cfg, grid)
+            np.testing.assert_allclose(spec.s_f, reference[:, 0], rtol=1e-12, atol=0)
+
+    def test_block_boundaries_move_no_digit(self):
+        cuts = (0, 1, 255, 256, 300, 557, 1000)
+        for cfg, preset_grid in preset_cases().values():
+            grid = np.geomspace(preset_grid[0], preset_grid[-1], 1000)
+            whole = noise.sensitivity_spectrum(cfg, grid)
+            parts = [noise.sensitivity_spectrum(cfg, grid[a:b])
+                     for a, b in zip(cuts, cuts[1:])]
+            for column in ("s_f", "sql", "uql", "guql", "opt_uql"):
+                joined = np.concatenate([getattr(p, column) for p in parts])
+                assert np.array_equal(getattr(whole, column), joined), column
+
+    def test_sensitivity_at_is_a_one_point_call(self):
+        for cfg, grid in preset_cases().values():
+            spec = noise.sensitivity_spectrum(cfg, grid)
+            for k in (0, 137, len(grid) - 1):
+                assert noise.sensitivity_at(cfg, grid[k]) == spec.s_f[k]
+
+    @pytest.mark.parametrize(
+        "Omega, g, grid",
+        [
+            # undamped oscillator, singular matrix on resonance; g = 0 also
+            # hides the force at every frequency
+            (1.0, 0.0, np.linspace(0.5, 2.0, 4)),
+            (1.0, 0.5, np.linspace(0.5, 2.0, 4)),
+            (1.0, 0.5, np.concatenate([np.linspace(0.2, 0.9, 600), [1.0, 1.5]])),
+            # the force response drops below the floor from index 525 on,
+            # in the block that also holds the singular top frequency
+            (1e6, 1e-3, np.geomspace(1e3, 1e6, 700)),
+        ],
+    )
+    def test_first_failure_in_grid_order(self, Omega, g, grid):
+        params = DetectorParams(Omega=Omega, Gamma=0.0, gamma=3.0, g=g)
+        cfg = SchemeConfig("standard", params)
+        reference = outcome(pointwise_spectrum, cfg, grid)
+        assert isinstance(reference, tuple)
+        assert outcome(noise.sensitivity_spectrum, cfg, grid) == reference
