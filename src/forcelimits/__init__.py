@@ -29,7 +29,6 @@ from .linsys import (
     FrequencyResponse,
     LinearModel,
     NoiseChannel,
-    solve_frequency,
     stability_check,
     transfer,
 )

@@ -18,13 +18,7 @@ from typing import IO, Mapping
 import numpy as np
 
 from . import noise, presets, verify
-from .errors import (
-    InvalidConfig,
-    ParametricDivergence,
-    SingularAtFrequency,
-    UnstableModel,
-    ZeroResponse,
-)
+from .errors import InvalidConfig, NumericalFailure, UnstableModel
 from .schemes import VARIANTS, DetectorParams, SchemeConfig
 from .spectra import squeeze_spectrum, vacuum
 
@@ -72,6 +66,8 @@ class GridSpec:
     def __post_init__(self):
         if not self.omega_min > 0.0:
             raise InvalidConfig("omega_min must be positive")
+        if not math.isfinite(self.omega_max):
+            raise InvalidConfig("omega_max must be finite")
         if not self.omega_max > self.omega_min:
             raise InvalidConfig("omega_max must exceed omega_min")
         if not 2 <= self.points <= MAX_POINTS:
@@ -153,11 +149,13 @@ def _scheme_config(values: Mapping[str, object]) -> SchemeConfig:
         g=float(values["g"]),
         n_th=float(values["n_th"]),
     )
-    s = float(values["squeeze"])
-    if s != 0.0:
-        spectrum = squeeze_spectrum(s, float(values["squeeze_angle"]))
-    else:
-        spectrum = vacuum()
+    s, angle = float(values["squeeze"]), float(values["squeeze_angle"])
+    if not math.isfinite(angle):
+        raise InvalidConfig("squeeze_angle must be finite")
+    try:
+        spectrum = squeeze_spectrum(s, angle) if s != 0.0 else vacuum()
+    except (ValueError, OverflowError) as exc:
+        raise InvalidConfig(f"squeeze = {s} gives no valid input state: {exc}") from exc
     return SchemeConfig(
         variant=variant,
         params=params,
@@ -325,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnstableModel as exc:
         print(f"unstable model: {exc}", file=sys.stderr)
         return 3
-    except (SingularAtFrequency, ZeroResponse, ParametricDivergence) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

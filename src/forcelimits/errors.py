@@ -13,7 +13,11 @@ class UnstableModel(ForceLimitsError):
     """The drift matrix has an eigenvalue with positive real part."""
 
 
-class SingularAtFrequency(ForceLimitsError):
+class NumericalFailure(ForceLimitsError):
+    """A computation broke down at a particular frequency (CLI exit code 4)."""
+
+
+class SingularAtFrequency(NumericalFailure):
     """The frequency-domain system matrix is numerically singular."""
 
     def __init__(self, omega: float, message: str | None = None):
@@ -21,7 +25,7 @@ class SingularAtFrequency(ForceLimitsError):
         super().__init__(message or f"system matrix singular at omega = {self.omega!r}")
 
 
-class ParametricDivergence(ForceLimitsError):
+class ParametricDivergence(NumericalFailure):
     """The detuned-cavity feedback denominator vanished at this frequency."""
 
     def __init__(self, omega: float, message: str | None = None):
@@ -29,7 +33,7 @@ class ParametricDivergence(ForceLimitsError):
         super().__init__(message or f"parametric divergence at omega = {self.omega!r}")
 
 
-class ZeroResponse(ForceLimitsError):
+class ZeroResponse(NumericalFailure):
     """The force response vanishes at the chosen readout quadrature."""
 
     def __init__(self, omega: float, message: str | None = None):
@@ -37,11 +41,11 @@ class ZeroResponse(ForceLimitsError):
         super().__init__(message or f"force invisible at readout, omega = {self.omega!r}")
 
 
-class MechanicalResonanceSingularity(ForceLimitsError):
+class MechanicalResonanceSingularity(NumericalFailure):
     """Undamped mechanical susceptibility evaluated exactly on resonance."""
 
 
-class ZeroResponseSusceptibility(ForceLimitsError):
+class ZeroResponseSusceptibility(NumericalFailure):
     """The coupling cross-susceptibility vanished; the bound is undefined."""
 
 

@@ -50,9 +50,6 @@ class DriftMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
 
 @dataclass(frozen=True)
 class NoiseChannel:
@@ -78,7 +75,6 @@ class LinearModel:
     drift: DriftMatrix
     channels: tuple[NoiseChannel, ...]
     force_row: int
-    readout_angle: float = 0.0
 
     def __post_init__(self):
         n = self.drift.n
@@ -106,11 +102,6 @@ class FrequencyResponse:
     cross: Mapping[str, NDArray[np.complex128]]  # other channel in -> readout out
     readout_id: str
 
-    def __post_init__(self):
-        blocks = [self.M, self.v, *self.cross.values()]
-        if not all(np.all(np.isfinite(b.view(float))) for b in blocks):
-            raise SingularAtFrequency(self.omega, "non-finite transfer entries")
-
 
 def stability_check(drift: DriftMatrix) -> tuple[bool, NDArray[np.complex128]]:
     """Return (stable, eigenvalues); stable means all real parts <= tolerance."""
@@ -128,10 +119,6 @@ def _system_matrices(
     if singular.any():
         raise SingularAtFrequency(omegas[np.argmax(singular)])
     return m
-
-
-def _system_matrix(model: LinearModel, omega: float) -> NDArray[np.complex128]:
-    return _system_matrices(model, np.array([omega], dtype=float))[0]
 
 
 def _refined_solve(
@@ -160,69 +147,42 @@ def readout_adjoint(
 
     Row k solves the adjoint system (A + i w I)^T y = -sqrt(rate) (d0 e_r0 +
     d1 e_r1) at w = omegas[k], with r0, r1 the readout rows; all frequencies
-    go through one stacked, refined solve.
+    go through one stacked, refined solve.  A d of shape (2,) gives y of
+    shape (N, n); a d of shape (2, k) solves its k columns together and gives
+    (N, n, k).
     """
     m = np.swapaxes(_system_matrices(model, omegas), -1, -2)
     readout = model.readout
-    b = np.zeros((len(omegas), model.drift.n, 1), dtype=complex)
-    b[:, readout.rows, 0] = -np.sqrt(readout.rate) * d
-    y = _refined_solve(m, b)[..., 0]
-    finite = np.isfinite(y).all(axis=1)
+    columns = np.asarray(d, dtype=float).reshape(2, -1)
+    b = np.zeros((len(omegas), model.drift.n, columns.shape[1]), dtype=complex)
+    b[:, readout.rows, :] = -np.sqrt(readout.rate) * columns
+    y = _refined_solve(m, b)
+    finite = np.isfinite(y).all(axis=(1, 2))
     if not finite.all():
         raise SingularAtFrequency(
             omegas[np.argmin(finite)], "non-finite transfer entries"
         )
-    return y
-
-
-def solve_frequency(
-    model: LinearModel, omega: float, w: NDArray[np.complex128]
-) -> NDArray[np.complex128]:
-    """Solve (A + i w I) x = -w for the stationary response x."""
-    m = _system_matrix(model, omega)
-    return _refined_solve(m, -np.asarray(w, dtype=complex))
+    return y if np.ndim(d) == 2 else y[..., 0]
 
 
 def resolvent(model: LinearModel, omega: float) -> NDArray[np.complex128]:
     """Full response matrix -(A + i w I)^(-1); column k is the response to e_k."""
-    m = _system_matrix(model, omega)
+    m = _system_matrices(model, np.array([omega], dtype=float))[0]
     return _refined_solve(m, -np.eye(model.drift.n, dtype=complex))
 
 
 def transfer(model: LinearModel, omega: float) -> FrequencyResponse:
-    """Assemble the input-output transfer blocks by column-wise solves.
+    """Transfer blocks from every input to the readout output at one frequency.
 
-    Each input quadrature of each channel is driven with a unit amplitude
-    (scaled by sqrt(rate)); the readout channel's two output quadratures are
-    read back through out = sqrt(rate)*state - in.  The classical force
-    drives its row with unit coefficient.
+    One call of readout_adjoint with d = I: y[j, k] is output quadrature k's
+    response to a unit drive of state row j, so a channel's block is
+    sqrt(rate) * y[rows]^T (less the identity for the readout's own input,
+    since out = sqrt(rate)*state - in) and the force response is y[force_row].
     """
-    response = resolvent(model, omega)
-
+    y = readout_adjoint(model, np.array([omega], dtype=float), np.eye(2))[0]
     readout = model.readout
-    r0, r1 = readout.rows
-    sqrt_rr = np.sqrt(readout.rate)
-
-    def output_of(state: NDArray[np.complex128]) -> NDArray[np.complex128]:
-        return sqrt_rr * np.array([state[r0], state[r1]])
-
-    v = output_of(response[:, model.force_row])
-
-    blocks: dict[str, NDArray[np.complex128]] = {}
-    M = np.zeros((2, 2), dtype=complex)
-    for ch in model.channels:
-        block = np.zeros((2, 2), dtype=complex)
-        for k, row in enumerate(ch.rows):
-            state = np.sqrt(ch.rate) * response[:, row]
-            col = output_of(state)
-            if ch.is_readout:
-                col = col - np.eye(2, dtype=complex)[:, k]
-            block[:, k] = col
-        if ch.is_readout:
-            M = block
-        else:
-            blocks[ch.id] = block
-
+    blocks = {ch.id: np.sqrt(ch.rate) * y[list(ch.rows)].T for ch in model.channels}
+    M = blocks.pop(readout.id) - np.eye(2)
     return FrequencyResponse(
-        omega=omega, M=M, v=v, cross=blocks, readout_id=readout.id
+        omega=omega, M=M, v=y[model.force_row], cross=blocks, readout_id=readout.id
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -19,13 +19,11 @@ from . import bounds
 from .errors import SingularAtFrequency, ZeroResponse
 from .linsys import FrequencyResponse, LinearModel, readout_adjoint
 from .schemes import ANCILLA, SchemeConfig, build
-from .spectra import QuadratureSpectrum, squeeze_spectrum, thermal, vacuum
+
+if TYPE_CHECKING:
+    from .spectra import QuadratureSpectrum
 
 __all__ = [
-    "QuadratureSpectrum",
-    "vacuum",
-    "thermal",
-    "squeeze_spectrum",
     "AddedNoiseCoeffs",
     "added_noise",
     "power_density",

@@ -54,6 +54,9 @@ class DetectorParams:
     n_th: float = 0.0
 
     def __post_init__(self):
+        bad = [name for name, value in vars(self).items() if not math.isfinite(value)]
+        if bad:
+            raise InvalidConfig(f"{', '.join(bad)} must be finite")
         if not self.Omega > 0.0:
             raise InvalidConfig("Omega must be positive")
         if not self.gamma > 0.0:
@@ -75,17 +78,14 @@ class SchemeConfig:
     eta: float = 1.0  # toy coupling mix q = x + eta*p
 
     def __post_init__(self):
+        if not (math.isfinite(self.readout_angle) and math.isfinite(self.eta)):
+            raise InvalidConfig("readout angle and eta must be finite")
         if self.variant not in VARIANTS:
             raise InvalidConfig(f"unknown variant {self.variant!r}")
         if self.variant == "cqnc" and self.params.Delta != 0.0:
             raise InvalidConfig("the cqnc ancilla wiring requires Delta = 0")
         if self.variant == "toy" and self.params.Delta != 0.0:
             raise InvalidConfig("the mixed-coupling model is defined on resonance")
-
-    @property
-    def xi(self) -> float:
-        """Readout slope tan(phi); convenience only, never used for division."""
-        return math.tan(self.readout_angle)
 
 
 def _standard_drift(p: DetectorParams) -> np.ndarray:
@@ -159,12 +159,7 @@ def build(config: SchemeConfig) -> LinearModel:
             f"{config.variant} drift has eigenvalue real part {worst:.3e} > 0"
         )
 
-    return LinearModel(
-        drift=drift,
-        channels=tuple(channels),
-        force_row=1,
-        readout_angle=config.readout_angle,
-    )
+    return LinearModel(drift=drift, channels=tuple(channels), force_row=1)
 
 
 def closed_form_transfer(

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from forcelimits import cli
+from forcelimits import cli, errors
 from forcelimits.cli import fmt12
 
 
@@ -147,6 +147,51 @@ class TestNumericalFailureInProcess:
         ])
         assert code == 4
         assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+    def test_bound_column_failure(self, capsys):
+        # S_f is finite at omega = 1, but the undamped chi_mech of the bound
+        # columns is singular there
+        code = cli.main([
+            "spectrum", "--Omega", "1", "--Gamma", "0", "--gamma", "3", "--g", "0.5",
+            "--Delta", "1", "--omega-min", "0.5", "--omega-max", "1.5",
+            "--points", "3", "--spacing", "linear",
+        ])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: undamped oscillator driven on resonance (omega = 1.0)\n"
+        )
+
+    def test_vanishing_cross_susceptibility(self, capsys, monkeypatch):
+        # the S_f path fails first wherever chi_qx vanishes on a positive grid,
+        # so the bound column's own error is raised by hand
+        error = errors.ZeroResponseSusceptibility("chi_qx vanished at omega = 0.25")
+
+        def fail(config, grid):
+            raise error
+
+        monkeypatch.setattr(cli.noise, "sensitivity_spectrum", fail)
+        assert cli.main(["spectrum", "--points", "3"]) == 4
+        assert capsys.readouterr().err == f"numerical failure: {error}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--omega-max", "inf"], "omega_max must be finite"),
+    (["--g", "nan"], "g must be finite"),
+    (["--g", "inf"], "g must be finite"),
+    (["--Gamma", "inf"], "Gamma must be finite"),
+    (["--eta", "nan", "--scheme", "toy"], "readout angle and eta must be finite"),
+    (["--phi", "nan"], "readout angle and eta must be finite"),
+    (["--squeeze", "nan"], "squeeze = nan gives no valid input state"),
+    (["--squeeze", "400"], "squeeze = 400.0 gives no valid input state"),
+    (["--squeeze", "1", "--squeeze-angle", "inf"], "squeeze_angle must be finite"),
+    (["--n-th", "nan"], "n_th must be finite"),
+])
+def test_invalid_number_is_a_configuration_error(capsys, flags, message):
+    code = cli.main(["spectrum", "--points", "3", *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"configuration error: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,8 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 
 from forcelimits import linsys
-from forcelimits.errors import SingularAtFrequency
+from forcelimits.errors import SingularAtFrequency, UnstableModel
 from forcelimits.schemes import DetectorParams, SchemeConfig, build, closed_form_transfer
 from forcelimits.spectra import vacuum
 
@@ -54,6 +55,12 @@ def standard_model():
     return build(SchemeConfig("standard", params))
 
 
+def solve(model, omega, w):
+    """The refined solve of (A + i w I) x = -w behind readout_adjoint and resolvent."""
+    m = linsys._system_matrices(model, np.array([omega], dtype=float))[0]
+    return linsys._refined_solve(m, -np.asarray(w, dtype=complex))
+
+
 class TestSolveFrequency:
     def test_identity_drift(self):
         model = linsys.LinearModel(
@@ -64,7 +71,7 @@ class TestSolveFrequency:
             ),
             force_row=1,
         )
-        x = linsys.solve_frequency(model, 0.0, np.array([1.0, 0, 0, 0]))
+        x = solve(model, 0.0, np.array([1.0, 0, 0, 0]))
         assert np.allclose(x, [1.0, 0, 0, 0])
 
     def test_residual_bound(self, standard_model):
@@ -72,7 +79,7 @@ class TestSolveFrequency:
         for _ in range(25):
             omega = rng.uniform(1e-3, 10.0)
             w = rng.normal(size=4) + 1j * rng.normal(size=4)
-            x = linsys.solve_frequency(standard_model, omega, w)
+            x = solve(standard_model, omega, w)
             m = standard_model.drift.entries + 1j * omega * np.eye(4)
             assert np.linalg.norm(m @ x + w) < 1e-12 * np.linalg.norm(w)
 
@@ -81,16 +88,16 @@ class TestSolveFrequency:
         w1 = rng.normal(size=4) + 1j * rng.normal(size=4)
         w2 = rng.normal(size=4) + 1j * rng.normal(size=4)
         omega = 0.3
-        x1 = linsys.solve_frequency(standard_model, omega, w1)
-        x2 = linsys.solve_frequency(standard_model, omega, w2)
-        x12 = linsys.solve_frequency(standard_model, omega, w1 + 2.0 * w2)
+        x1 = solve(standard_model, omega, w1)
+        x2 = solve(standard_model, omega, w2)
+        x12 = solve(standard_model, omega, w1 + 2.0 * w2)
         assert np.allclose(x12, x1 + 2.0 * x2, rtol=1e-12, atol=1e-14)
 
     def test_singular_at_undamped_resonance(self):
         params = DetectorParams(Omega=1.0, Gamma=0.0, gamma=3.0, g=0.0)
         model = build(SchemeConfig("standard", params))
         with pytest.raises(SingularAtFrequency):
-            linsys.solve_frequency(model, 1.0, np.ones(4, dtype=complex))
+            solve(model, 1.0, np.ones(4, dtype=complex))
 
     def test_residual_bound_on_benchmark_grids(self):
         from forcelimits.presets import fig2a_configs, fig2a_grid, fig2b_config, fig2b_grid
@@ -103,7 +110,7 @@ class TestSolveFrequency:
             n = model.drift.n
             for omega in grid[:: len(grid) // 16]:
                 w = rng.normal(size=n) + 1j * rng.normal(size=n)
-                x = linsys.solve_frequency(model, omega, w)
+                x = solve(model, omega, w)
                 m = model.drift.entries + 1j * omega * np.eye(n)
                 assert np.linalg.norm(m @ x + w) < 1e-12 * np.linalg.norm(w)
 
@@ -194,3 +201,70 @@ class TestReadoutAdjoint:
             linsys.readout_adjoint(
                 model, np.array([0.5, 1.0, 1.5, 1.0]), np.array([0.0, 1.0])
             )
+
+    def test_stacked_directions_match_single_calls(self):
+        from forcelimits.presets import fig2a_configs, fig2a_grid
+
+        d = np.array([[0.0, 1.0, 0.6], [1.0, 0.0, -0.8]])
+        omegas = fig2a_grid()[::41]
+        for cfg in fig2a_configs().values():
+            model = build(cfg)
+            y = linsys.readout_adjoint(model, omegas, d)
+            assert y.shape == (len(omegas), model.drift.n, 3)
+            for k in range(3):
+                single = linsys.readout_adjoint(model, omegas, d[:, k])
+                scale = np.max(np.abs(single), axis=1, keepdims=True)
+                assert np.all(np.abs(y[..., k] - single) <= 1e-14 * scale)
+
+
+def _oracle_draw(rng, variant, k):
+    """Stable draw k of a variant and its frequency for the 50-digit oracle.
+
+    Gamma is log-uniform down to 1e-6 (exactly 1e-6 every third draw) and
+    every even draw sits at Omega (1 +- 1e-3), next to the lightly damped
+    resonance.
+    """
+    while True:
+        params = DetectorParams(
+            Omega=rng.uniform(0.05, 3.0),
+            Gamma=1e-6 if k % 3 == 0 else 10.0 ** rng.uniform(-6.0, 0.0),
+            gamma=rng.uniform(0.3, 6.0),
+            Delta=rng.uniform(-4.0, 4.0) if variant == "standard" else 0.0,
+            g=rng.uniform(0.2, 4.0) * rng.choice([-1.0, 1.0]),
+        )
+        try:
+            model = build(SchemeConfig(variant, params, eta=rng.uniform(-2.0, 2.0)))
+        except UnstableModel:
+            continue
+        if k % 2 == 0:
+            return model, params.Omega * (1.0 + rng.choice([-1e-3, 1e-3]))
+        return model, rng.uniform(0.01, 12.0)
+
+
+def _mp_transfer(model, omega):
+    """M and v from a 50-digit inverse of A + i w I (the float64 entries, exactly)."""
+    n = model.drift.n
+    readout = model.readout
+    with mpmath.workdps(50):
+        m = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                m[i, j] = mpmath.mpf(model.drift.entries[i, j])
+            m[i, i] += mpmath.mpc(0, omega)
+        response = -mpmath.inverse(m)
+        rate = mpmath.mpf(readout.rate)
+        v = [mpmath.sqrt(rate) * response[r, model.force_row] for r in readout.rows]
+        M = [[rate * response[r, c] - (i == j) for j, c in enumerate(readout.rows)]
+             for i, r in enumerate(readout.rows)]
+        return np.array(M, dtype=complex), np.array(v, dtype=complex)
+
+
+@pytest.mark.parametrize("variant", ["standard", "cqnc", "toy"])
+def test_transfer_against_50_digit_oracle(variant):
+    rng = np.random.default_rng(["standard", "cqnc", "toy"].index(variant) + 11)
+    for k in range(16):
+        model, omega = _oracle_draw(rng, variant, k)
+        resp = linsys.transfer(model, omega)
+        M, v = _mp_transfer(model, omega)
+        assert np.max(np.abs(resp.M - M)) <= 1e-12 * np.max(np.abs(M))
+        assert np.max(np.abs(resp.v - v)) <= 1e-12 * np.max(np.abs(v))

@@ -1,0 +1,47 @@
+"""The package API that the benchmark's traced decomposition calls.
+
+`perfbench/run.py --trace 1` times the public per-point calls behind a
+spectrum (transfer, added_noise, power_density, the bound columns) and a
+draw's build and stability check.  Running those decompositions here on
+3-point grids makes an API change that would break a traced run fail the
+test suite instead.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import forcelimits
+import forcelimits.presets  # noqa: F401  (the decomposition reads fl.presets)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import spans
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return workloads, spans.NullTracer()
+
+
+def test_decompose_spectrum(perfbench):
+    workloads, tracer = perfbench
+    for name, (config, grid) in workloads.sweep_inputs(forcelimits.presets).items():
+        small = np.geomspace(grid[0], grid[-1], 3)
+        workloads.decompose_spectrum(tracer, forcelimits, name, config, small)
+
+
+def test_decompose_draw(perfbench):
+    workloads, tracer = perfbench
+    rng = np.random.default_rng(0)
+    variants = set()
+    while len(variants) < 3:
+        draw = workloads.random_draw(rng)
+        variants.add(draw["variant"])
+        workloads.decompose_draw(tracer, forcelimits, draw, workloads.SCAN_GRID[::8])

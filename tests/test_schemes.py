@@ -14,6 +14,7 @@ from forcelimits.schemes import (
     build,
     closed_form_transfer,
 )
+from forcelimits.spectra import vacuum
 
 
 FIG2A = DetectorParams(Omega=0.01, Gamma=0.01, gamma=3.0, Delta=0.0, g=-10.0)
@@ -99,10 +100,6 @@ class TestBuild:
         with pytest.raises(InvalidConfig):
             DetectorParams(Omega=1.0, Gamma=0.1, gamma=0.0)
 
-    def test_xi_accessor(self):
-        cfg = SchemeConfig("standard", FIG2A, readout_angle=math.atan(20.0))
-        assert cfg.xi == pytest.approx(20.0)
-
 
 class TestClosedFormTransfer:
     def test_coupling_off(self):
@@ -174,7 +171,7 @@ class TestCqncResidualNoise:
         for omega in (0.002, 0.01, 0.5, 4.0, 10.0):
             coeffs = noise.added_noise(transfer(model, omega), 0.0)
             ancilla_only = noise.power_density(
-                coeffs, {ANCILLA: noise.vacuum()}
+                coeffs, {ANCILLA: vacuum()}
             )
             floor = p.Gamma / (2 * p.Omega**2) * (
                 omega**2 + p.Omega**2 + p.Gamma**2 / 4
