@@ -33,7 +33,6 @@ from .linsys import (
     transfer,
 )
 from .noise import (
-    AddedNoiseCoeffs,
     SensitivitySpectrum,
     added_noise,
     noise_budget,

@@ -103,30 +103,20 @@ def _read_config_file(path: str) -> tuple[dict, dict]:
     except (OSError, configparser.Error) as exc:
         raise InvalidConfig(f"cannot read config file {path!r}: {exc}") from exc
 
-    scheme: dict[str, object] = {}
-    grid: dict[str, object] = {}
+    sections = {"scheme": _SCHEME_DEFAULTS, "grid": _GRID_DEFAULTS}
+    values: dict[str, dict[str, object]] = {name: {} for name in sections}
     try:
-        if parser.has_section("scheme"):
-            for key in parser.options("scheme"):
-                if key not in _SCHEME_DEFAULTS:
-                    raise InvalidConfig(f"unknown scheme key {key!r}")
-                if key == "variant":
-                    scheme[key] = parser.get("scheme", key).strip()
-                else:
-                    scheme[key] = parser.getfloat("scheme", key)
-        if parser.has_section("grid"):
-            for key in parser.options("grid"):
-                if key == "spacing":
-                    grid[key] = parser.get("grid", key).strip()
-                elif key == "points":
-                    grid[key] = parser.getint("grid", key)
-                elif key in ("omega_min", "omega_max"):
-                    grid[key] = parser.getfloat("grid", key)
-                else:
-                    raise InvalidConfig(f"unknown grid key {key!r}")
+        for name, defaults in sections.items():
+            if not parser.has_section(name):
+                continue
+            for key in parser.options(name):
+                if key not in defaults:
+                    raise InvalidConfig(f"unknown {name} key {key!r}")
+                # a key parses as the type of its default: str, int or float
+                values[name][key] = type(defaults[key])(parser.get(name, key).strip())
     except (ValueError, configparser.Error) as exc:
         raise InvalidConfig(f"bad value in config file {path!r}: {exc}") from exc
-    return scheme, grid
+    return values["scheme"], values["grid"]
 
 
 def _dump_config(path: str, scheme: Mapping[str, object], grid: Mapping[str, object]):
@@ -274,16 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum = sub.add_parser(
         "spectrum", help="write the sensitivity spectrum of one scheme as CSV"
     )
-    spectrum.add_argument("--scheme", dest="variant", choices=VARIANTS, default=None)
-    for flag in ("Omega", "Gamma", "gamma", "Delta", "g", "phi", "eta",
-                 "squeeze", "squeeze-angle", "n-th"):
-        spectrum.add_argument(
-            f"--{flag}", dest=flag.replace("-", "_"), type=float, default=None
-        )
-    spectrum.add_argument("--omega-min", dest="omega_min", type=float, default=None)
-    spectrum.add_argument("--omega-max", dest="omega_max", type=float, default=None)
-    spectrum.add_argument("--points", type=int, default=None)
-    spectrum.add_argument("--spacing", choices=("linear", "log"), default=None)
+    choices = {"variant": VARIANTS, "spacing": ("linear", "log")}
+    for key, default in {**_SCHEME_DEFAULTS, **_GRID_DEFAULTS}.items():
+        flag = "--scheme" if key == "variant" else "--" + key.replace("_", "-")
+        kind = {"choices": choices[key]} if key in choices else {"type": type(default)}
+        spectrum.add_argument(flag, dest=key, default=None, **kind)
     spectrum.add_argument("--output", default=None, help="CSV path (default stdout)")
     spectrum.add_argument("--config", default=None, help="key = value config file")
     spectrum.add_argument(

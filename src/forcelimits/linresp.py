@@ -29,7 +29,7 @@ from .errors import (
     ZeroCoupling,
     ZeroFrequencyFeedback,
 )
-from .linsys import resolvent, transfer
+from .linsys import adjoint_response, channel_output, readout_drive
 from .schemes import DetectorParams, SchemeConfig, build
 from .spectra import QuadratureSpectrum
 
@@ -234,28 +234,22 @@ def extract_detector(
 
     bare = replace(config, params=replace(params, g=0.0))
     model0 = build(bare)
-    readout = model0.readout
-    r0, r1 = readout.rows
-    sqrt_rr = math.sqrt(readout.rate)
     d = np.array([math.sin(config.readout_angle), math.cos(config.readout_angle)])
-
-    response = resolvent(model0, omega)
-
     f_vector = coupling_vector(config)
-    drive_response = response @ _conjugate_drive(f_vector)
-    chi_ff = complex(f_vector @ drive_response)
-    chi_zf_raw = complex(
-        sqrt_rr * (d[0] * drive_response[r0] + d[1] * drive_response[r1])
-    )
+
+    # one adjoint solve for the state functionals of F = f . x and of d . out
+    b = np.stack([f_vector, readout_drive(model0, d)], axis=1)
+    y_f, y_z = adjoint_response(model0, np.array([omega], dtype=float), b)[0].T
+    drive = _conjugate_drive(f_vector)
+    chi_ff = complex(y_f @ drive)
+    chi_zf_raw = complex(y_z @ drive)
     if abs(chi_zf_raw) < _TINY:
         raise DegenerateReadout(
             f"output does not respond to the input operator at omega = {omega!r}"
         )
 
-    f_coeffs = np.array(
-        [f_vector @ (sqrt_rr * response[:, row]) for row in readout.rows]
-    )
-    z_coeffs = (d @ transfer(model0, omega).M) / chi_zf_raw
+    f_coeffs = channel_output(model0.readout, y_f)
+    z_coeffs = channel_output(model0.readout, y_z, d) / chi_zf_raw
 
     s = spectrum.matrix()
     s_ff = float((f_coeffs @ s @ f_coeffs.conj()).real)

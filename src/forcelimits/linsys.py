@@ -8,6 +8,7 @@ input-output relation out = sqrt(kappa) * (intracavity) - in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
@@ -28,10 +29,9 @@ _COND_LIMIT = 1e14
 
 @dataclass(frozen=True)
 class DriftMatrix:
-    """Real drift matrix with named state quadratures."""
+    """Real drift matrix of the state quadratures."""
 
     entries: NDArray[np.float64]
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
@@ -41,8 +41,6 @@ class DriftMatrix:
             raise ValueError("drift matrix must be square")
         if n == 0 or n % 2 != 0:
             raise ValueError("state dimension must be a positive even number")
-        if len(self.labels) != n:
-            raise ValueError("need one label per state variable")
         if not np.all(np.isfinite(entries)):
             raise ValueError("drift entries must be finite")
 
@@ -140,49 +138,65 @@ def _refined_solve(
     return x
 
 
-def readout_adjoint(
-    model: LinearModel, omegas: NDArray[np.float64], d: NDArray[np.float64]
+def adjoint_response(
+    model: LinearModel, omegas: NDArray[np.float64], b: NDArray[np.float64]
 ) -> NDArray[np.complex128]:
-    """Response of the readout quadrature d . out to a unit drive of each state row.
+    """Solve (A + i w I)^T y = -b at every w in omegas, in one stacked, refined solve.
 
-    Row k solves the adjoint system (A + i w I)^T y = -sqrt(rate) (d0 e_r0 +
-    d1 e_r1) at w = omegas[k], with r0, r1 the readout rows; all frequencies
-    go through one stacked, refined solve.  A d of shape (2,) gives y of
-    shape (N, n); a d of shape (2, k) solves its k columns together and gives
-    (N, n, k).
+    Entry k of y is the response of the state functional b . x to a unit
+    drive of state row k.  A b of shape (n,) gives y of shape (N, n); a b of shape
+    (n, k) solves its k columns together and gives (N, n, k).
     """
     m = np.swapaxes(_system_matrices(model, omegas), -1, -2)
-    readout = model.readout
-    columns = np.asarray(d, dtype=float).reshape(2, -1)
-    b = np.zeros((len(omegas), model.drift.n, columns.shape[1]), dtype=complex)
-    b[:, readout.rows, :] = -np.sqrt(readout.rate) * columns
-    y = _refined_solve(m, b)
+    y = _refined_solve(m, -np.reshape(b, (model.drift.n, -1)))
     finite = np.isfinite(y).all(axis=(1, 2))
     if not finite.all():
         raise SingularAtFrequency(
             omegas[np.argmin(finite)], "non-finite transfer entries"
         )
-    return y if np.ndim(d) == 2 else y[..., 0]
+    return y if np.ndim(b) == 2 else y[..., 0]
 
 
-def resolvent(model: LinearModel, omega: float) -> NDArray[np.complex128]:
-    """Full response matrix -(A + i w I)^(-1); column k is the response to e_k."""
-    m = _system_matrices(model, np.array([omega], dtype=float))[0]
-    return _refined_solve(m, -np.eye(model.drift.n, dtype=complex))
+def readout_drive(model: LinearModel, d: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The b of adjoint_response for the readout quadrature d . out.
+
+    It is sqrt(rate) d on the readout rows; a d of shape (2, k) gives k columns.
+    """
+    readout = model.readout
+    b = np.zeros((model.drift.n,) + np.shape(d)[1:])
+    b[list(readout.rows)] = math.sqrt(readout.rate) * np.asarray(d)
+    return b
+
+
+def channel_output(
+    channel: NoiseChannel,
+    y: NDArray[np.complex128],
+    d: NDArray[np.float64] | None = None,
+) -> NDArray[np.complex128]:
+    """Coefficients of a channel's input quadratures in a readout functional.
+
+    y holds adjoint responses on its last axis.  Since out = sqrt(rate) *
+    state - in, they are sqrt(rate) * y[..., rows], less the readout
+    direction d for the readout's own input (no d: the state part alone).
+    """
+    c = math.sqrt(channel.rate) * y.take(channel.rows, axis=-1)
+    return c - d if channel.is_readout and d is not None else c
 
 
 def transfer(model: LinearModel, omega: float) -> FrequencyResponse:
     """Transfer blocks from every input to the readout output at one frequency.
 
-    One call of readout_adjoint with d = I: y[j, k] is output quadrature k's
-    response to a unit drive of state row j, so a channel's block is
-    sqrt(rate) * y[rows]^T (less the identity for the readout's own input,
-    since out = sqrt(rate)*state - in) and the force response is y[force_row].
+    One adjoint solve of both output quadratures (d = I): row k of y is
+    output quadrature k's response to every state row, so a channel's block
+    is its channel_output and the force response is y[:, force_row].
     """
-    y = readout_adjoint(model, np.array([omega], dtype=float), np.eye(2))[0]
+    eye = np.eye(2)
+    y = adjoint_response(
+        model, np.array([omega], dtype=float), readout_drive(model, eye)
+    )[0].T
+    blocks = {ch.id: channel_output(ch, y, eye) for ch in model.channels}
     readout = model.readout
-    blocks = {ch.id: np.sqrt(ch.rate) * y[list(ch.rows)].T for ch in model.channels}
-    M = blocks.pop(readout.id) - np.eye(2)
     return FrequencyResponse(
-        omega=omega, M=M, v=y[model.force_row], cross=blocks, readout_id=readout.id
+        omega=omega, M=blocks.pop(readout.id), v=y[:, model.force_row],
+        cross=blocks, readout_id=readout.id,
     )

@@ -17,14 +17,19 @@ from numpy.typing import NDArray
 
 from . import bounds
 from .errors import SingularAtFrequency, ZeroResponse
-from .linsys import FrequencyResponse, LinearModel, readout_adjoint
-from .schemes import ANCILLA, SchemeConfig, build
+from .linsys import (
+    FrequencyResponse,
+    LinearModel,
+    adjoint_response,
+    channel_output,
+    readout_drive,
+)
+from .schemes import MECHANICAL, SchemeConfig, build
 
 if TYPE_CHECKING:
     from .spectra import QuadratureSpectrum
 
 __all__ = [
-    "AddedNoiseCoeffs",
     "added_noise",
     "power_density",
     "noise_budget",
@@ -39,25 +44,23 @@ _RESPONSE_FLOOR = 1e-14
 _BLOCK = 256
 
 
-@dataclass(frozen=True)
-class AddedNoiseCoeffs:
-    """Force-normalized added-noise coefficients, one complex pair per channel."""
+def _per_force(coeffs, response, omegas) -> dict[str, tuple]:
+    """Each channel's (..., 2) coefficients as a pair per unit force response.
 
-    omega: float
-    coeffs: Mapping[str, tuple[complex, complex]]
-    norm: complex
+    `response` broadcasts against the coefficients; the first of `omegas`
+    where it vanishes raises ZeroResponse.
+    """
+    invisible = abs(response) <= _RESPONSE_FLOOR
+    if np.count_nonzero(invisible):
+        raise ZeroResponse(omegas[np.argmax(invisible)])
+    return {cid: tuple((c / response).T) for cid, c in coeffs.items()}
 
 
-def added_noise(resp: FrequencyResponse, phi: float) -> AddedNoiseCoeffs:
-    """Normalize every input's transfer by the force response at angle phi."""
+def added_noise(resp: FrequencyResponse, phi: float) -> dict[str, tuple]:
+    """Every input's coefficient pair in the phi quadrature, per unit force response."""
     d = np.array([math.sin(phi), math.cos(phi)])
-    norm = complex(d @ resp.v)
-    if abs(norm) <= _RESPONSE_FLOOR:
-        raise ZeroResponse(resp.omega)
-    coeffs = {resp.readout_id: tuple((d @ resp.M) / norm)}
-    for cid, block in resp.cross.items():
-        coeffs[cid] = tuple((d @ block) / norm)
-    return AddedNoiseCoeffs(omega=resp.omega, coeffs=coeffs, norm=norm)
+    blocks = {resp.readout_id: resp.M, **resp.cross}
+    return _per_force({k: d @ m for k, m in blocks.items()}, d @ resp.v, [resp.omega])
 
 
 def _channel_power(c1, c2, spec: QuadratureSpectrum):
@@ -70,37 +73,29 @@ def _channel_power(c1, c2, spec: QuadratureSpectrum):
 
 
 def power_density(
-    coeffs: AddedNoiseCoeffs, spectra: Mapping[str, QuadratureSpectrum]
-) -> float:
+    coeffs: Mapping[str, tuple], spectra: Mapping[str, QuadratureSpectrum]
+) -> float | NDArray[np.float64]:
     """Added-noise power summed over the channels present in `spectra`.
 
     Channels without an entry in `spectra` (the oscillator's own thermal
-    bath, by default) are left out of the budget.
+    bath, by default) are left out of the budget.  Array-valued pairs give
+    the power at every frequency.
     """
     total = 0.0
-    for cid, (c1, c2) in coeffs.coeffs.items():
+    for cid, (c1, c2) in coeffs.items():
         spec = spectra.get(cid)
-        if spec is None:
-            continue
-        total += _channel_power(c1, c2, spec)
+        if spec is not None:
+            total = total + _channel_power(c1, c2, spec)
     return total
 
 
 def noise_budget(
     config: SchemeConfig, model: LinearModel | None = None
 ) -> dict[str, QuadratureSpectrum]:
-    """Channel spectra entering S_f: readout always, the cqnc ancilla too.
-
-    The mechanical bath is deliberately absent: intrinsic oscillator noise is
-    not part of the detection-noise budget.
-    """
+    """Spectra of the channels entering S_f: all but the oscillator's own bath."""
     if model is None:
         model = build(config)
-    budget = {model.readout.id: config.input_spectrum}
-    for ch in model.channels:
-        if ch.id == ANCILLA:
-            budget[ch.id] = ch.spectrum
-    return budget
+    return {ch.id: ch.spectrum for ch in model.channels if ch.id != MECHANICAL}
 
 
 def _sensitivity(
@@ -111,28 +106,20 @@ def _sensitivity(
 ) -> NDArray[np.float64]:
     """S_f over `omegas`, one stacked adjoint solve per block of frequencies.
 
-    The readout quadrature's response to every state row gives each budget
-    channel's coefficients, sqrt(rate) * y[rows] (minus d for the readout's
-    own input), normalized by the force response y[force_row].
+    The solve gives the phi quadrature's response to every state row, from
+    which channel_output assembles each budget channel's coefficients.
     """
     d = np.array([math.sin(phi), math.cos(phi)])
+    b = readout_drive(model, d)
     channels = [ch for ch in model.channels if ch.id in budget]
     s_f = np.empty_like(omegas)
     for start in range(0, len(omegas), _BLOCK):
         block = omegas[start:start + _BLOCK]
-        y = readout_adjoint(model, block, d)
-        norm = y[:, model.force_row]
-        invisible = np.abs(norm) <= _RESPONSE_FLOOR
-        if invisible.any():
-            raise ZeroResponse(block[np.argmax(invisible)])
-        total = np.zeros(len(block))
-        for ch in channels:
-            c = np.sqrt(ch.rate) * y[:, ch.rows]
-            if ch.is_readout:
-                c = c - d
-            c = c / norm[:, None]
-            total += _channel_power(c[:, 0], c[:, 1], budget[ch.id])
-        s_f[start:start + _BLOCK] = total
+        y = adjoint_response(model, block, b)
+        coeffs = {ch.id: channel_output(ch, y, d) for ch in channels}
+        s_f[start:start + _BLOCK] = power_density(
+            _per_force(coeffs, y[:, model.force_row, None], block), budget
+        )
     return s_f
 
 

@@ -131,15 +131,12 @@ def build(config: SchemeConfig) -> LinearModel:
     p = config.params
     if config.variant == "standard":
         entries = _standard_drift(p)
-        labels = ("x", "p", "b1", "b2")
     elif config.variant == "cqnc":
         entries = _cqnc_drift(p)
-        labels = ("x", "p", "b1", "b2", "c1", "c2")
     else:
         entries = _toy_drift(p, config.eta)
-        labels = ("x", "p", "b1", "b2")
 
-    drift = DriftMatrix(entries=entries, labels=labels)
+    drift = DriftMatrix(entries=entries)
     channels = [
         NoiseChannel(MECHANICAL, rate=p.Gamma, rows=(0, 1), spectrum=thermal(p.n_th)),
         NoiseChannel(

@@ -1,11 +1,18 @@
+import hashlib
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from forcelimits import cli, errors
 from forcelimits.cli import fmt12
+
+
+#: SHA-256 of the default spectrum and the fig2a/fig2b CSVs, as the benchmark recorded
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "reference.json"
 
 
 def run_cli(*args, cwd=None):
@@ -235,3 +242,16 @@ class TestVerifyCommand:
 
     def test_unknown_suite_rejected(self):
         assert run_cli("verify", "bogus").returncode == 2
+
+
+@pytest.mark.parametrize("command", ["spectrum", "fig2a", "fig2b"])
+def test_csv_bytes_match_recorded_digests(command, tmp_path):
+    expected = json.loads(REFERENCE.read_text(encoding="utf-8"))["cli"][command]
+    if command == "spectrum":
+        argv = ["spectrum", "--output", str(tmp_path / "spectrum.csv")]
+    else:
+        argv = [command, "--outdir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == expected

@@ -1,13 +1,15 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import optimize
+from test_linsys import _mp_resolvent, _oracle_draw
 
 from forcelimits import bounds, linresp, noise
 from forcelimits.errors import ZeroCoupling, ZeroFrequencyFeedback
-from forcelimits.schemes import DetectorParams, SchemeConfig
+from forcelimits.schemes import DetectorParams, SchemeConfig, build
 from forcelimits.spectra import squeeze_spectrum, vacuum
 from forcelimits.verify import random_stable_standard, random_detector
 
@@ -87,6 +89,69 @@ class TestSprimeF:
             assert linresp.sensitivity(det) == pytest.approx(
                 noise.sensitivity_at(cfg, omega), rel=1e-9
             )
+
+
+def _mp_detector(config, omega, spectrum):
+    """chi_FF, S_FF, S_ZZ and S_ZF from the resolvent formulas at 50 digits.
+
+    R is the bare model's -(A + i w I)^(-1).  F = f . x responds to its own
+    conjugate drive J f as f . R J f, and its readout coefficients are
+    sqrt(rate) (f . R[:, row]).  Z is d . out normalized by its response to
+    J f, with readout coefficients d . (rate R[rows, rows] - I).  The last
+    value is the scale of chi_FF, the sum of its terms' magnitudes (chi_FF
+    cancels to zero for the toy coupling).
+    """
+    model0 = build(replace(config, params=replace(config.params, g=0.0)))
+    rows = model0.readout.rows
+    f = linresp.coupling_vector(config)
+    drive = np.zeros_like(f)  # J f: (x, p) pairs with commutator i
+    drive[1::2], drive[0::2] = f[0::2], -f[1::2]
+    phi = config.readout_angle
+    with mpmath.workdps(50):
+        R = _mp_resolvent(model0, omega)
+        n = model0.drift.n
+        rate = mpmath.mpf(model0.readout.rate)
+        d = [mpmath.sin(phi), mpmath.cos(phi)]
+        response = [sum(R[i, j] * drive[j] for j in range(n)) for i in range(n)]
+        chi_ff = sum(f[i] * response[i] for i in range(n))
+        chi_scale = sum(abs(f[i] * R[i, j] * drive[j])
+                        for i in range(n) for j in range(n))
+        chi_zf = mpmath.sqrt(rate) * sum(d[k] * response[r] for k, r in enumerate(rows))
+        f_c = [mpmath.sqrt(rate) * sum(f[i] * R[i, c] for i in range(n)) for c in rows]
+        z_c = [
+            sum(d[k] * (rate * R[r, c] - (k == j)) for k, r in enumerate(rows)) / chi_zf
+            for j, c in enumerate(rows)
+        ]
+        s = spectrum.matrix()
+
+        def cross(a, b):
+            return sum(a[i] * s[i, j] * mpmath.conj(b[j])
+                       for i in range(2) for j in range(2))
+
+        return (
+            complex(chi_ff), float(mpmath.re(cross(f_c, f_c))),
+            float(mpmath.re(cross(z_c, z_c))), complex(cross(z_c, f_c)),
+            float(chi_scale),
+        )
+
+
+@pytest.mark.parametrize("variant", ["standard", "toy"])
+def test_extract_detector_against_50_digit_oracle(variant):
+    # standard draws carry Delta != 0 and a random readout angle, toy draws a
+    # random coupling mix eta; every input state is squeezed at a random angle
+    rng = np.random.default_rng(["standard", "toy"].index(variant) + 41)
+    for k in range(16):
+        config, omega = _oracle_draw(rng, variant, k)
+        config = replace(config, readout_angle=rng.uniform(-math.pi, math.pi))
+        spectrum = squeeze_spectrum(
+            rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi)
+        )
+        det = linresp.extract_detector(config, omega, input_spectrum=spectrum)
+        chi_ff, s_ff, s_zz, s_zf, chi_scale = _mp_detector(config, omega, spectrum)
+        assert abs(det.chi_FF - chi_ff) <= 1e-12 * chi_scale
+        assert abs(det.S_FF - s_ff) <= 1e-12 * s_ff
+        assert abs(det.S_ZZ - s_zz) <= 1e-12 * s_zz
+        assert abs(det.S_ZF - s_zf) <= 1e-12 * math.sqrt(s_ff * s_zz)
 
 
 class TestGOptimizedBound:

@@ -8,10 +8,8 @@ from forcelimits.schemes import DetectorParams, SchemeConfig, build, closed_form
 from forcelimits.spectra import vacuum
 
 
-def drift(entries, labels=None):
-    entries = np.asarray(entries, dtype=float)
-    labels = labels or tuple(f"s{i}" for i in range(entries.shape[0]))
-    return linsys.DriftMatrix(entries=entries, labels=labels)
+def drift(entries):
+    return linsys.DriftMatrix(entries=np.asarray(entries, dtype=float))
 
 
 class TestStability:
@@ -46,7 +44,7 @@ class TestStability:
         with pytest.raises(ValueError):
             drift(np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            linsys.DriftMatrix(entries=-np.eye(4), labels=("a", "b"))
+            drift(np.zeros((2, 4)))
 
 
 @pytest.fixture
@@ -56,7 +54,7 @@ def standard_model():
 
 
 def solve(model, omega, w):
-    """The refined solve of (A + i w I) x = -w behind readout_adjoint and resolvent."""
+    """The refined solve of (A + i w I) x = -w behind adjoint_response."""
     m = linsys._system_matrices(model, np.array([omega], dtype=float))[0]
     return linsys._refined_solve(m, -np.asarray(w, dtype=complex))
 
@@ -182,7 +180,7 @@ class TestReadoutAdjoint:
             model = build(cfg)
             d = np.array([np.sin(cfg.readout_angle), np.cos(cfg.readout_angle)])
             omegas = grid[::37]
-            y = linsys.readout_adjoint(model, omegas, d)
+            y = linsys.adjoint_response(model, omegas, linsys.readout_drive(model, d))
             for omega, row in zip(omegas, y):
                 resp = linsys.transfer(model, omega)
                 blocks = {resp.readout_id: resp.M, **resp.cross}
@@ -198,8 +196,9 @@ class TestReadoutAdjoint:
         params = DetectorParams(Omega=1.0, Gamma=0.0, gamma=3.0, g=0.5)
         model = build(SchemeConfig("standard", params))
         with pytest.raises(SingularAtFrequency, match=r"omega = 1\.0$"):
-            linsys.readout_adjoint(
-                model, np.array([0.5, 1.0, 1.5, 1.0]), np.array([0.0, 1.0])
+            linsys.adjoint_response(
+                model, np.array([0.5, 1.0, 1.5, 1.0]),
+                linsys.readout_drive(model, np.array([0.0, 1.0])),
             )
 
     def test_stacked_directions_match_single_calls(self):
@@ -209,10 +208,12 @@ class TestReadoutAdjoint:
         omegas = fig2a_grid()[::41]
         for cfg in fig2a_configs().values():
             model = build(cfg)
-            y = linsys.readout_adjoint(model, omegas, d)
+            y = linsys.adjoint_response(model, omegas, linsys.readout_drive(model, d))
             assert y.shape == (len(omegas), model.drift.n, 3)
             for k in range(3):
-                single = linsys.readout_adjoint(model, omegas, d[:, k])
+                single = linsys.adjoint_response(
+                    model, omegas, linsys.readout_drive(model, d[:, k])
+                )
                 scale = np.max(np.abs(single), axis=1, keepdims=True)
                 assert np.all(np.abs(y[..., k] - single) <= 1e-14 * scale)
 
@@ -222,7 +223,7 @@ def _oracle_draw(rng, variant, k):
 
     Gamma is log-uniform down to 1e-6 (exactly 1e-6 every third draw) and
     every even draw sits at Omega (1 +- 1e-3), next to the lightly damped
-    resonance.
+    resonance.  Returns the configuration and the frequency.
     """
     while True:
         params = DetectorParams(
@@ -232,26 +233,32 @@ def _oracle_draw(rng, variant, k):
             Delta=rng.uniform(-4.0, 4.0) if variant == "standard" else 0.0,
             g=rng.uniform(0.2, 4.0) * rng.choice([-1.0, 1.0]),
         )
+        config = SchemeConfig(variant, params, eta=rng.uniform(-2.0, 2.0))
         try:
-            model = build(SchemeConfig(variant, params, eta=rng.uniform(-2.0, 2.0)))
+            build(config)
         except UnstableModel:
             continue
         if k % 2 == 0:
-            return model, params.Omega * (1.0 + rng.choice([-1e-3, 1e-3]))
-        return model, rng.uniform(0.01, 12.0)
+            return config, params.Omega * (1.0 + rng.choice([-1e-3, 1e-3]))
+        return config, rng.uniform(0.01, 12.0)
+
+
+def _mp_resolvent(model, omega):
+    """-(A + i w I)^(-1) at mpmath's working precision, from the float64 drift."""
+    n = model.drift.n
+    m = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            m[i, j] = mpmath.mpf(model.drift.entries[i, j])
+        m[i, i] += mpmath.mpc(0, omega)
+    return -mpmath.inverse(m)
 
 
 def _mp_transfer(model, omega):
     """M and v from a 50-digit inverse of A + i w I (the float64 entries, exactly)."""
-    n = model.drift.n
     readout = model.readout
     with mpmath.workdps(50):
-        m = mpmath.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                m[i, j] = mpmath.mpf(model.drift.entries[i, j])
-            m[i, i] += mpmath.mpc(0, omega)
-        response = -mpmath.inverse(m)
+        response = _mp_resolvent(model, omega)
         rate = mpmath.mpf(readout.rate)
         v = [mpmath.sqrt(rate) * response[r, model.force_row] for r in readout.rows]
         M = [[rate * response[r, c] - (i == j) for j, c in enumerate(readout.rows)]
@@ -263,7 +270,8 @@ def _mp_transfer(model, omega):
 def test_transfer_against_50_digit_oracle(variant):
     rng = np.random.default_rng(["standard", "cqnc", "toy"].index(variant) + 11)
     for k in range(16):
-        model, omega = _oracle_draw(rng, variant, k)
+        config, omega = _oracle_draw(rng, variant, k)
+        model = build(config)
         resp = linsys.transfer(model, omega)
         M, v = _mp_transfer(model, omega)
         assert np.max(np.abs(resp.M - M)) <= 1e-12 * np.max(np.abs(M))

@@ -68,7 +68,7 @@ class TestAddedNoise:
             ca = bounds.chi_mech(p, omega)
             cb = bounds.chi_cav(p, omega)
             shot = 1.0 / (p.g * math.sqrt(p.gamma) * ca * cb.conjugate())
-            c1, c2 = coeffs.coeffs["readout"]
+            c1, c2 = coeffs["readout"]
             assert c1 == pytest.approx(
                 xi * shot + p.g * math.sqrt(p.gamma) * cb, rel=1e-10
             )
@@ -83,7 +83,7 @@ class TestAddedNoise:
         ca = bounds.chi_mech(p, omega)
         cb = bounds.chi_cav(p, omega)
         shot = 1.0 / (p.g * math.sqrt(p.gamma) * ca * cb.conjugate())
-        c1, c2 = coeffs.coeffs["readout"]
+        c1, c2 = coeffs["readout"]
         assert c1 == pytest.approx(20.0 * shot + p.g * math.sqrt(p.gamma) * cb, rel=1e-10)
         assert c2 == pytest.approx(shot, rel=1e-10)
 
@@ -107,9 +107,7 @@ class TestAddedNoise:
 
 class TestPowerDensity:
     def test_single_quadrature_vacuum(self):
-        coeffs = noise.AddedNoiseCoeffs(
-            omega=1.0, coeffs={"readout": (0.0, 1.0)}, norm=1.0
-        )
+        coeffs = {"readout": (0.0, 1.0)}
         assert noise.power_density(coeffs, {"readout": vacuum()}) == pytest.approx(0.5)
 
     @given(
@@ -119,9 +117,7 @@ class TestPowerDensity:
     )
     @settings(max_examples=200)
     def test_never_negative(self, re1, im1, re2, im2, s, theta):
-        coeffs = noise.AddedNoiseCoeffs(
-            1.0, {"readout": (complex(re1, im1), complex(re2, im2))}, 1.0
-        )
+        coeffs = {"readout": (complex(re1, im1), complex(re2, im2))}
         spectra = {"readout": squeeze_spectrum(s, theta)}
         assert noise.power_density(coeffs, spectra) >= -1e-12
 
@@ -136,8 +132,8 @@ class TestPowerDensity:
                 c1 * complex(math.cos(alpha), math.sin(alpha)),
                 c2 * complex(math.cos(alpha), math.sin(alpha)),
             )
-            base = noise.AddedNoiseCoeffs(1.0, {"readout": (c1, c2)}, 1.0)
-            rot = noise.AddedNoiseCoeffs(1.0, {"readout": rotated}, 1.0)
+            base = {"readout": (c1, c2)}
+            rot = {"readout": rotated}
             assert noise.power_density(rot, {"readout": spec}) == pytest.approx(
                 noise.power_density(base, {"readout": spec}), rel=1e-12
             )

@@ -33,7 +33,6 @@ class TestBuild:
             ]
         )
         assert np.array_equal(model.drift.entries, expected)
-        assert model.drift.labels == ("x", "p", "b1", "b2")
         assert model.force_row == 1
 
     def test_toy_drift_symmetric_mix(self):
@@ -185,7 +184,7 @@ class TestCqncResidualNoise:
         p = FIG2A
         for omega in (0.005, 0.07, 1.1):
             coeffs = noise.added_noise(transfer(model, omega), 0.0)
-            c1, c2 = coeffs.coeffs["readout"]
+            c1, c2 = coeffs["readout"]
             # shot-only coefficients: nothing along b1 beyond the xi = 0 shot,
             # and c2 exactly the inverse signal gain
             ca = bounds.chi_mech(p, omega)
