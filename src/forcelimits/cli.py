@@ -12,6 +12,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from math import floor, log10
 from pathlib import Path
 from typing import IO, Mapping
 
@@ -47,13 +48,25 @@ _GRID_DEFAULTS: dict[str, object] = {
 
 
 def fmt12(value: float) -> str:
-    """12 significant digits; scientific notation once |exponent| reaches 6."""
+    """12 significant digits; scientific notation once |exponent| reaches 6.
+
+    The exponent is the one after rounding to 12 digits, so 999999.9999999
+    prints as 1.00000000000e+06.
+    """
     if value == 0.0:
         return "0"
-    exponent = math.floor(math.log10(abs(value)))
-    if abs(exponent) >= 6:
-        return f"{value:.11e}"
-    return f"{value:.{11 - exponent}f}"
+    log = log10(abs(value))
+    exponent = floor(log)
+    # rounding to 12 digits carries into the next decade only within a
+    # relative 5e-13 below it (2.2e-13 in log10); in that band, with margin,
+    # the exponent is read off the correctly rounded scientific form, since a
+    # float threshold at the carry point itself can sit an ulp off
+    if log - exponent > 1.0 - 1e-12:
+        exponent = int(("%.11e" % value).partition("e")[2])
+    # printf-style formatting: the same digits as format(), and faster here
+    if -6 < exponent < 6:
+        return "%.*f" % (11 - exponent, value)
+    return "%.11e" % value
 
 
 @dataclass(frozen=True)
@@ -76,9 +89,14 @@ class GridSpec:
             raise InvalidConfig("spacing must be 'linear' or 'log'")
 
     def frequencies(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.omega_min, self.omega_max, self.points)
-        return np.linspace(self.omega_min, self.omega_max, self.points)
+        space = np.geomspace if self.spacing == "log" else np.linspace
+        grid = space(self.omega_min, self.omega_max, self.points)
+        if not np.all(np.diff(grid) > 0.0):
+            raise InvalidConfig(
+                f"{self.points} {self.spacing} points over [{self.omega_min!r}, "
+                f"{self.omega_max!r}] are not strictly increasing"
+            )
+        return grid
 
 
 def _merge(flag_values: dict, file_values: dict, defaults: dict) -> dict:

@@ -230,7 +230,6 @@ def extract_detector(
     """
     params = config.params
     spectrum = config.input_spectrum if input_spectrum is None else input_spectrum
-    eta = config.eta if config.variant == "toy" else 0.0
 
     bare = replace(config, params=replace(params, g=0.0))
     model0 = build(bare)
@@ -256,7 +255,7 @@ def extract_detector(
     s_zz = float((z_coeffs @ s @ z_coeffs.conj()).real)
     s_zf = complex(z_coeffs @ s @ f_coeffs.conj())
 
-    q = bounds.coupling_susceptibilities(params, eta, omega)
+    q = bounds.coupling_susceptibilities(params, config.coupling_mix, omega)
     return GenericDetector(
         omega=omega, chi_FF=chi_ff, S_FF=s_ff, S_ZZ=s_zz, S_ZF=s_zf,
         chi_qq=q.chi_qq, chi_qx=q.chi_qx, g=params.g,

@@ -166,8 +166,8 @@ def sensitivity_spectrum(
 ) -> SensitivitySpectrum:
     """Evaluate S_f and the bound columns of a scheme over a frequency grid.
 
-    The generalized bound column uses the scheme's own coupling mix: eta for
-    the toy detector, position coupling (eta = 0) for everything else.
+    The generalized bound column uses the scheme's own coupling mix,
+    `config.coupling_mix`.
     """
     omegas = np.asarray(grid, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
@@ -190,7 +190,6 @@ def _spectrum(
     A failure is the one a frequency-by-frequency loop would meet first.
     """
     params = config.params
-    eta = config.eta if config.variant == "toy" else 0.0
     try:
         s_f = _sensitivity(model, budget, config.readout_angle, omegas)
     except (SingularAtFrequency, ZeroResponse) as exc:
@@ -202,7 +201,7 @@ def _spectrum(
             sql=bounds.sql(params, omegas),
             uql=bounds.uql(params, omegas),
             guql=bounds.generalized_uql(
-                bounds.coupling_susceptibilities(params, eta, omegas)
+                bounds.coupling_susceptibilities(params, config.coupling_mix, omegas)
             ),
             opt_uql=bounds.optimal_uql(params, omegas),
         )

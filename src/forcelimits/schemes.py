@@ -87,6 +87,11 @@ class SchemeConfig:
         if self.variant == "toy" and self.params.Delta != 0.0:
             raise InvalidConfig("the mixed-coupling model is defined on resonance")
 
+    @property
+    def coupling_mix(self) -> float:
+        """eta of the coupling operator q = x + eta*p: `eta` for toy, 0 otherwise."""
+        return self.eta if self.variant == "toy" else 0.0
+
 
 def _standard_drift(p: DetectorParams) -> np.ndarray:
     return np.array(

@@ -1,15 +1,18 @@
 """Numerical certification suites for the quantum-limit properties.
 
-Every check returns a CheckResult with the measured slack or residual, so
-failures carry their evidence.  Slacks are reported relative to the scale of
-the quantities compared; the pass thresholds are fixed here, not tunable.
+Every check is a CheckResult record: the measured slack or residual, the
+threshold it is held to and the sense of the comparison, so failures carry
+their evidence.  Slacks are reported relative to the scale of the quantities
+compared; the thresholds are fixed here, not tunable.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -19,29 +22,40 @@ from .linsys import transfer
 from .schemes import DetectorParams, SchemeConfig, build, closed_form_transfer
 from .spectra import squeeze_spectrum, vacuum
 
-SUITES = (
-    "uql-dominance",
-    "identities",
-    "cqnc",
-    "linresp",
-    "feedback",
-    "bounds",
-)
+# a NaN measurement compares False under both, so it fails either way
+_SENSES = {"<": operator.lt, ">=": operator.ge}
 
-_SLACK_TOL = 1e-9
+
+def _plain(value: float) -> str:
+    """Shortest form of a threshold: 5, 0.01, -1e-9 (not 5.0 or -1e-09)."""
+    mantissa, _, exponent = f"{value:g}".partition("e")
+    return f"{mantissa}e{int(exponent)}" if exponent else mantissa
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check: `measured` must be `sense` ("<" or ">=") `threshold`.
+
+    `detail` says what was measured; `needs` is where the requirement goes
+    in the printed line, its `{}` replaced by e.g. "< 1e-9".
+    """
+
     suite: str
     name: str
-    passed: bool
     measured: float
+    sense: str
+    threshold: float
     detail: str
+    needs: str = "(needs {})"
+
+    @property
+    def passed(self) -> bool:
+        return bool(_SENSES[self.sense](self.measured, self.threshold))
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] {self.suite}/{self.name}: {self.detail}"
+        needs = self.needs.format(f"{self.sense} {_plain(self.threshold)}")
+        return f"[{status}] {self.suite}/{self.name}: {self.detail} {needs}"
 
 
 def _relative_slack(value: float, floor: float) -> float:
@@ -72,8 +86,7 @@ def sql_balance_frequency(params: DetectorParams) -> float:
     return float(optimize.brentq(mismatch, grid[k], grid[k + 1], xtol=1e-15, rtol=1e-15))
 
 
-def suite_uql_dominance(seed: int = 0) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_uql_dominance(check, seed: int) -> list[CheckResult]:
     grid = presets.fig2a_grid()
     configs = presets.fig2a_configs()
 
@@ -81,73 +94,54 @@ def suite_uql_dominance(seed: int = 0) -> list[CheckResult]:
     spectra = {name: noise.sensitivity_spectrum(cfg, grid) for name, cfg in configs.items()}
     elapsed = time.perf_counter() - start
 
+    results = []
     for name, spec in spectra.items():
         slack = float(np.min(spec.s_f / spec.uql)) - 1.0
-        results.append(
-            CheckResult(
-                "uql-dominance", f"{name}-above-uql", slack >= -_SLACK_TOL, slack,
-                f"min S_f/UQL - 1 = {slack:.3e} (needs >= -1e-9)",
-            )
-        )
-    results.append(
-        CheckResult(
-            "uql-dominance", "fig2a-runtime", elapsed < 5.0, elapsed,
-            f"four spectra over {len(grid)} points in {elapsed:.2f} s (needs < 5 s)",
-        )
-    )
+        results.append(check(
+            f"{name}-above-uql", slack, ">=", -1e-9, f"min S_f/UQL - 1 = {slack:.3e}"
+        ))
+    results.append(check(
+        "fig2a-runtime", elapsed, "<", 5.0,
+        f"four spectra over {len(grid)} points in {elapsed:.2f} s", "(needs {} s)",
+    ))
 
     std = spectra["standard"]
     sql_slack = float(np.min(std.s_f / std.sql)) - 1.0
-    results.append(
-        CheckResult(
-            "uql-dominance", "standard-above-sql", sql_slack >= -_SLACK_TOL, sql_slack,
-            f"min S_f/SQL - 1 = {sql_slack:.3e} (needs >= -1e-9)",
-        )
-    )
+    results.append(check(
+        "standard-above-sql", sql_slack, ">=", -1e-9, f"min S_f/SQL - 1 = {sql_slack:.3e}"
+    ))
 
     omega_star = sql_balance_frequency(presets.FIG2A_PARAMS)
     s_f_star = noise.sensitivity_at(configs["standard"], omega_star)
     gap = abs(s_f_star / bounds.sql(presets.FIG2A_PARAMS, omega_star) - 1.0)
-    results.append(
-        CheckResult(
-            "uql-dominance", "sql-attained", gap < _SLACK_TOL, gap,
-            f"|S_f/SQL - 1| = {gap:.3e} at balance frequency {omega_star:.6g} "
-            "(needs < 1e-9)",
-        )
-    )
+    results.append(check(
+        "sql-attained", gap, "<", 1e-9,
+        f"|S_f/SQL - 1| = {gap:.3e} at balance frequency {omega_star:.6g}",
+    ))
 
     for name in ("vm", "cd"):
         ratio = float(np.min(spectra[name].s_f / spectra[name].sql))
-        results.append(
-            CheckResult(
-                "uql-dominance", f"{name}-beats-sql", ratio < 1.0, ratio,
-                f"min S_f/SQL = {ratio:.6f} (recorded; needs < 1)",
-            )
-        )
+        results.append(check(
+            f"{name}-beats-sql", ratio, "<", 1.0, f"min S_f/SQL = {ratio:.6f}",
+            "(recorded; needs {})",
+        ))
 
     toy = noise.sensitivity_spectrum(presets.fig2b_config(), presets.fig2b_grid())
     toy_slack = float(np.min(toy.s_f / toy.guql)) - 1.0
-    results.append(
-        CheckResult(
-            "uql-dominance", "toy-above-guql", toy_slack >= -_SLACK_TOL, toy_slack,
-            f"min S_f/gUQL - 1 = {toy_slack:.3e} (needs >= -1e-9)",
-        )
-    )
+    results.append(check(
+        "toy-above-guql", toy_slack, ">=", -1e-9, f"min S_f/gUQL - 1 = {toy_slack:.3e}"
+    ))
     touch = float(np.min(toy.s_f / toy.guql))
     touch_omega = float(toy.omegas[int(np.argmin(toy.s_f / toy.guql))])
-    results.append(
-        CheckResult(
-            "uql-dominance", "toy-near-attains-guql", touch < 1.1, touch,
-            f"min S_f/gUQL = {touch:.6f} at omega = {touch_omega:.4g} (needs < 1.1)",
-        )
-    )
+    results.append(check(
+        "toy-near-attains-guql", touch, "<", 1.1,
+        f"min S_f/gUQL = {touch:.6f} at omega = {touch_omega:.4g}",
+    ))
     guql_gap = float(np.max(toy.guql / toy.uql))
-    results.append(
-        CheckResult(
-            "uql-dominance", "guql-below-uql", guql_gap < 1.0, guql_gap,
-            f"max gUQL/UQL = {guql_gap:.6f} (needs < 1 everywhere)",
-        )
-    )
+    results.append(check(
+        "guql-below-uql", guql_gap, "<", 1.0, f"max gUQL/UQL = {guql_gap:.6f}",
+        "(needs {} everywhere)",
+    ))
     return results
 
 
@@ -189,8 +183,7 @@ def _entrywise_relative(numeric: np.ndarray, closed: np.ndarray) -> float:
     return worst
 
 
-def suite_identities(seed: int = 0) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_identities(check, seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
 
     worst_transfer = 0.0
@@ -204,14 +197,6 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
             _entrywise_relative(resp.M, m_shot + m_back),
             _entrywise_relative(resp.v, v),
         )
-    results.append(
-        CheckResult(
-            "identities", "transfer-closed-form", worst_transfer < 1e-10,
-            worst_transfer,
-            f"max entrywise relative error = {worst_transfer:.3e} over 100 draws "
-            "(needs < 1e-10)",
-        )
-    )
 
     worst_first = 0.0
     worst_second = 0.0
@@ -230,29 +215,27 @@ def suite_identities(seed: int = 0) -> list[CheckResult]:
             worst_second,
             abs(cq.K * cq.L - cq.H**2 - (uvw.u * uvw.v - uvw.w**2)),
         )
-    results.append(
-        CheckResult(
-            "identities", "product-identity", worst_first < 1e-10, worst_first,
-            f"max |EX - DY - |C|^2| / |C|^2 = {worst_first:.3e} over 200 draws "
-            "(needs < 1e-10)",
-        )
-    )
-    results.append(
-        CheckResult(
-            "identities", "gram-identity", worst_second < 1e-10, worst_second,
-            f"max |KL - H^2 - (uv - w^2)| = {worst_second:.3e} over 200 draws "
-            "(needs < 1e-10)",
-        )
-    )
-    return results
+    return [
+        check(
+            "transfer-closed-form", worst_transfer, "<", 1e-10,
+            f"max entrywise relative error = {worst_transfer:.3e} over 100 draws",
+        ),
+        check(
+            "product-identity", worst_first, "<", 1e-10,
+            f"max |EX - DY - |C|^2| / |C|^2 = {worst_first:.3e} over 200 draws",
+        ),
+        check(
+            "gram-identity", worst_second, "<", 1e-10,
+            f"max |KL - H^2 - (uv - w^2)| = {worst_second:.3e} over 200 draws",
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # cqnc: coherent backaction cancellation and the ancilla-limited sensitivity
 
 
-def suite_cqnc(seed: int = 0) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_cqnc(check, seed: int) -> list[CheckResult]:
     grid = presets.fig2a_grid()
 
     cfg = SchemeConfig("cqnc", presets.FIG2A_PARAMS)
@@ -263,12 +246,9 @@ def suite_cqnc(seed: int = 0) -> list[CheckResult]:
     for omega in grid:
         backaction = transfer(model, omega).M - transfer(model0, omega).M
         worst_block = max(worst_block, float(np.max(np.abs(backaction))))
-    results.append(
-        CheckResult(
-            "cqnc", "backaction-cancelled", worst_block < 1e-12, worst_block,
-            f"max |readout backaction block| = {worst_block:.3e} over the grid "
-            "(needs < 1e-12)",
-        )
+    cancelled = check(
+        "backaction-cancelled", worst_block, "<", 1e-12,
+        f"max |readout backaction block| = {worst_block:.3e} over the grid",
     )
 
     strong = SchemeConfig("cqnc", replace(presets.FIG2A_PARAMS, g=1e3))
@@ -280,23 +260,22 @@ def suite_cqnc(seed: int = 0) -> list[CheckResult]:
     deviation = np.abs(spec.s_f / ancilla_floor - 1.0)
     worst_dev = float(np.max(deviation))
     worst_omega = float(grid[int(np.argmax(deviation))])
-    detail = (
+    ancilla = check(
+        "ancilla-floor", worst_dev, "<", 0.01,
         f"max |S_f/floor - 1| = {worst_dev:.3e} at omega = {worst_omega:.4g} "
-        "with g = 1e3 (needs < 0.01)"
+        "with g = 1e3",
     )
-    if worst_dev >= 0.01:
+    if not ancilla.passed:
         # the residual shot noise scales as w^4/(g^2 gamma Gamma) relative to
         # the floor, so at fixed g the approximation only holds below a cutoff
-        omega_ok = (0.01 * p.g**2 * p.gamma * p.Gamma) ** 0.25
-        g_needed = math.sqrt(float(grid[-1]) ** 4 / (0.01 * p.gamma * p.Gamma))
-        detail += (
-            f"; 1% holds only for omega <~ {omega_ok:.3g}, covering the full "
+        tol = ancilla.threshold
+        omega_ok = (tol * p.g**2 * p.gamma * p.Gamma) ** 0.25
+        g_needed = math.sqrt(float(grid[-1]) ** 4 / (tol * p.gamma * p.Gamma))
+        ancilla = replace(ancilla, needs=ancilla.needs + (
+            f"; {tol:.0%} holds only for omega <~ {omega_ok:.3g}, covering the full "
             f"grid would need g >~ {g_needed:.3g}"
-        )
-    results.append(
-        CheckResult("cqnc", "ancilla-floor", worst_dev < 0.01, worst_dev, detail)
-    )
-    return results
+        ))
+    return [cancelled, ancilla]
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +321,7 @@ def numeric_coupling_minimum(det: linresp.GenericDetector) -> float:
     return float(min(res.fun, np.min(values)))
 
 
-def suite_linresp(seed: int = 0) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_linresp(check, seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
 
     worst_min_vs_bound = np.inf
@@ -355,22 +333,6 @@ def suite_linresp(seed: int = 0) -> list[CheckResult]:
         floor = abs(det.chi_qq.imag)
         worst_min_vs_bound = min(worst_min_vs_bound, _relative_slack(minimum, bound))
         worst_bound_vs_floor = min(worst_bound_vs_floor, _relative_slack(bound, floor))
-    results.append(
-        CheckResult(
-            "linresp", "min-above-bound", worst_min_vs_bound >= -_SLACK_TOL,
-            worst_min_vs_bound,
-            f"worst (min_g S'_f - bound)/scale = {worst_min_vs_bound:.3e} over 100 "
-            "draws (needs >= -1e-9)",
-        )
-    )
-    results.append(
-        CheckResult(
-            "linresp", "bound-above-im-chi", worst_bound_vs_floor >= -_SLACK_TOL,
-            worst_bound_vs_floor,
-            f"worst (bound - |Im chi_qq|)/scale = {worst_bound_vs_floor:.3e} over "
-            "100 draws (needs >= -1e-9)",
-        )
-    )
 
     worst_extraction = np.inf
     for _ in range(50):
@@ -382,22 +344,30 @@ def suite_linresp(seed: int = 0) -> list[CheckResult]:
         )
         report = linresp.uncertainty_check(det)
         worst_extraction = min(worst_extraction, report.slack)
-    results.append(
-        CheckResult(
-            "linresp", "extraction-uncertainty", worst_extraction >= -_SLACK_TOL,
-            worst_extraction,
+    return [
+        check(
+            "min-above-bound", worst_min_vs_bound, ">=", -1e-9,
+            f"worst (min_g S'_f - bound)/scale = {worst_min_vs_bound:.3e} over 100 "
+            "draws",
+        ),
+        check(
+            "bound-above-im-chi", worst_bound_vs_floor, ">=", -1e-9,
+            f"worst (bound - |Im chi_qq|)/scale = {worst_bound_vs_floor:.3e} over "
+            "100 draws",
+        ),
+        check(
+            "extraction-uncertainty", worst_extraction, ">=", -1e-9,
             f"worst uncertainty slack of extracted detectors = "
-            f"{worst_extraction:.3e} over 50 draws (needs >= -1e-9)",
-        )
-    )
-    return results
+            f"{worst_extraction:.3e} over 50 draws",
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # feedback: invariance of the added noise under direct output feedback
 
 
-def suite_feedback(seed: int = 0) -> list[CheckResult]:
+def suite_feedback(check, seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     gains = (0.0, 0.5, -0.5, 5.0, -5.0)
     worst = 0.0
@@ -408,13 +378,10 @@ def suite_feedback(seed: int = 0) -> list[CheckResult]:
             for gain in gains[1:]:
                 value = linresp.feedback_added_noise(det, gain, float(omega))
                 worst = max(worst, abs(value / reference - 1.0))
-    return [
-        CheckResult(
-            "feedback", "gain-invariance", worst < _SLACK_TOL, worst,
-            f"max relative S_f deviation over gains {gains} = {worst:.3e} "
-            "(needs < 1e-9)",
-        )
-    ]
+    return [check(
+        "gain-invariance", worst, "<", 1e-9,
+        f"max relative S_f deviation over gains {gains} = {worst:.3e}",
+    )]
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +408,7 @@ def eta_scan_minimum(params: DetectorParams, omega: float) -> float:
     return float(min(res.fun, values[k]))
 
 
-def suite_bounds(seed: int = 0) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def suite_bounds(check, seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
 
     # draw ranges keep the optimal mix well inside the scanned interval
@@ -457,24 +423,11 @@ def suite_bounds(seed: int = 0) -> list[CheckResult]:
         closed = bounds.optimal_uql(params, omega)
         scanned = eta_scan_minimum(params, omega)
         worst_scan = max(worst_scan, abs(closed / scanned - 1.0))
-    results.append(
-        CheckResult(
-            "bounds", "optimal-matches-scan", worst_scan < 1e-8, worst_scan,
-            f"max |closed/scan - 1| = {worst_scan:.3e} over 50 draws (needs < 1e-8)",
-        )
-    )
 
     params = DetectorParams(Omega=1.0, Gamma=1.0, gamma=1.0)
     omega = 100.0
     asymptote = params.Gamma * params.Omega / omega
     dev = abs(bounds.optimal_uql(params, omega) / asymptote - 1.0)
-    results.append(
-        CheckResult(
-            "bounds", "high-frequency-tail", dev < 0.01, dev,
-            f"|optimal bound * omega/(Gamma Omega) - 1| = {dev:.3e} at omega = "
-            "100 Omega (needs < 0.01)",
-        )
-    )
 
     worst_dom = np.inf
     for _ in range(50):
@@ -490,19 +443,27 @@ def suite_bounds(seed: int = 0) -> list[CheckResult]:
                 bounds.coupling_susceptibilities(params, float(eta), omega)
             )
             worst_dom = min(worst_dom, _relative_slack(guql, opt))
-    results.append(
-        CheckResult(
-            "bounds", "optimal-dominates", worst_dom >= -1e-10, worst_dom,
-            f"worst (gUQL - optimal)/scale = {worst_dom:.3e} over sampled mixes "
-            "(needs >= -1e-10)",
-        )
-    )
-    return results
+    return [
+        check(
+            "optimal-matches-scan", worst_scan, "<", 1e-8,
+            f"max |closed/scan - 1| = {worst_scan:.3e} over 50 draws",
+        ),
+        check(
+            "high-frequency-tail", dev, "<", 0.01,
+            f"|optimal bound * omega/(Gamma Omega) - 1| = {dev:.3e} at omega = "
+            "100 Omega",
+        ),
+        check(
+            "optimal-dominates", worst_dom, ">=", -1e-10,
+            f"worst (gUQL - optimal)/scale = {worst_dom:.3e} over sampled mixes",
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
 
 
+# each suite function takes a CheckResult factory with its suite name bound
 _SUITE_FUNCTIONS = {
     "uql-dominance": suite_uql_dominance,
     "identities": suite_identities,
@@ -511,15 +472,13 @@ _SUITE_FUNCTIONS = {
     "feedback": suite_feedback,
     "bounds": suite_bounds,
 }
+SUITES = tuple(_SUITE_FUNCTIONS)
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
     """Run one named suite, or every suite for name == 'all'."""
     if name == "all":
-        results: list[CheckResult] = []
-        for suite in SUITES:
-            results.extend(_SUITE_FUNCTIONS[suite](seed))
-        return results
+        return [r for suite in SUITES for r in run_suite(suite, seed)]
     if name not in _SUITE_FUNCTIONS:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
-    return _SUITE_FUNCTIONS[name](seed)
+    return _SUITE_FUNCTIONS[name](partial(CheckResult, name), seed)

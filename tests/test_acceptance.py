@@ -150,3 +150,37 @@ def test_criterion_10_verify_all(all_checks):
         print(f"    blocking: {r.line()}")
     assert elapsed < 60.0
     assert not failed, "verify-all would exit nonzero; failing checks above"
+
+
+#: the sense and threshold of every check as certified; loosening one fails here
+THRESHOLDS = {
+    ("uql-dominance", "standard-above-uql"): (">=", -1e-9),
+    ("uql-dominance", "vm-above-uql"): (">=", -1e-9),
+    ("uql-dominance", "cd-above-uql"): (">=", -1e-9),
+    ("uql-dominance", "cqnc-above-uql"): (">=", -1e-9),
+    ("uql-dominance", "fig2a-runtime"): ("<", 5.0),
+    ("uql-dominance", "standard-above-sql"): (">=", -1e-9),
+    ("uql-dominance", "sql-attained"): ("<", 1e-9),
+    ("uql-dominance", "vm-beats-sql"): ("<", 1.0),
+    ("uql-dominance", "cd-beats-sql"): ("<", 1.0),
+    ("uql-dominance", "toy-above-guql"): (">=", -1e-9),
+    ("uql-dominance", "toy-near-attains-guql"): ("<", 1.1),
+    ("uql-dominance", "guql-below-uql"): ("<", 1.0),
+    ("identities", "transfer-closed-form"): ("<", 1e-10),
+    ("identities", "product-identity"): ("<", 1e-10),
+    ("identities", "gram-identity"): ("<", 1e-10),
+    ("cqnc", "backaction-cancelled"): ("<", 1e-12),
+    ("cqnc", "ancilla-floor"): ("<", 0.01),
+    ("linresp", "min-above-bound"): (">=", -1e-9),
+    ("linresp", "bound-above-im-chi"): (">=", -1e-9),
+    ("linresp", "extraction-uncertainty"): (">=", -1e-9),
+    ("feedback", "gain-invariance"): ("<", 1e-9),
+    ("bounds", "optimal-matches-scan"): ("<", 1e-8),
+    ("bounds", "high-frequency-tail"): ("<", 0.01),
+    ("bounds", "optimal-dominates"): (">=", -1e-10),
+}
+
+
+def test_thresholds_as_certified(all_checks):
+    checks, _ = all_checks
+    assert {key: (r.sense, r.threshold) for key, r in checks.items()} == THRESHOLDS

@@ -2,10 +2,13 @@ import hashlib
 import json
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from forcelimits import cli, errors
 from forcelimits.cli import fmt12
@@ -37,6 +40,38 @@ class TestFmt12:
 
     def test_zero(self):
         assert fmt12(0.0) == "0"
+
+    @given(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+    def test_matches_decimal_oracle(self, value):
+        assert fmt12(value) == fmt12_oracle(value)
+
+    def test_decade_carry(self):
+        assert fmt12(999999.9999999) == "1.00000000000e+06"
+        assert fmt12(0.99999999999995) == "1.00000000000"
+        for decade in range(-320, 308):
+            # below this point 12 digits round down within the decade, from it up
+            carry = float(Decimal(10) ** (decade + 1) * (1 - Decimal("5e-13")))
+            for value in (carry, *neighbours(carry, 3)):
+                for signed in (value, -value):
+                    assert fmt12(signed) == fmt12_oracle(signed), signed
+
+
+def fmt12_oracle(value):
+    """fmt12 from exact decimal arithmetic, rounding half to even."""
+    exact = Decimal(value)
+    mantissa, _, exponent = f"{exact:.11e}".partition("e")
+    if abs(int(exponent)) >= 6:
+        return f"{mantissa}e{int(exponent):+03d}"
+    return f"{exact:.{11 - int(exponent)}f}"
+
+
+def neighbours(value, count):
+    """The `count` floats on either side of `value`."""
+    below, above = [value], [value]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return [float(v) for v in below[1:] + above[1:] if v != 0.0]
 
 
 def parse_csv(text):
@@ -192,6 +227,11 @@ class TestNumericalFailureInProcess:
     (["--squeeze", "400"], "squeeze = 400.0 gives no valid input state"),
     (["--squeeze", "1", "--squeeze-angle", "inf"], "squeeze_angle must be finite"),
     (["--n-th", "nan"], "n_th must be finite"),
+    (["--omega-min", "1", "--omega-max", "1.0000000000000002", "--points", "10"],
+     "10 log points over [1.0, 1.0000000000000002] are not strictly increasing"),
+    (["--omega-min", "1", "--omega-max", "1.0000000000000002", "--points", "10",
+      "--spacing", "linear"],
+     "10 linear points over [1.0, 1.0000000000000002] are not strictly increasing"),
 ])
 def test_invalid_number_is_a_configuration_error(capsys, flags, message):
     code = cli.main(["spectrum", "--points", "3", *flags])

@@ -314,7 +314,6 @@ def pointwise_spectrum(config, grid):
     model = build(config)
     budget = noise.noise_budget(config, model)
     params = config.params
-    eta = config.eta if config.variant == "toy" else 0.0
     rows = []
     for omega in grid:
         coeffs = noise.added_noise(transfer(model, omega), config.readout_angle)
@@ -323,7 +322,7 @@ def pointwise_spectrum(config, grid):
             bounds.sql(params, omega),
             bounds.uql(params, omega),
             bounds.generalized_uql(
-                bounds.coupling_susceptibilities(params, eta, omega)
+                bounds.coupling_susceptibilities(params, config.coupling_mix, omega)
             ),
             bounds.optimal_uql(params, omega),
         ))

@@ -2,9 +2,10 @@
 
 `perfbench/run.py --trace 1` times the public per-point calls behind a
 spectrum (transfer, added_noise, power_density, the bound columns) and a
-draw's build and stability check.  Running those decompositions here on
-3-point grids makes an API change that would break a traced run fail the
-test suite instead.
+draw's build and stability check, and its probe runs every verify suite
+and draws extraction inputs from `verify.random_stable_standard`.  Running
+those calls here, the decompositions on 3-point grids, makes an API change
+that would break a traced run fail the test suite instead.
 """
 
 import sys
@@ -15,6 +16,7 @@ import pytest
 
 import forcelimits
 import forcelimits.presets  # noqa: F401  (the decomposition reads fl.presets)
+from forcelimits import verify
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -23,25 +25,35 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def perfbench():
     sys.path.insert(0, str(PERFBENCH))
     try:
+        import layers
         import spans
         import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
-    return workloads, spans.NullTracer()
+    return workloads, spans.NullTracer(), layers
 
 
 def test_decompose_spectrum(perfbench):
-    workloads, tracer = perfbench
+    workloads, tracer, _ = perfbench
     for name, (config, grid) in workloads.sweep_inputs(forcelimits.presets).items():
         small = np.geomspace(grid[0], grid[-1], 3)
         workloads.decompose_spectrum(tracer, forcelimits, name, config, small)
 
 
 def test_decompose_draw(perfbench):
-    workloads, tracer = perfbench
+    workloads, tracer, _ = perfbench
     rng = np.random.default_rng(0)
     variants = set()
     while len(variants) < 3:
         draw = workloads.random_draw(rng)
         variants.add(draw["variant"])
         workloads.decompose_draw(tracer, forcelimits, draw, workloads.SCAN_GRID[::8])
+
+
+def test_probe_verify_calls(perfbench):
+    *_, layers = perfbench
+    for suite in layers.SUITES:
+        results = verify.run_suite(suite, seed=1)
+        assert results and all(type(r.passed) is bool for r in results)
+    params, omega = verify.random_stable_standard(np.random.default_rng(0))
+    assert isinstance(params, forcelimits.DetectorParams) and omega > 0.0

@@ -87,6 +87,11 @@ class TestBuild:
         with pytest.raises(UnstableModel):
             build(SchemeConfig("standard", bad))
 
+    def test_coupling_mix_is_toy_only(self):
+        assert SchemeConfig("toy", FIG2A, eta=-2.5).coupling_mix == -2.5
+        assert SchemeConfig("standard", FIG2A, eta=-2.5).coupling_mix == 0.0
+        assert SchemeConfig("cqnc", FIG2A, eta=-2.5).coupling_mix == 0.0
+
     def test_invalid_configs(self):
         with pytest.raises(InvalidConfig):
             SchemeConfig("cqnc", replace(FIG2A, Delta=-1.0))
