@@ -271,8 +271,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with each usage error on one stderr line (exit 2)."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _seed(text: str) -> int:
+    """A verify seed: numpy's generators take non-negative integers only."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="forcelimits",
         description="Force-sensitivity spectra and quantum-limit bounds for "
         "linear optomechanical detectors.",
@@ -309,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_cmd = sub.add_parser("verify", help="run a verification suite")
     verify_cmd.add_argument("suite", choices=verify.SUITES + ("all",))
-    verify_cmd.add_argument("--seed", type=int, default=0)
+    verify_cmd.add_argument("--seed", type=_seed, default=0)
     verify_cmd.set_defaults(func=cmd_verify)
 
     return parser

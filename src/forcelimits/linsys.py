@@ -23,7 +23,7 @@ if TYPE_CHECKING:
 #: eigenvalue real parts up to this value still count as (marginally) stable
 STABILITY_TOL = 1e-12
 
-#: condition-number estimate beyond which a solve is treated as singular
+#: 1-norm condition number beyond which a solve is treated as singular
 _COND_LIMIT = 1e14
 
 
@@ -108,34 +108,35 @@ def stability_check(drift: DriftMatrix) -> tuple[bool, NDArray[np.complex128]]:
     return stable, eigenvalues
 
 
-def _system_matrices(
+def _cond1(m: NDArray[np.complex128], inv: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """1-norm condition numbers ||m||_1 ||m^-1||_1 of a stack and its inverse."""
+    return np.abs(m).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
+
+
+def _inverted_system(
     model: LinearModel, omegas: NDArray[np.float64]
-) -> NDArray[np.complex128]:
-    """Stack of A + i w I, one per frequency; the first singular one raises."""
-    m = model.drift.entries + 1j * omegas[:, None, None] * np.eye(model.drift.n)
-    singular = np.linalg.cond(m) > _COND_LIMIT
+) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
+    """Stack of (A + i w I)^T, one per frequency, and its inverse.
+
+    The first w whose 1-norm condition number exceeds the limit raises.  An
+    exactly singular matrix makes the batched inverse fail for the whole
+    stack; the stack is then inverted point by point, and a matrix that
+    fails to invert counts as infinitely ill-conditioned.
+    """
+    m = model.drift.entries.T + 1j * omegas[:, None, None] * np.eye(model.drift.n)
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        inv = np.full_like(m, np.inf)
+        for k, mk in enumerate(m):
+            try:
+                inv[k] = np.linalg.inv(mk)
+            except np.linalg.LinAlgError:
+                pass
+    singular = ~(_cond1(m, inv) <= _COND_LIMIT)
     if singular.any():
         raise SingularAtFrequency(omegas[np.argmax(singular)])
-    return m
-
-
-def _refined_solve(
-    m: NDArray[np.complex128], b: NDArray[np.complex128]
-) -> NDArray[np.complex128]:
-    """Direct solve plus mixed-precision iterative refinement.
-
-    The schemes cancel large internal paths exactly; refining with the
-    residual accumulated in extended precision keeps that cancellation at
-    working precision instead of at the magnitude of the intermediates.
-    `m` may be a stack (..., n, n), with right-hand sides b of (..., n, k).
-    """
-    x = np.linalg.solve(m, b)
-    m_hi = m.astype(np.clongdouble)
-    b_hi = b.astype(np.clongdouble)
-    for _ in range(2):
-        residual = b_hi - m_hi @ x.astype(np.clongdouble)
-        x = x + np.linalg.solve(m, residual.astype(np.complex128))
-    return x
+    return m, inv
 
 
 def adjoint_response(
@@ -146,9 +147,21 @@ def adjoint_response(
     Entry k of y is the response of the state functional b . x to a unit
     drive of state row k.  A b of shape (n,) gives y of shape (N, n); a b of shape
     (n, k) solves its k columns together and gives (N, n, k).
+
+    The solve is the inverse applied to -b, then two steps of mixed-precision
+    iterative refinement.  The schemes cancel large internal paths exactly;
+    refining with the residual accumulated in extended precision keeps that
+    cancellation at working precision instead of at the magnitude of the
+    intermediates.
     """
-    m = np.swapaxes(_system_matrices(model, omegas), -1, -2)
-    y = _refined_solve(m, -np.reshape(b, (model.drift.n, -1)))
+    m, inv = _inverted_system(model, omegas)
+    rhs = -np.reshape(b, (model.drift.n, -1))
+    y = inv @ rhs
+    m_hi = m.astype(np.clongdouble)
+    rhs_hi = rhs.astype(np.clongdouble)
+    for _ in range(2):
+        residual = rhs_hi - m_hi @ y.astype(np.clongdouble)
+        y = y + inv @ residual.astype(np.complex128)
     finite = np.isfinite(y).all(axis=(1, 2))
     if not finite.all():
         raise SingularAtFrequency(

@@ -283,6 +283,16 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected(self):
         assert run_cli("verify", "bogus").returncode == 2
 
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_bad_seed_is_a_usage_error(self, capsys, seed):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["verify", "feedback", "--seed", seed])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err == (
+            "forcelimits verify: error: argument --seed: "
+            f"seed must be a non-negative integer, got {seed!r}\n"
+        )
+
 
 @pytest.mark.parametrize("command", ["spectrum", "fig2a", "fig2b"])
 def test_csv_bytes_match_recorded_digests(command, tmp_path):

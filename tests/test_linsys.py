@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -54,9 +56,11 @@ def standard_model():
 
 
 def solve(model, omega, w):
-    """The refined solve of (A + i w I) x = -w behind adjoint_response."""
-    m = linsys._system_matrices(model, np.array([omega], dtype=float))[0]
-    return linsys._refined_solve(m, -np.asarray(w, dtype=complex))
+    """The refined solve of (A + i w I) x = -w: adjoint_response of the transposed drift."""
+    transposed = replace(model, drift=drift(model.drift.entries.T))
+    return linsys.adjoint_response(
+        transposed, np.array([omega], dtype=float), np.asarray(w, dtype=complex)
+    )[0]
 
 
 class TestSolveFrequency:
@@ -216,6 +220,56 @@ class TestReadoutAdjoint:
                 )
                 scale = np.max(np.abs(single), axis=1, keepdims=True)
                 assert np.all(np.abs(y[..., k] - single) <= 1e-14 * scale)
+
+
+class TestFirstFailureOrder:
+    """A stack with an exactly singular matrix is inverted point by point.
+
+    The undamped oscillator makes (A + i w I)^T exactly singular at w = 1
+    (the batched inverse raises for the whole stack) and invertible but
+    ill-conditioned at w = 1 + 1e-15; the first offending w in grid order
+    is reported either way.
+    """
+
+    @pytest.fixture
+    def model(self):
+        params = DetectorParams(Omega=1.0, Gamma=0.0, gamma=3.0, g=0.5)
+        return build(SchemeConfig("standard", params))
+
+    @staticmethod
+    def reported(model, omegas):
+        b = linsys.readout_drive(model, np.array([0.0, 1.0]))
+        with pytest.raises(SingularAtFrequency) as err:
+            linsys.adjoint_response(model, np.array(omegas), b)
+        return err.value.omega
+
+    @staticmethod
+    def system(model, omega):
+        return model.drift.entries.T + 1j * omega * np.eye(model.drift.n)
+
+    def test_ill_conditioned_before_exactly_singular(self, model):
+        near = 1.0 + 1e-15
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(self.system(model, 1.0))
+        assert np.linalg.cond(self.system(model, near), 1) > linsys._COND_LIMIT
+        assert self.reported(model, [0.5, near, 1.5, 1.0, 2.0]) == near
+
+    @pytest.mark.parametrize("omegas", [[0.5, 1.0, 1.5], [0.5, 1.5, 1.0]])
+    def test_only_exactly_singular_point(self, model, omegas):
+        good = [w for w in omegas if w != 1.0]
+        b = linsys.readout_drive(model, np.array([0.0, 1.0]))
+        assert np.isfinite(linsys.adjoint_response(model, np.array(good), b)).all()
+        assert self.reported(model, omegas) == 1.0
+
+
+@pytest.mark.parametrize("variant", ["standard", "cqnc", "toy"])
+def test_condition_number_against_numpy(variant):
+    rng = np.random.default_rng(["standard", "cqnc", "toy"].index(variant) + 21)
+    for k in range(8):
+        config, omega = _oracle_draw(rng, variant, k)
+        omegas = np.append(rng.uniform(0.01, 12.0, size=15), omega)
+        m, inv = linsys._inverted_system(build(config), omegas)
+        assert np.allclose(linsys._cond1(m, inv), np.linalg.cond(m, 1), rtol=1e-12, atol=0)
 
 
 def _oracle_draw(rng, variant, k):
