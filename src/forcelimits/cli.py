@@ -11,7 +11,7 @@ import configparser
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import fields
 from math import floor, log10
 from pathlib import Path
 from typing import IO, Mapping
@@ -25,25 +25,30 @@ from .spectra import squeeze_spectrum, vacuum
 
 MAX_POINTS = 10**7
 
-_SCHEME_DEFAULTS: dict[str, object] = {
-    "variant": "standard",
-    "Omega": 0.01,
-    "Gamma": 0.01,
-    "gamma": 3.0,
-    "Delta": 0.0,
-    "g": -10.0,
-    "phi": 0.0,
-    "eta": 1.0,
-    "squeeze": 0.0,
-    "squeeze_angle": 0.0,
-    "n_th": 0.0,
-}
+_SPACINGS = {"linear": np.linspace, "log": np.geomspace}
 
-_GRID_DEFAULTS: dict[str, object] = {
-    "omega_min": 1e-3,
-    "omega_max": 1e1,
-    "points": 400,
-    "spacing": "log",
+_STANDARD = presets.fig2a_configs()["standard"]
+
+#: every spectrum run key, by config section, with its default: the fig2a
+#: standard curve on the fig2a grid.  The order is the CSV metadata order, and a
+#: value given in a file parses as the type of its default: str, int or float.
+_DEFAULTS: dict[str, dict[str, object]] = {
+    "scheme": {
+        "variant": _STANDARD.variant,
+        **{k: getattr(_STANDARD.params, k)
+           for k in ("Omega", "Gamma", "gamma", "Delta", "g")},
+        "phi": _STANDARD.readout_angle,
+        "eta": _STANDARD.eta,
+        "squeeze": 0.0,
+        "squeeze_angle": 0.0,
+        "n_th": _STANDARD.params.n_th,
+    },
+    "grid": {
+        "omega_min": presets.FIG2A_BAND[0],
+        "omega_max": presets.FIG2A_BAND[1],
+        "points": presets.GRID_POINTS,
+        "spacing": "log",
+    },
 }
 
 
@@ -69,41 +74,26 @@ def fmt12(value: float) -> str:
     return "%.11e" % value
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    omega_min: float
-    omega_max: float
-    points: int
-    spacing: str
-
-    def __post_init__(self):
-        if not self.omega_min > 0.0:
-            raise InvalidConfig("omega_min must be positive")
-        if not math.isfinite(self.omega_max):
-            raise InvalidConfig("omega_max must be finite")
-        if not self.omega_max > self.omega_min:
-            raise InvalidConfig("omega_max must exceed omega_min")
-        if not 2 <= self.points <= MAX_POINTS:
-            raise InvalidConfig(f"points must lie in [2, {MAX_POINTS}]")
-        if self.spacing not in ("linear", "log"):
-            raise InvalidConfig("spacing must be 'linear' or 'log'")
-
-    def frequencies(self) -> np.ndarray:
-        space = np.geomspace if self.spacing == "log" else np.linspace
-        grid = space(self.omega_min, self.omega_max, self.points)
-        if not np.all(np.diff(grid) > 0.0):
-            raise InvalidConfig(
-                f"{self.points} {self.spacing} points over [{self.omega_min!r}, "
-                f"{self.omega_max!r}] are not strictly increasing"
-            )
-        return grid
-
-
-def _merge(flag_values: dict, file_values: dict, defaults: dict) -> dict:
-    merged = dict(defaults)
-    merged.update({k: v for k, v in file_values.items() if v is not None})
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
-    return merged
+def _frequencies(
+    omega_min: float, omega_max: float, points: int, spacing: str
+) -> np.ndarray:
+    if not omega_min > 0.0:
+        raise InvalidConfig("omega_min must be positive")
+    if not math.isfinite(omega_max):
+        raise InvalidConfig("omega_max must be finite")
+    if not omega_max > omega_min:
+        raise InvalidConfig("omega_max must exceed omega_min")
+    if not 2 <= points <= MAX_POINTS:
+        raise InvalidConfig(f"points must lie in [2, {MAX_POINTS}]")
+    if spacing not in _SPACINGS:
+        raise InvalidConfig(f"spacing must be {' or '.join(map(repr, _SPACINGS))}")
+    grid = _SPACINGS[spacing](omega_min, omega_max, points)
+    if not np.all(np.diff(grid) > 0.0):
+        raise InvalidConfig(
+            f"{points} {spacing} points over [{omega_min!r}, {omega_max!r}] "
+            "are not strictly increasing"
+        )
+    return grid
 
 
 def _config_parser() -> configparser.ConfigParser:
@@ -113,7 +103,7 @@ def _config_parser() -> configparser.ConfigParser:
     return parser
 
 
-def _read_config_file(path: str) -> tuple[dict, dict]:
+def _read_config_file(path: str) -> dict[str, dict[str, object]]:
     parser = _config_parser()
     try:
         with open(path, encoding="utf-8") as fh:
@@ -121,43 +111,31 @@ def _read_config_file(path: str) -> tuple[dict, dict]:
     except (OSError, configparser.Error) as exc:
         raise InvalidConfig(f"cannot read config file {path!r}: {exc}") from exc
 
-    sections = {"scheme": _SCHEME_DEFAULTS, "grid": _GRID_DEFAULTS}
-    values: dict[str, dict[str, object]] = {name: {} for name in sections}
+    values: dict[str, dict[str, object]] = {name: {} for name in _DEFAULTS}
     try:
-        for name, defaults in sections.items():
+        for name, defaults in _DEFAULTS.items():
             if not parser.has_section(name):
                 continue
             for key in parser.options(name):
                 if key not in defaults:
                     raise InvalidConfig(f"unknown {name} key {key!r}")
-                # a key parses as the type of its default: str, int or float
                 values[name][key] = type(defaults[key])(parser.get(name, key).strip())
     except (ValueError, configparser.Error) as exc:
         raise InvalidConfig(f"bad value in config file {path!r}: {exc}") from exc
-    return values["scheme"], values["grid"]
+    return values
 
 
-def _dump_config(path: str, scheme: Mapping[str, object], grid: Mapping[str, object]):
+def _dump_config(path: str, values: Mapping[str, Mapping[str, object]]):
     parser = _config_parser()
-    parser["scheme"] = {k: str(v) for k, v in scheme.items()}
-    parser["grid"] = {k: str(v) for k, v in grid.items()}
+    for name, section in values.items():
+        parser[name] = {k: str(v) for k, v in section.items()}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         parser.write(fh)
 
 
 def _scheme_config(values: Mapping[str, object]) -> SchemeConfig:
-    variant = str(values["variant"]).lower()
-    if variant not in VARIANTS:
-        raise InvalidConfig(f"unknown scheme variant {variant!r}")
-    params = DetectorParams(
-        Omega=float(values["Omega"]),
-        Gamma=float(values["Gamma"]),
-        gamma=float(values["gamma"]),
-        Delta=float(values["Delta"]),
-        g=float(values["g"]),
-        n_th=float(values["n_th"]),
-    )
-    s, angle = float(values["squeeze"]), float(values["squeeze_angle"])
+    params = DetectorParams(**{f.name: values[f.name] for f in fields(DetectorParams)})
+    s, angle = values["squeeze"], values["squeeze_angle"]
     if not math.isfinite(angle):
         raise InvalidConfig("squeeze_angle must be finite")
     try:
@@ -165,11 +143,11 @@ def _scheme_config(values: Mapping[str, object]) -> SchemeConfig:
     except (ValueError, OverflowError) as exc:
         raise InvalidConfig(f"squeeze = {s} gives no valid input state: {exc}") from exc
     return SchemeConfig(
-        variant=variant,
+        variant=values["variant"],
         params=params,
-        readout_angle=float(values["phi"]),
+        readout_angle=values["phi"],
         input_spectrum=spectrum,
-        eta=float(values["eta"]),
+        eta=values["eta"],
     )
 
 
@@ -183,35 +161,23 @@ def write_spectrum_csv(
         fh.write(",".join(fmt12(float(x)) for x in row) + "\n")
 
 
-def _spectrum_metadata(values: Mapping[str, object], grid: Mapping[str, object]) -> dict:
-    meta = {k: values[k] for k in _SCHEME_DEFAULTS}
-    meta.update({k: grid[k] for k in _GRID_DEFAULTS})
-    return meta
-
-
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    flag_scheme = {k: getattr(args, k) for k in _SCHEME_DEFAULTS}
-    flag_grid = {k: getattr(args, k) for k in _GRID_DEFAULTS}
-    file_scheme: dict = {}
-    file_grid: dict = {}
-    if args.config:
-        file_scheme, file_grid = _read_config_file(args.config)
-
-    scheme_values = _merge(flag_scheme, file_scheme, _SCHEME_DEFAULTS)
-    grid_values = _merge(flag_grid, file_grid, _GRID_DEFAULTS)
+    files = _read_config_file(args.config) if args.config else {}
+    # defaults, then file values, then flags; the merged values are the metadata
+    values: dict[str, dict[str, object]] = {}
+    for name, defaults in _DEFAULTS.items():
+        flags = {k: getattr(args, k) for k in defaults}
+        values[name] = {**defaults, **files.get(name, {}),
+                        **{k: v for k, v in flags.items() if v is not None}}
+    # a file may spell the variant in any case; it is recorded as it runs
+    values["scheme"]["variant"] = values["scheme"]["variant"].lower()
 
     if args.dump_config:
-        _dump_config(args.dump_config, scheme_values, grid_values)
+        _dump_config(args.dump_config, values)
 
-    config = _scheme_config(scheme_values)
-    grid = GridSpec(
-        omega_min=float(grid_values["omega_min"]),
-        omega_max=float(grid_values["omega_max"]),
-        points=int(grid_values["points"]),
-        spacing=str(grid_values["spacing"]),
-    )
-    spectrum = noise.sensitivity_spectrum(config, grid.frequencies())
-    metadata = _spectrum_metadata(scheme_values, grid_values)
+    config = _scheme_config(values["scheme"])
+    spectrum = noise.sensitivity_spectrum(config, _frequencies(**values["grid"]))
+    metadata = {**values["scheme"], **values["grid"]}
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             write_spectrum_csv(spectrum, fh, metadata)
@@ -296,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum = sub.add_parser(
         "spectrum", help="write the sensitivity spectrum of one scheme as CSV"
     )
-    choices = {"variant": VARIANTS, "spacing": ("linear", "log")}
-    for key, default in {**_SCHEME_DEFAULTS, **_GRID_DEFAULTS}.items():
+    choices = {"variant": VARIANTS, "spacing": _SPACINGS}
+    for key, default in {**_DEFAULTS["scheme"], **_DEFAULTS["grid"]}.items():
         flag = "--scheme" if key == "variant" else "--" + key.replace("_", "-")
         kind = {"choices": choices[key]} if key in choices else {"type": type(default)}
         spectrum.add_argument(flag, dest=key, default=None, **kind)

@@ -17,10 +17,13 @@ FIG2B_PARAMS = DetectorParams(Omega=1.0, Gamma=1.0, gamma=100.0, Delta=0.0, g=5.
 
 GRID_POINTS = 400
 
+#: fig2a frequency band, bracketing both the mechanical resonance and the cavity line
+FIG2A_BAND = (1e-3, 1e1)
+
 
 def fig2a_grid() -> np.ndarray:
-    """Default grid bracketing both the mechanical resonance and the cavity line."""
-    return np.geomspace(1e-3, 1e1, GRID_POINTS)
+    """Default grid: GRID_POINTS log-spaced over FIG2A_BAND."""
+    return np.geomspace(*FIG2A_BAND, GRID_POINTS)
 
 
 def fig2b_grid() -> np.ndarray:

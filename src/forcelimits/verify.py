@@ -174,13 +174,8 @@ def random_stable_standard(rng: np.random.Generator) -> tuple[DetectorParams, fl
 
 def _entrywise_relative(numeric: np.ndarray, closed: np.ndarray) -> float:
     scale = max(float(np.max(np.abs(closed))), 1e-30)
-    numeric = np.atleast_1d(numeric)
-    closed = np.atleast_1d(closed)
-    worst = 0.0
-    for a, b in zip(numeric.ravel(), closed.ravel()):
-        denom = max(abs(b), 1e-12 * scale)
-        worst = max(worst, abs(a - b) / denom)
-    return worst
+    denom = np.maximum(np.abs(closed), 1e-12 * scale)
+    return float(np.max(np.abs(numeric - closed) / denom))
 
 
 def suite_identities(check, seed: int) -> list[CheckResult]:

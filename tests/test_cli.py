@@ -172,6 +172,66 @@ class TestSpectrumCommand:
         assert any(ln.startswith("# points = ") for ln in comments)
 
 
+DEFAULT_CONFIG = """\
+[scheme]
+variant = standard
+Omega = 0.01
+Gamma = 0.01
+gamma = 3.0
+Delta = 0.0
+g = -10.0
+phi = 0.0
+eta = 1.0
+squeeze = 0.0
+squeeze_angle = 0.0
+n_th = 0.0
+
+[grid]
+omega_min = 0.001
+omega_max = 10.0
+points = 400
+spacing = log
+
+"""
+
+
+class TestRunKeys:
+    def test_default_dump_config(self, tmp_path):
+        dump = tmp_path / "default.cfg"
+        assert cli.main(["spectrum", "--dump-config", str(dump),
+                         "--output", str(tmp_path / "spectrum.csv")]) == 0
+        assert dump.read_text(encoding="utf-8") == DEFAULT_CONFIG
+
+    def test_default_run_is_the_fig2a_standard_curve(self, tmp_path):
+        assert cli.main(["spectrum", "--output", str(tmp_path / "spectrum.csv")]) == 0
+        assert cli.main(["fig2a", "--outdir", str(tmp_path)]) == 0
+
+        def data_rows(name):
+            lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+            return [ln for ln in lines if not ln.startswith("#")]
+
+        assert data_rows("spectrum.csv") == data_rows("fig2a_standard.csv")
+
+    def test_file_variant_recorded_in_lower_case(self, tmp_path):
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text("[scheme]\nvariant = Toy\n[grid]\npoints = 7\n", encoding="utf-8")
+        dump, first, second = tmp_path / "dump.cfg", tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.main(["spectrum", "--config", str(cfg), "--dump-config", str(dump),
+                         "--output", str(first)]) == 0
+        assert "# variant = toy\n" in first.read_text(encoding="utf-8")
+        assert "variant = toy\n" in dump.read_text(encoding="utf-8")
+        assert cli.main(["spectrum", "--config", str(dump), "--output", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_unknown_file_variant(self, tmp_path, capsys):
+        cfg = tmp_path / "bogus.cfg"
+        cfg.write_text("[scheme]\nvariant = bogus\n", encoding="utf-8")
+        assert cli.main(["spectrum", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: unknown variant 'bogus'\n"
+
+
 class TestNumericalFailureInProcess:
     # the first failure in grid order is reported, with a plain float
     @pytest.mark.parametrize(

@@ -1,0 +1,72 @@
+"""Every import in the package is used (no linter is assumed to be installed)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "forcelimits"
+
+
+def imported_names(tree):
+    """(bound name, line) of each import outside `from __future__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs
+            every += [a for a in (args.vararg, args.kwarg) if a is not None]
+            yield from (a.annotation for a in every if a.annotation is not None)
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree):
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a quoted annotation ("SchemeConfig", list["Row"]) names what it quotes
+    for annotation in annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                names |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return names
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    used = used_names(tree)
+    return [(name, line) for name, line in imported_names(tree) if name not in used]
+
+
+@pytest.mark.parametrize(
+    "path",
+    # __init__.py imports in order to re-export
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"],
+    ids=lambda p: p.name,
+)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detector():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from dataclasses import dataclass, field\n"
+        "from typing import Mapping\n"
+        "import numpy as np\n"
+        "def f(x: 'Mapping[str, int]') -> None:\n"
+        "    return os.path.join(x)\n"
+    )
+    assert unused_imports(source) == [("dataclass", 3), ("field", 3), ("np", 5)]
