@@ -12,7 +12,6 @@ import math
 import sys
 import time
 from dataclasses import fields
-from math import floor, log10
 from pathlib import Path
 from typing import IO, Mapping
 
@@ -52,26 +51,41 @@ _DEFAULTS: dict[str, dict[str, object]] = {
 }
 
 
+#: rows per printf call; keeps the template's memory fixed for any grid size
+_CSV_BLOCK = 256
+
+#: printf specs: entry e + 6 for a decimal exponent -6 < e < 6, entry 0
+#: (scientific) for any other, and the last, which prints ±0 as "0"
+_SPECS = np.array(
+    ["%.11e", *(f"%.{11 - e}f" for e in range(-5, 6)), "%d"], dtype=object
+)
+
+
+def _specs(values: np.ndarray) -> np.ndarray:
+    """Each value's printf spec for 12 significant digits (see fmt12)."""
+    magnitude = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log = np.log10(magnitude)
+        exponent = np.floor(log)
+        # rounding to 12 digits carries into the next decade only within a
+        # relative 5e-13 below it (2.2e-13 in log10), and log10 itself may be
+        # an ulp off; within 1e-12 of a decade on either side the exponent is
+        # read off the correctly rounded scientific form
+        near = abs(log - np.round(log)) < 1e-12
+    for i in zip(*np.nonzero(near)):
+        exponent[i] = int(("%.11e" % values[i]).partition("e")[2])
+    index = np.where(abs(exponent) < 6, exponent + 6, 0).astype(int)
+    index[magnitude == 0.0] = -1
+    return _SPECS[index]
+
+
 def fmt12(value: float) -> str:
     """12 significant digits; scientific notation once |exponent| reaches 6.
 
     The exponent is the one after rounding to 12 digits, so 999999.9999999
-    prints as 1.00000000000e+06.
+    prints as 1.00000000000e+06.  The CSV writer formats every value this way.
     """
-    if value == 0.0:
-        return "0"
-    log = log10(abs(value))
-    exponent = floor(log)
-    # rounding to 12 digits carries into the next decade only within a
-    # relative 5e-13 below it (2.2e-13 in log10); in that band, with margin,
-    # the exponent is read off the correctly rounded scientific form, since a
-    # float threshold at the carry point itself can sit an ulp off
-    if log - exponent > 1.0 - 1e-12:
-        exponent = int(("%.11e" % value).partition("e")[2])
-    # printf-style formatting: the same digits as format(), and faster here
-    if -6 < exponent < 6:
-        return "%.*f" % (11 - exponent, value)
-    return "%.11e" % value
+    return _specs(np.array([value], dtype=float))[0] % value
 
 
 def _frequencies(
@@ -111,6 +125,9 @@ def _read_config_file(path: str) -> dict[str, dict[str, object]]:
     except (OSError, configparser.Error) as exc:
         raise InvalidConfig(f"cannot read config file {path!r}: {exc}") from exc
 
+    for name in parser.sections():
+        if name not in _DEFAULTS:
+            raise InvalidConfig(f"unknown config section {name!r}")
     values: dict[str, dict[str, object]] = {name: {} for name in _DEFAULTS}
     try:
         for name, defaults in _DEFAULTS.items():
@@ -157,8 +174,12 @@ def write_spectrum_csv(
     for key, value in metadata.items():
         fh.write(f"# {key} = {value}\n")
     fh.write(",".join(spectrum.columns) + "\n")
-    for row in spectrum.rows():
-        fh.write(",".join(fmt12(float(x)) for x in row) + "\n")
+    # the dataclass fields are the columns, in order
+    columns = [getattr(spectrum, f.name) for f in fields(spectrum)]
+    for start in range(0, len(spectrum.omegas), _CSV_BLOCK):
+        block = np.column_stack([c[start:start + _CSV_BLOCK] for c in columns])
+        template = "".join(",".join(row) + "\n" for row in _specs(block).tolist())
+        fh.write(template % tuple(block.ravel().tolist()))
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:

@@ -154,11 +154,6 @@ class SensitivitySpectrum:
         }
         if len(lengths) != 1:
             raise ValueError("all spectrum columns must have the same length")
-        if np.any(self.omegas <= 0.0) or np.any(np.diff(self.omegas) <= 0.0):
-            raise ValueError("frequency grid must be strictly increasing and positive")
-
-    def rows(self):
-        return zip(self.omegas, self.s_f, self.sql, self.uql, self.guql, self.opt_uql)
 
 
 def sensitivity_spectrum(

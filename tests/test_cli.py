@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from forcelimits import cli, errors
+from forcelimits import cli, errors, noise
 from forcelimits.cli import fmt12
 
 
@@ -54,6 +55,32 @@ class TestFmt12:
             for value in (carry, *neighbours(carry, 3)):
                 for signed in (value, -value):
                     assert fmt12(signed) == fmt12_oracle(signed), signed
+
+    def test_block_writer_matches_decimal_oracle(self):
+        # 600 rows cross the writer's block edges at 256 and 512; every
+        # non-omega column mixes near-decade values with ordinary ones
+        rng = np.random.default_rng(9)
+        special = [0.0, -0.0, 5e-324, 2.2e-310, 1e-315, np.nextafter(0.0, 1.0) * 7,
+                   1e6, 999999.5, 1.0000001e6, 1e-6, 9.99999e-7, 1.5e-6, 1e-3, 10.0]
+        for decade in range(-12, 12):
+            carry = float(Decimal(10) ** (decade + 1) * (1 - Decimal("5e-13")))
+            special += [carry, *neighbours(carry, 2), 10.0 ** decade,
+                        *neighbours(10.0 ** decade, 2)]
+        rows = 600
+        ordinary = rng.standard_normal(5 * rows) * 10.0 ** rng.uniform(-9, 9, 5 * rows)
+        values = np.concatenate([special, ordinary[len(special):]])
+        values = rng.permutation(values * rng.choice([-1.0, 1.0], values.size))
+        spectrum = noise.SensitivitySpectrum(
+            np.geomspace(1e-3, 10.0, rows), *values.reshape(5, rows)
+        )
+        buffer = io.StringIO()
+        cli.write_spectrum_csv(spectrum, buffer, {})
+        lines = buffer.getvalue().splitlines()
+        assert len(lines) == rows + 1
+        table = np.column_stack([spectrum.omegas, values.reshape(5, rows).T])
+        for line, row in zip(lines[1:], table):
+            expected = [fmt12_oracle(v) if v != 0.0 else "0" for v in row.tolist()]
+            assert line.split(",") == expected
 
 
 def fmt12_oracle(value):
@@ -230,6 +257,14 @@ class TestRunKeys:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "configuration error: unknown variant 'bogus'\n"
+
+    def test_unknown_file_section(self, tmp_path, capsys):
+        cfg = tmp_path / "grids.cfg"
+        cfg.write_text("[grids]\npoints = 5\n", encoding="utf-8")
+        assert cli.main(["spectrum", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: unknown config section 'grids'\n"
 
 
 class TestNumericalFailureInProcess:

@@ -57,3 +57,17 @@ def test_probe_verify_calls(perfbench):
         assert results and all(type(r.passed) is bool for r in results)
     params, omega = verify.random_stable_standard(np.random.default_rng(0))
     assert isinstance(params, forcelimits.DetectorParams) and omega > 0.0
+
+
+def test_sweep_dense_round(perfbench):
+    # the five 2000-point curves, checked against the recorded S_f and read
+    # back from their CSV text to 12 digits
+    workloads, tracer, _ = perfbench
+    workload = workloads.SweepDense(seed=0)
+    try:
+        workload.setup()
+        result = workload.round(tracer)
+    finally:
+        workload.close()
+    assert result.attempted == len(workload.curves) == 5
+    assert result.failed == 0, result.problems[:3]
