@@ -17,28 +17,28 @@ class NumericalFailure(ForceLimitsError):
     """A computation broke down at a particular frequency (CLI exit code 4)."""
 
 
-class SingularAtFrequency(NumericalFailure):
+class FailureAtFrequency(NumericalFailure):
+    """A numerical failure at `omega`; subclasses give the `default` message."""
+
+    def __init__(self, omega: float, message: str | None = None):
+        self.omega = float(omega)
+        text = f"{message} at" if message else self.default
+        super().__init__(f"{text} omega = {self.omega!r}")
+
+
+class SingularAtFrequency(FailureAtFrequency):
     """The frequency-domain system matrix is numerically singular."""
-
-    def __init__(self, omega: float, message: str | None = None):
-        self.omega = float(omega)
-        super().__init__(message or f"system matrix singular at omega = {self.omega!r}")
+    default = "system matrix singular at"
 
 
-class ParametricDivergence(NumericalFailure):
+class ParametricDivergence(FailureAtFrequency):
     """The detuned-cavity feedback denominator vanished at this frequency."""
-
-    def __init__(self, omega: float, message: str | None = None):
-        self.omega = float(omega)
-        super().__init__(message or f"parametric divergence at omega = {self.omega!r}")
+    default = "parametric divergence at"
 
 
-class ZeroResponse(NumericalFailure):
+class ZeroResponse(FailureAtFrequency):
     """The force response vanishes at the chosen readout quadrature."""
-
-    def __init__(self, omega: float, message: str | None = None):
-        self.omega = float(omega)
-        super().__init__(message or f"force invisible at readout, omega = {self.omega!r}")
+    default = "force invisible at readout,"
 
 
 class MechanicalResonanceSingularity(NumericalFailure):

@@ -50,16 +50,20 @@ class GenericDetector:
     g: float
 
 
-def sprime_f(det: GenericDetector) -> float:
-    """Scaled added-noise power S'_f = S_f |chi_qx|^2 at the detector's coupling."""
-    if det.g == 0.0:
+def sprime_f(det: GenericDetector) -> float | NDArray[np.float64]:
+    """Scaled added-noise power S'_f = S_f |chi_qx|^2 at the coupling(s) `det.g`."""
+    g = det.g
+    if np.any(g == 0.0):
         raise ZeroCoupling("added noise is undefined at g = 0")
-    g_f = det.g * det.chi_qq
-    g_z = (1.0 - det.g * det.g * det.chi_qq * det.chi_FF) / det.g
-    return float(
-        abs(g_f) ** 2 * det.S_FF
-        + abs(g_z) ** 2 * det.S_ZZ
-        + 2.0 * (g_f.conjugate() * g_z * det.S_ZF).real
+    # g_f = g chi_qq and g_z = 1/g - g chi_qq chi_FF = z_re + i z_im; only real
+    # operations touch g, so an array g gives the scalar calls bit for bit
+    qc = det.chi_qq * det.chi_FF
+    qs = det.chi_qq.conjugate() * det.S_ZF
+    z_re, z_im = 1.0 / g - g * qc.real, -g * qc.imag
+    return (
+        g * g * abs(det.chi_qq) ** 2 * det.S_FF
+        + (z_re * z_re + z_im * z_im) * det.S_ZZ
+        + 2.0 * g * (qs.real * z_re - qs.imag * z_im)  # 2 Re(g_f* g_z S_ZF)
     )
 
 

@@ -167,8 +167,9 @@ def sensitivity_spectrum(
     omegas = np.asarray(grid, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
         raise ValueError("grid must be a nonempty 1-d array")
-    if np.any(omegas <= 0.0) or np.any(np.diff(omegas) <= 0.0):
-        raise ValueError("grid must be strictly increasing and positive")
+    if not (np.isfinite(omegas).all() and (omegas > 0.0).all()
+            and (np.diff(omegas) > 0.0).all()):
+        raise ValueError("grid must be finite, strictly increasing and positive")
 
     model = build(config)
     return _spectrum(config, model, noise_budget(config, model), omegas)

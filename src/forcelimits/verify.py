@@ -64,26 +64,40 @@ def _relative_slack(value: float, floor: float) -> float:
     return (value - floor) / scale
 
 
+_ZOOM_POINTS, _ZOOM_ROUNDS = 65, 10
+
+
+def _zoom(f, x, pick):
+    """Refine the scan x to the sample pick(f(x)) chooses; return (x_k, f(x_k)).
+
+    Each of _ZOOM_ROUNDS rounds rescans _ZOOM_POINTS points between the picked
+    sample's neighbours, a 32-fold smaller bracket (Kiefer 1953; Brent 1973)."""
+    for _ in range(_ZOOM_ROUNDS):
+        k = pick(f(x))
+        x = np.linspace(x[max(k - 1, 0)], x[min(k + 1, len(x) - 1)], _ZOOM_POINTS)
+    values = f(x)
+    k = pick(values)
+    return x[k], values[k]
+
+
 # ---------------------------------------------------------------------------
 # uql-dominance: pointwise bound dominance, SQL attainment, mixed-coupling gap
 
 
 def sql_balance_frequency(params: DetectorParams) -> float:
     """Frequency where shot and backaction noise balance, i.e. S_f touches the SQL."""
-    from scipy import optimize  # deferred: scipy is slow to import
-
     def mismatch(omega):
         cb2 = abs(bounds.chi_cav(params, omega)) ** 2
         ca = abs(bounds.chi_mech(params, omega))
         return params.g * params.g * params.gamma * cb2 * ca - 1.0
 
-    grid = np.geomspace(1e-4, 1e2, 4001)
-    values = mismatch(grid)
-    sign_flip = np.nonzero(np.diff(np.sign(values)) != 0)[0]
-    if sign_flip.size == 0:
-        raise ValueError("no shot/backaction balance point in the scanned range")
-    k = sign_flip[0]
-    return float(optimize.brentq(mismatch, grid[k], grid[k + 1], xtol=1e-15, rtol=1e-15))
+    def first_sign_flip(values):
+        flips = np.flatnonzero(np.diff(np.sign(values)))
+        if flips.size == 0:
+            raise ValueError("no shot/backaction balance point in the scanned range")
+        return flips[0]
+
+    return float(_zoom(mismatch, np.geomspace(1e-4, 1e2, 4001), first_sign_flip)[0])
 
 
 def suite_uql_dominance(check, seed: int) -> list[CheckResult]:
@@ -301,19 +315,10 @@ def random_detector(rng: np.random.Generator) -> linresp.GenericDetector:
 
 def numeric_coupling_minimum(det: linresp.GenericDetector) -> float:
     """Brute-force minimum of S'_f over the coupling strength."""
-    from scipy import optimize  # deferred: scipy is slow to import
+    def objective(log_g):
+        return linresp.sprime_f(replace(det, g=np.exp(log_g)))
 
-    def objective(log_g: float) -> float:
-        return linresp.sprime_f(replace(det, g=math.exp(log_g)))
-
-    coarse = np.linspace(-10.0, 10.0, 201)
-    values = [objective(t) for t in coarse]
-    t0 = coarse[int(np.argmin(values))]
-    res = optimize.minimize_scalar(
-        objective, bounds=(t0 - 0.5, t0 + 0.5), method="bounded",
-        options={"xatol": 1e-13},
-    )
-    return float(min(res.fun, np.min(values)))
+    return float(_zoom(objective, np.linspace(-10.0, 10.0, 201), np.argmin)[1])
 
 
 def suite_linresp(check, seed: int) -> list[CheckResult]:
@@ -385,22 +390,10 @@ def suite_feedback(check, seed: int) -> list[CheckResult]:
 
 def eta_scan_minimum(params: DetectorParams, omega: float) -> float:
     """Scan-and-refine minimum of the generalized bound over the coupling mix."""
-    from scipy import optimize  # deferred: scipy is slow to import
-
     def objective(eta):
-        return bounds.generalized_uql(
-            bounds.coupling_susceptibilities(params, eta, omega)
-        )
+        return bounds.generalized_uql(bounds.coupling_susceptibilities(params, eta, omega))
 
-    etas = np.linspace(-1000.0, 1000.0, 4001)
-    values = objective(etas)
-    k = int(np.argmin(values))
-    lo = etas[max(k - 1, 0)]
-    hi = etas[min(k + 1, len(etas) - 1)]
-    res = optimize.minimize_scalar(
-        objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
-    )
-    return float(min(res.fun, values[k]))
+    return float(_zoom(objective, np.linspace(-1000.0, 1000.0, 4001), np.argmin)[1])
 
 
 def suite_bounds(check, seed: int) -> list[CheckResult]:

@@ -285,6 +285,17 @@ class TestNumericalFailureInProcess:
         assert code == 4
         assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
+    @pytest.mark.parametrize("error, default", [
+        (errors.SingularAtFrequency, "system matrix singular at omega = 0.25"),
+        (errors.ParametricDivergence, "parametric divergence at omega = 0.25"),
+        (errors.ZeroResponse, "force invisible at readout, omega = 0.25"),
+    ])
+    def test_message_names_the_frequency(self, error, default):
+        assert str(error(0.25)) == default
+        custom = error(np.float64(0.25), "non-finite transfer entries")
+        assert custom.omega == 0.25
+        assert str(custom) == "non-finite transfer entries at omega = 0.25"
+
     def test_bound_column_failure(self, capsys):
         # S_f is finite at omega = 1, but the undamped chi_mech of the bound
         # columns is singular there
@@ -337,13 +348,22 @@ def test_invalid_number_is_a_configuration_error(capsys, flags, message):
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only: the CLI imports and certifies without it
+    script = (
+        "import sys, forcelimits.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+        "print(forcelimits.cli.main(['verify', 'all']))\n"
+    )
     result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, forcelimits.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True,
+        [sys.executable, "-c", script], capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    lines = result.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "1"  # the known strict check
+    assert sum(line.startswith(("[PASS] ", "[FAIL] ")) for line in lines) == 24
+    assert "ImportError" not in result.stderr
 
 
 class TestPresetCommands:

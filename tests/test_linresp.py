@@ -11,7 +11,11 @@ from forcelimits import bounds, linresp, noise
 from forcelimits.errors import ZeroCoupling, ZeroFrequencyFeedback
 from forcelimits.schemes import DetectorParams, SchemeConfig, build
 from forcelimits.spectra import squeeze_spectrum, vacuum
-from forcelimits.verify import random_stable_standard, random_detector
+from forcelimits.verify import (
+    numeric_coupling_minimum,
+    random_detector,
+    random_stable_standard,
+)
 
 
 FIG2A = DetectorParams(Omega=0.01, Gamma=0.01, gamma=3.0, Delta=0.0, g=-10.0)
@@ -35,6 +39,19 @@ class TestSprimeF:
     def test_zero_coupling_rejected(self):
         with pytest.raises(ZeroCoupling):
             linresp.sprime_f(make_detector(g=0.0))
+
+    def test_coupling_array_matches_scalar_calls(self):
+        det = random_detector(np.random.default_rng(71))
+        gs = np.concatenate([np.geomspace(1e-4, 1e4, 41), -np.geomspace(1e-4, 1e4, 41)])
+        values = linresp.sprime_f(replace(det, g=gs))
+        for g, value in zip(gs, values):
+            scalar = linresp.sprime_f(replace(det, g=float(g)))
+            assert type(scalar) is float
+            assert scalar == value  # bit for bit
+
+    def test_zero_in_coupling_array_rejected(self):
+        with pytest.raises(ZeroCoupling):
+            linresp.sprime_f(make_detector(g=np.array([1.0, 0.0, 2.0])))
 
     def test_minimum_at_heisenberg_floor(self):
         # chi_FF = 0, S_ZF = 0 and S_FF S_ZZ = 1/4: the coupling optimum of
@@ -170,6 +187,14 @@ class TestGOptimizedBound:
                 bounds=(-8, 8), method="bounded", options={"xatol": 1e-12},
             )
             assert res.fun == pytest.approx(bound, rel=1e-7)
+
+    def test_verify_scan_minimum_matches_bound(self):
+        rng = np.random.default_rng(59)
+        for _ in range(20):
+            det = random_detector(rng)
+            assert numeric_coupling_minimum(det) == pytest.approx(
+                linresp.g_optimized_bound(det), rel=1e-12
+            )
 
     def test_bound_dominates_dissipation_floor(self):
         rng = np.random.default_rng(61)

@@ -285,6 +285,10 @@ class TestSensitivitySpectrum:
             noise.sensitivity_spectrum(spec_cfg, np.array([1.0, 0.5]))
         with pytest.raises(ValueError):
             noise.sensitivity_spectrum(spec_cfg, np.array([-1.0, 0.5]))
+        # a non-finite grid is a grid fault, not a numerical failure at omega = nan
+        for grid in ([np.nan, 1.0], [0.5, np.nan], [0.5, np.inf], [np.inf]):
+            with pytest.raises(ValueError, match="grid must be finite"):
+                noise.sensitivity_spectrum(spec_cfg, np.array(grid))
 
     def test_column_length_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,14 @@
-"""A verify check's verdict and printed line, derived from its record."""
+"""A verify check's verdict and printed line, derived from its record, and the
+root search behind uql-dominance/sql-attained."""
 
 import math
 
+import numpy as np
 import pytest
+from scipy import optimize
 
-from forcelimits.verify import CheckResult
+from forcelimits import bounds, presets
+from forcelimits.verify import CheckResult, sql_balance_frequency
 
 
 @pytest.mark.parametrize("measured, sense, threshold, line", [
@@ -30,3 +34,16 @@ def test_verdict_and_line_follow_the_record(measured, sense, threshold, line):
 def test_needs_template(threshold, needs, clause):
     check = CheckResult("s", "c", 7.0, "<", threshold, "r = 7", needs)
     assert check.line() == f"[FAIL] s/c: r = 7 {clause}"
+
+
+def test_sql_balance_frequency_matches_brentq():
+    params = presets.FIG2A_PARAMS
+
+    def mismatch(omega):
+        cb2 = abs(bounds.chi_cav(params, omega)) ** 2
+        return params.g**2 * params.gamma * cb2 * abs(bounds.chi_mech(params, omega)) - 1.0
+
+    grid = np.geomspace(1e-4, 1e2, 4001)
+    k = np.flatnonzero(np.diff(np.sign(mismatch(grid))))[0]
+    root = optimize.brentq(mismatch, grid[k], grid[k + 1], xtol=1e-15, rtol=1e-15)
+    assert sql_balance_frequency(params) == pytest.approx(root, rel=1e-14)
