@@ -49,13 +49,14 @@ class ZeroResponseSusceptibility(NumericalFailure):
     """The coupling cross-susceptibility vanished; the bound is undefined."""
 
 
-class ZeroCoupling(ForceLimitsError):
+class ZeroCoupling(NumericalFailure):
     """Detector-oscillator coupling is zero; no signal reaches the output."""
 
 
-class DegenerateReadout(ForceLimitsError):
+class DegenerateReadout(NumericalFailure):
     """The readout normalization coefficient vanished."""
 
 
-class ZeroFrequencyFeedback(ForceLimitsError):
+class ZeroFrequencyFeedback(FailureAtFrequency):
     """The feedback transform is singular at zero frequency."""
+    default = "feedback transform undefined at"

@@ -29,7 +29,7 @@ from .errors import (
     ZeroCoupling,
     ZeroFrequencyFeedback,
 )
-from .linsys import adjoint_response, channel_output, readout_drive
+from .linsys import adjoint_response, channel_output, quadrature, readout_drive
 from .schemes import DetectorParams, SchemeConfig, build
 from .spectra import QuadratureSpectrum
 
@@ -237,7 +237,7 @@ def extract_detector(
 
     bare = replace(config, params=replace(params, g=0.0))
     model0 = build(bare)
-    d = np.array([math.sin(config.readout_angle), math.cos(config.readout_angle)])
+    d = quadrature(config.readout_angle)
     f_vector = coupling_vector(config)
 
     # one adjoint solve for the state functionals of F = f . x and of d . out
@@ -267,42 +267,41 @@ def extract_detector(
 
 
 def feedback_added_noise(
-    det: GenericDetector, lambda_prime: float, omega: float | None = None
-) -> float:
+    det: GenericDetector,
+    lambda_prime: float | NDArray[np.float64],
+    omega: float | NDArray[np.float64] | None = None,
+) -> float | NDArray[np.float64]:
     """Force-referred added noise with direct output feedback of gain lambda_prime.
 
     Solves the three coupled frequency-domain equations for (q, F, Z) with
     the feedback term i*lambda_prime*Z/omega added to the oscillator
     equation, then normalizes the output by its force response.  The result
-    is independent of lambda_prime.
+    is independent of lambda_prime.  Arrays of gains and frequencies
+    broadcast against each other into one stacked solve.
     """
     w = det.omega if omega is None else omega
-    if w == 0.0:
-        raise ZeroFrequencyFeedback("feedback transform undefined at omega = 0")
+    if np.any(w == 0.0):
+        raise ZeroFrequencyFeedback(0.0)
     if det.g == 0.0:
         raise ZeroCoupling("added noise is undefined at g = 0")
 
     g = det.g
-    system = np.array(
-        [
-            [1.0, -g * det.chi_qq, -1j * lambda_prime / w],
-            [-g * det.chi_FF, 1.0, 0.0],
-            [-g, 0.0, 1.0],
-        ],
-        dtype=complex,
-    )
+    # real division first: a scalar call rounds as with Python complex numbers
+    feedback = -1j * (np.asarray(lambda_prime) / w)
+    system = np.empty(np.shape(feedback) + (3, 3), dtype=complex)
+    system[...] = [[1.0, -g * det.chi_qq, 0.0], [-g * det.chi_FF, 1.0, 0.0], [-g, 0.0, 1.0]]
+    system[..., 0, 2] = feedback
     # right-hand sides: unit drives of f, F0 and Z0
     drives = np.array(
         [[det.chi_qx, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex
     )
-    z_row = np.linalg.solve(system, drives)[2, :]
-    z_f, z_f0, z_z0 = z_row
-    if abs(z_f) < _TINY:
+    z_f, z_f0, z_z0 = np.moveaxis(np.linalg.solve(system, drives)[..., 2, :], -1, 0)
+    if np.any(abs(z_f) < _TINY):
         raise ZeroCoupling("output carries no force signal")
     c_f = z_f0 / z_f
     c_z = z_z0 / z_f
-    return float(
+    return (
         abs(c_f) ** 2 * det.S_FF
         + abs(c_z) ** 2 * det.S_ZZ
         + 2.0 * (c_z * c_f.conjugate() * det.S_ZF).real
-    )
+    )[()]

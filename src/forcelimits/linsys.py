@@ -92,9 +92,9 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class FrequencyResponse:
-    """Per-frequency transfer blocks from every input to the readout output."""
+    """Transfer blocks from every input to the readout output, frequency axis first."""
 
-    omega: float
+    omega: float | NDArray[np.float64]
     M: NDArray[np.complex128]          # readout channel in -> readout out, 2x2
     v: NDArray[np.complex128]          # classical force -> readout out, 2-vector
     cross: Mapping[str, NDArray[np.complex128]]  # other channel in -> readout out
@@ -170,6 +170,11 @@ def adjoint_response(
     return y if np.ndim(b) == 2 else y[..., 0]
 
 
+def quadrature(phi: float) -> NDArray[np.float64]:
+    """The readout direction d = (sin phi, cos phi) of the output quadrature d . out."""
+    return np.array([math.sin(phi), math.cos(phi)])
+
+
 def readout_drive(model: LinearModel, d: NDArray[np.float64]) -> NDArray[np.float64]:
     """The b of adjoint_response for the readout quadrature d . out.
 
@@ -196,20 +201,21 @@ def channel_output(
     return c - d if channel.is_readout and d is not None else c
 
 
-def transfer(model: LinearModel, omega: float) -> FrequencyResponse:
-    """Transfer blocks from every input to the readout output at one frequency.
+def transfer(model: LinearModel, omega: float | NDArray[np.float64]) -> FrequencyResponse:
+    """Transfer blocks from every input to the readout output at omega.
 
     One adjoint solve of both output quadratures (d = I): row k of y is
     output quadrature k's response to every state row, so a channel's block
-    is its channel_output and the force response is y[:, force_row].
+    is its channel_output and the force response is y[..., force_row].  An
+    array of omega is one stacked solve, its blocks indexed by frequency first.
     """
     eye = np.eye(2)
-    y = adjoint_response(
-        model, np.array([omega], dtype=float), readout_drive(model, eye)
-    )[0].T
+    omegas = np.asarray(omega, dtype=float)
+    y = adjoint_response(model, omegas.reshape(-1), readout_drive(model, eye))
+    y = np.swapaxes(y, -1, -2).reshape(omegas.shape + (2, model.drift.n))
     blocks = {ch.id: channel_output(ch, y, eye) for ch in model.channels}
     readout = model.readout
     return FrequencyResponse(
-        omega=omega, M=blocks.pop(readout.id), v=y[:, model.force_row],
+        omega=omega, M=blocks.pop(readout.id), v=y[..., model.force_row],
         cross=blocks, readout_id=readout.id,
     )

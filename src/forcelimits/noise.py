@@ -8,7 +8,6 @@ per-channel input spectra.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
@@ -22,6 +21,7 @@ from .linsys import (
     LinearModel,
     adjoint_response,
     channel_output,
+    quadrature,
     readout_drive,
 )
 from .schemes import MECHANICAL, SchemeConfig, build
@@ -38,29 +38,36 @@ __all__ = [
     "sensitivity_spectrum",
 ]
 
+#: a force response at most this fraction of the solved response's scale is zero
 _RESPONSE_FLOOR = 1e-14
 
 #: frequencies per stacked solve; keeps the solve's memory fixed for any grid size
 _BLOCK = 256
 
 
-def _per_force(coeffs, response, omegas) -> dict[str, tuple]:
+def _per_force(coeffs, response, scale, omegas) -> dict[str, tuple]:
     """Each channel's (..., 2) coefficients as a pair per unit force response.
 
     `response` broadcasts against the coefficients; the first of `omegas`
-    where it vanishes raises ZeroResponse.
+    where it is at most _RESPONSE_FLOOR times `scale` raises ZeroResponse.
     """
-    invisible = abs(response) <= _RESPONSE_FLOOR
+    invisible = abs(response) <= _RESPONSE_FLOOR * scale
     if np.count_nonzero(invisible):
         raise ZeroResponse(omegas[np.argmax(invisible)])
     return {cid: tuple((c / response).T) for cid, c in coeffs.items()}
 
 
 def added_noise(resp: FrequencyResponse, phi: float) -> dict[str, tuple]:
-    """Every input's coefficient pair in the phi quadrature, per unit force response."""
-    d = np.array([math.sin(phi), math.cos(phi)])
+    """Every input's coefficient pair in the phi quadrature, per unit force response.
+
+    The force response counts as zero relative to the largest |v|.  A response
+    at an array of frequencies gives pairs of arrays.
+    """
+    d = quadrature(phi)
     blocks = {resp.readout_id: resp.M, **resp.cross}
-    return _per_force({k: d @ m for k, m in blocks.items()}, d @ resp.v, [resp.omega])
+    coeffs = {k: d @ m for k, m in blocks.items()}
+    scale = np.abs(resp.v).max(axis=-1, keepdims=True)
+    return _per_force(coeffs, (resp.v @ d)[..., None], scale, np.ravel(resp.omega))
 
 
 def _channel_power(c1, c2, spec: QuadratureSpectrum):
@@ -99,17 +106,16 @@ def noise_budget(
 
 
 def _sensitivity(
-    model: LinearModel,
-    budget: Mapping[str, QuadratureSpectrum],
-    phi: float,
-    omegas: NDArray[np.float64],
+    config: SchemeConfig, model: LinearModel, omegas: NDArray[np.float64]
 ) -> NDArray[np.float64]:
     """S_f over `omegas`, one stacked adjoint solve per block of frequencies.
 
-    The solve gives the phi quadrature's response to every state row, from
-    which channel_output assembles each budget channel's coefficients.
+    The solve gives the readout quadrature's response y to every state row,
+    from which channel_output assembles each budget channel's coefficients.
+    The force response counts as zero relative to the largest |y| at its omega.
     """
-    d = np.array([math.sin(phi), math.cos(phi)])
+    budget = noise_budget(config, model)
+    d = quadrature(config.readout_angle)
     b = readout_drive(model, d)
     channels = [ch for ch in model.channels if ch.id in budget]
     s_f = np.empty_like(omegas)
@@ -117,21 +123,17 @@ def _sensitivity(
         block = omegas[start:start + _BLOCK]
         y = adjoint_response(model, block, b)
         coeffs = {ch.id: channel_output(ch, y, d) for ch in channels}
+        scale = np.abs(y).max(axis=-1, keepdims=True)
         s_f[start:start + _BLOCK] = power_density(
-            _per_force(coeffs, y[:, model.force_row, None], block), budget
+            _per_force(coeffs, y[:, model.force_row, None], scale, block), budget
         )
     return s_f
 
 
-def sensitivity_at(
-    config: SchemeConfig, omega: float, model: LinearModel | None = None
-) -> float:
+def sensitivity_at(config: SchemeConfig, omega: float) -> float:
     """S_f of the configured scheme at a single frequency."""
-    if model is None:
-        model = build(config)
-    budget = noise_budget(config, model)
     omegas = np.array([omega], dtype=float)
-    return float(_sensitivity(model, budget, config.readout_angle, omegas)[0])
+    return float(_sensitivity(config, build(config), omegas)[0])
 
 
 @dataclass(frozen=True)
@@ -171,15 +173,11 @@ def sensitivity_spectrum(
             and (np.diff(omegas) > 0.0).all()):
         raise ValueError("grid must be finite, strictly increasing and positive")
 
-    model = build(config)
-    return _spectrum(config, model, noise_budget(config, model), omegas)
+    return _spectrum(config, build(config), omegas)
 
 
 def _spectrum(
-    config: SchemeConfig,
-    model: LinearModel,
-    budget: Mapping[str, QuadratureSpectrum],
-    omegas: NDArray[np.float64],
+    config: SchemeConfig, model: LinearModel, omegas: NDArray[np.float64]
 ) -> SensitivitySpectrum:
     """sensitivity_spectrum on a checked grid.
 
@@ -187,7 +185,7 @@ def _spectrum(
     """
     params = config.params
     try:
-        s_f = _sensitivity(model, budget, config.readout_angle, omegas)
+        s_f = _sensitivity(config, model, omegas)
     except (SingularAtFrequency, ZeroResponse) as exc:
         failure = exc
     else:
@@ -203,5 +201,5 @@ def _spectrum(
         )
     # grid order: a failure of any stage, the bound columns included, at a
     # lower frequency is the one to report
-    _spectrum(config, model, budget, omegas[omegas < failure.omega])
+    _spectrum(config, model, omegas[omegas < failure.omega])
     raise failure

@@ -321,6 +321,20 @@ class TestNumericalFailureInProcess:
         assert cli.main(["spectrum", "--points", "3"]) == 4
         assert capsys.readouterr().err == f"numerical failure: {error}\n"
 
+    @pytest.mark.parametrize("error", [
+        errors.ZeroCoupling("output carries no force signal"),
+        errors.DegenerateReadout("readout normalization C vanished"),
+        errors.ZeroFrequencyFeedback(0.0),
+    ], ids=lambda e: type(e).__name__)
+    def test_linresp_failures_exit_4(self, capsys, monkeypatch, error):
+        # each is a NumericalFailure, which main maps to exit 4
+        def fail(config, grid):
+            raise error
+
+        monkeypatch.setattr(cli.noise, "sensitivity_spectrum", fail)
+        assert cli.main(["spectrum", "--points", "3"]) == 4
+        assert capsys.readouterr().err == f"numerical failure: {error}\n"
+
 
 @pytest.mark.parametrize("flags, message", [
     (["--omega-max", "inf"], "omega_max must be finite"),

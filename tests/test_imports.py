@@ -1,4 +1,5 @@
-"""Every import in the package is used (no linter is assumed to be installed)."""
+"""Every import in the package and its tests is used (no linter is assumed to be
+installed)."""
 
 import ast
 from pathlib import Path
@@ -52,7 +53,8 @@ def unused_imports(source):
 @pytest.mark.parametrize(
     "path",
     # __init__.py imports in order to re-export
-    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"],
+    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    + sorted(Path(__file__).resolve().parent.glob("*.py")),
     ids=lambda p: p.name,
 )
 def test_no_unused_imports(path):

@@ -8,7 +8,7 @@ from scipy import optimize
 from test_linsys import _mp_resolvent, _oracle_draw
 
 from forcelimits import bounds, linresp, noise
-from forcelimits.errors import ZeroCoupling, ZeroFrequencyFeedback
+from forcelimits.errors import FailureAtFrequency, ZeroCoupling, ZeroFrequencyFeedback
 from forcelimits.schemes import DetectorParams, SchemeConfig, build
 from forcelimits.spectra import squeeze_spectrum, vacuum
 from forcelimits.verify import (
@@ -335,3 +335,22 @@ class TestFeedback:
         det = make_detector()
         with pytest.raises(ZeroFrequencyFeedback):
             linresp.feedback_added_noise(det, 1.0, omega=0.0)
+        with pytest.raises(ZeroFrequencyFeedback) as info:
+            linresp.feedback_added_noise(det, np.array([0.5, 1.0]), np.array([2.0, 0.0]))
+        assert isinstance(info.value, FailureAtFrequency)
+        assert info.value.omega == 0.0
+        assert str(info.value) == "feedback transform undefined at omega = 0.0"
+
+    def test_stacked_solve_matches_scalar_calls(self):
+        # the stacked elementwise arithmetic may round differently in the last bit
+        rng = np.random.default_rng(97)
+        gains = np.array([0.0, 0.5, -0.5, 5.0, -5.0])
+        for _ in range(20):
+            det = random_detector(rng)
+            omegas = rng.uniform(0.05, 20.0, size=12)
+            stacked = linresp.feedback_added_noise(det, gains[:, None], omegas)
+            scalar = [[linresp.feedback_added_noise(det, float(gain), float(omega))
+                       for omega in omegas] for gain in gains]
+            assert stacked.shape == (len(gains), len(omegas))
+            np.testing.assert_allclose(stacked, scalar, rtol=1e-14, atol=0)
+

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from forcelimits import linsys
+from forcelimits import linsys, presets
 from forcelimits.errors import SingularAtFrequency, UnstableModel
 from forcelimits.schemes import DetectorParams, SchemeConfig, build, closed_form_transfer
 from forcelimits.spectra import vacuum
@@ -330,3 +330,20 @@ def test_transfer_against_50_digit_oracle(variant):
         M, v = _mp_transfer(model, omega)
         assert np.max(np.abs(resp.M - M)) <= 1e-12 * np.max(np.abs(M))
         assert np.max(np.abs(resp.v - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("variant", ["standard", "cqnc", "toy"])
+def test_array_transfer_equals_pointwise_calls(variant):
+    if variant == "toy":
+        config, grid = presets.fig2b_config(), presets.fig2b_grid()
+    else:
+        config, grid = presets.fig2a_configs()[variant], presets.fig2a_grid()
+    model = build(config)
+    stacked = linsys.transfer(model, grid.reshape(20, -1))
+    points = [linsys.transfer(model, omega) for omega in grid]
+    assert stacked.M.shape == (20, len(grid) // 20, 2, 2)
+    assert np.array_equal(stacked.M.reshape(-1, 2, 2), [p.M for p in points])
+    assert np.array_equal(stacked.v.reshape(-1, 2), [p.v for p in points])
+    assert stacked.cross.keys() == points[0].cross.keys()
+    for cid, block in stacked.cross.items():
+        assert np.array_equal(block.reshape(-1, 2, 2), [p.cross[cid] for p in points])

@@ -1,14 +1,16 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_linsys import _mp_resolvent
 
-from forcelimits import bounds, noise
+from forcelimits import bounds, noise, presets
 from forcelimits.errors import ForceLimitsError, UnstableModel, ZeroResponse
-from forcelimits.linsys import transfer
+from forcelimits.linsys import quadrature, transfer
 from forcelimits.schemes import DetectorParams, SchemeConfig, build
 from forcelimits.spectra import QuadratureSpectrum, squeeze_spectrum, vacuum
 
@@ -418,6 +420,18 @@ class TestBlockedEngine:
                 joined = np.concatenate([getattr(p, column) for p in parts])
                 assert np.array_equal(getattr(whole, column), joined), column
 
+    def test_added_noise_of_a_stacked_response(self):
+        for cfg, grid in preset_cases().values():
+            model = build(cfg)
+            stacked = noise.added_noise(transfer(model, grid), cfg.readout_angle)
+            points = [noise.added_noise(transfer(model, w), cfg.readout_angle)
+                      for w in grid]
+            for cid, pair in stacked.items():
+                assert np.array_equal(np.transpose(pair), [p[cid] for p in points])
+        resonant = build(SchemeConfig("standard", FIG2A))
+        with pytest.raises(ZeroResponse, match=r"omega = 0\.2$"):
+            noise.added_noise(transfer(resonant, np.array([0.2, 0.3])), math.pi / 2)
+
     def test_sensitivity_at_is_a_one_point_call(self):
         for cfg, grid in preset_cases().values():
             spec = noise.sensitivity_spectrum(cfg, grid)
@@ -432,8 +446,8 @@ class TestBlockedEngine:
             (1.0, 0.0, np.linspace(0.5, 2.0, 4)),
             (1.0, 0.5, np.linspace(0.5, 2.0, 4)),
             (1.0, 0.5, np.concatenate([np.linspace(0.2, 0.9, 600), [1.0, 1.5]])),
-            # the force response drops below the floor from index 525 on,
-            # in the block that also holds the singular top frequency
+            # the force stays visible relative to the solved response up to
+            # the singular top frequency, in the third block
             (1e6, 1e-3, np.geomspace(1e3, 1e6, 700)),
         ],
     )
@@ -443,3 +457,53 @@ class TestBlockedEngine:
         reference = outcome(pointwise_spectrum, cfg, grid)
         assert isinstance(reference, tuple)
         assert outcome(noise.sensitivity_spectrum, cfg, grid) == reference
+
+
+def _mp_sensitivity(config, omega):
+    """S_f from a 50-digit inverse of A + i w I (the float64 entries, exactly).
+
+    y[k] is the readout quadrature's response to a unit drive of state row k;
+    each budget channel's coefficients are divided by the force response.
+    """
+    model = build(config)
+    readout = model.readout
+    d = [mpmath.mpf(x) for x in quadrature(config.readout_angle)]
+    with mpmath.workdps(50):
+        response = _mp_resolvent(model, omega)
+        y = [mpmath.sqrt(readout.rate) * sum(dj * response[r, k]
+                                             for dj, r in zip(d, readout.rows))
+             for k in range(model.drift.n)]
+        s_f = mpmath.mpf(0)
+        budget = noise.noise_budget(config, model)
+        for ch in (ch for ch in model.channels if ch.id in budget):
+            spec = budget[ch.id]
+            c = [mpmath.sqrt(ch.rate) * y[r] for r in ch.rows]
+            if ch.is_readout:
+                c = [ck - dk for ck, dk in zip(c, d)]
+            c1, c2 = (ck / y[model.force_row] for ck in c)
+            s_f += (abs(c1) ** 2 * spec.u + abs(c2) ** 2 * spec.v
+                    + 2 * mpmath.re(c1 * mpmath.conj(c2)) * spec.w)
+        return float(s_f)
+
+
+@pytest.mark.parametrize("name", ["standard", "vm", "cqnc", "toy"])
+def test_sensitivity_against_50_digit_oracle(name, monkeypatch):
+    # far above both preset bands the force response is many orders below the
+    # largest solved response; this certifies the solve there, not the floor
+    # (vm's response at 1e6 is 5e-15 of the largest, which the floor rejects)
+    monkeypatch.setattr(noise, "_RESPONSE_FLOOR", 0.0)
+    config = presets.fig2b_config() if name == "toy" else presets.fig2a_configs()[name]
+    omegas = np.array([1e3, 3e4, 1e5, 1e6])
+    s_f = noise.sensitivity_spectrum(config, omegas).s_f
+    oracle = [_mp_sensitivity(config, omega) for omega in omegas]
+    np.testing.assert_allclose(s_f, oracle, rtol=1e-12, atol=0)
+
+
+def test_floor_is_relative_to_the_solved_response():
+    # the force response falls as 1/omega^2 against the cavity's; an absolute
+    # floor rejected the standard curve from omega ~ 3e4 on
+    config = presets.fig2a_configs()["standard"]
+    spec = noise.sensitivity_spectrum(config, np.geomspace(1e-3, 1e6, 50))
+    assert np.isfinite(spec.s_f).all()
+    with pytest.raises(ZeroResponse, match=r"omega = 10000000\.0$"):
+        noise.sensitivity_spectrum(config, np.array([1.0, 1e7]))
