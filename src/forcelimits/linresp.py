@@ -115,7 +115,6 @@ class UncertaintyReport:
     holds: bool
     slack: float
     matrix_positive: bool
-    min_eigenvalue: float
 
 
 def uncertainty_check(det: GenericDetector, tol: float = 1e-9) -> UncertaintyReport:
@@ -128,12 +127,10 @@ def uncertainty_check(det: GenericDetector, tol: float = 1e-9) -> UncertaintyRep
     b = det.chi_FF.imag * det.S_ZZ + det.S_ZF.imag
     slack = det.S_FF * det.S_ZZ - abs(det.S_ZF) ** 2 - abs(b) - 0.25
     eigenvalues = np.linalg.eigvalsh(_detector_spectral_matrix(det))
-    min_eig = float(eigenvalues.min())
     return UncertaintyReport(
         holds=bool(slack >= -tol),
         slack=float(slack),
-        matrix_positive=bool(min_eig >= -tol),
-        min_eigenvalue=min_eig,
+        matrix_positive=bool(eigenvalues.min() >= -tol),
     )
 
 

@@ -113,7 +113,7 @@ def _cond1(m: NDArray[np.complex128], inv: NDArray[np.complex128]) -> NDArray[np
     return np.abs(m).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
 
 
-def _inverted_system(
+def inverted_system(
     model: LinearModel, omegas: NDArray[np.float64]
 ) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
     """Stack of (A + i w I)^T, one per frequency, and its inverse.
@@ -139,14 +139,14 @@ def _inverted_system(
     return m, inv
 
 
-def adjoint_response(
-    model: LinearModel, omegas: NDArray[np.float64], b: NDArray[np.float64]
+def refined_solve(
+    m: NDArray[np.complex128], inv: NDArray[np.complex128],
+    omegas: NDArray[np.float64], b: NDArray[np.float64],
 ) -> NDArray[np.complex128]:
-    """Solve (A + i w I)^T y = -b at every w in omegas, in one stacked, refined solve.
+    """Solve m y = -b at every w in omegas, given the stack m and its inverse.
 
-    Entry k of y is the response of the state functional b . x to a unit
-    drive of state row k.  A b of shape (n,) gives y of shape (N, n); a b of shape
-    (n, k) solves its k columns together and gives (N, n, k).
+    A b of shape (n,) gives y of shape (N, n); a b of shape (n, k) solves its
+    k columns together and gives (N, n, k).
 
     The solve is the inverse applied to -b, then two steps of mixed-precision
     iterative refinement.  The schemes cancel large internal paths exactly;
@@ -154,8 +154,7 @@ def adjoint_response(
     cancellation at working precision instead of at the magnitude of the
     intermediates.
     """
-    m, inv = _inverted_system(model, omegas)
-    rhs = -np.reshape(b, (model.drift.n, -1))
+    rhs = -np.reshape(b, (m.shape[-1], -1))
     y = inv @ rhs
     m_hi = m.astype(np.clongdouble)
     rhs_hi = rhs.astype(np.clongdouble)
@@ -168,6 +167,17 @@ def adjoint_response(
             omegas[np.argmin(finite)], "non-finite transfer entries"
         )
     return y if np.ndim(b) == 2 else y[..., 0]
+
+
+def adjoint_response(
+    model: LinearModel, omegas: NDArray[np.float64], b: NDArray[np.float64]
+) -> NDArray[np.complex128]:
+    """Solve (A + i w I)^T y = -b at every w in omegas, in one stacked, refined solve.
+
+    Entry k of y is the response of the state functional b . x to a unit
+    drive of state row k.  It is inverted_system followed by refined_solve.
+    """
+    return refined_solve(*inverted_system(model, omegas), omegas, b)
 
 
 def quadrature(phi: float) -> NDArray[np.float64]:

@@ -19,10 +19,11 @@ from .errors import SingularAtFrequency, ZeroResponse
 from .linsys import (
     FrequencyResponse,
     LinearModel,
-    adjoint_response,
     channel_output,
+    inverted_system,
     quadrature,
     readout_drive,
+    refined_solve,
 )
 from .schemes import MECHANICAL, SchemeConfig, build
 
@@ -38,36 +39,34 @@ __all__ = [
     "sensitivity_spectrum",
 ]
 
-#: a force response at most this fraction of the solved response's scale is zero
+#: a force response |v . d| at most this fraction of the largest |v| is zero
 _RESPONSE_FLOOR = 1e-14
 
 #: frequencies per stacked solve; keeps the solve's memory fixed for any grid size
 _BLOCK = 256
 
 
-def _per_force(coeffs, response, scale, omegas) -> dict[str, tuple]:
+def _per_force(coeffs, response, v, omegas) -> dict[str, tuple]:
     """Each channel's (..., 2) coefficients as a pair per unit force response.
 
-    `response` broadcasts against the coefficients; the first of `omegas`
-    where it is at most _RESPONSE_FLOOR times `scale` raises ZeroResponse.
+    `response` is v . d, `v` the force response of both output quadratures;
+    the first of `omegas` where |v . d| <= _RESPONSE_FLOOR max|v| raises ZeroResponse.
     """
-    invisible = abs(response) <= _RESPONSE_FLOOR * scale
+    invisible = abs(response) <= _RESPONSE_FLOOR * np.abs(v).max(axis=-1)
     if np.count_nonzero(invisible):
         raise ZeroResponse(omegas[np.argmax(invisible)])
-    return {cid: tuple((c / response).T) for cid, c in coeffs.items()}
+    return {cid: tuple((c / response[..., None]).T) for cid, c in coeffs.items()}
 
 
 def added_noise(resp: FrequencyResponse, phi: float) -> dict[str, tuple]:
     """Every input's coefficient pair in the phi quadrature, per unit force response.
 
-    The force response counts as zero relative to the largest |v|.  A response
-    at an array of frequencies gives pairs of arrays.
+    A response at an array of frequencies gives pairs of arrays.
     """
     d = quadrature(phi)
     blocks = {resp.readout_id: resp.M, **resp.cross}
     coeffs = {k: d @ m for k, m in blocks.items()}
-    scale = np.abs(resp.v).max(axis=-1, keepdims=True)
-    return _per_force(coeffs, (resp.v @ d)[..., None], scale, np.ravel(resp.omega))
+    return _per_force(coeffs, resp.v @ d, resp.v, np.ravel(resp.omega))
 
 
 def _channel_power(c1, c2, spec: QuadratureSpectrum):
@@ -110,9 +109,10 @@ def _sensitivity(
 ) -> NDArray[np.float64]:
     """S_f over `omegas`, one stacked adjoint solve per block of frequencies.
 
-    The solve gives the readout quadrature's response y to every state row,
-    from which channel_output assembles each budget channel's coefficients.
-    The force response counts as zero relative to the largest |y| at its omega.
+    The refined solve gives the readout quadrature's response y to every
+    state row, from which channel_output assembles each budget channel's
+    coefficients.  Row force_row of the inverse, w, gives the force response
+    to a drive b as -w . b, so v is minus the readout's channel_output of w.
     """
     budget = noise_budget(config, model)
     d = quadrature(config.readout_angle)
@@ -121,11 +121,12 @@ def _sensitivity(
     s_f = np.empty_like(omegas)
     for start in range(0, len(omegas), _BLOCK):
         block = omegas[start:start + _BLOCK]
-        y = adjoint_response(model, block, b)
+        m, inv = inverted_system(model, block)
+        y = refined_solve(m, inv, block, b)
+        v = -channel_output(model.readout, inv[:, model.force_row])
         coeffs = {ch.id: channel_output(ch, y, d) for ch in channels}
-        scale = np.abs(y).max(axis=-1, keepdims=True)
         s_f[start:start + _BLOCK] = power_density(
-            _per_force(coeffs, y[:, model.force_row, None], scale, block), budget
+            _per_force(coeffs, y[:, model.force_row], v, block), budget
         )
     return s_f
 
@@ -173,19 +174,9 @@ def sensitivity_spectrum(
             and (np.diff(omegas) > 0.0).all()):
         raise ValueError("grid must be finite, strictly increasing and positive")
 
-    return _spectrum(config, build(config), omegas)
-
-
-def _spectrum(
-    config: SchemeConfig, model: LinearModel, omegas: NDArray[np.float64]
-) -> SensitivitySpectrum:
-    """sensitivity_spectrum on a checked grid.
-
-    A failure is the one a frequency-by-frequency loop would meet first.
-    """
     params = config.params
     try:
-        s_f = _sensitivity(config, model, omegas)
+        s_f = _sensitivity(config, build(config), omegas)
     except (SingularAtFrequency, ZeroResponse) as exc:
         failure = exc
     else:
@@ -200,6 +191,7 @@ def _spectrum(
             opt_uql=bounds.optimal_uql(params, omegas),
         )
     # grid order: a failure of any stage, the bound columns included, at a
-    # lower frequency is the one to report
-    _spectrum(config, model, omegas[omegas < failure.omega])
+    # lower frequency is the one a frequency-by-frequency loop would meet first
+    if failure.omega > omegas[0]:
+        sensitivity_spectrum(config, omegas[omegas < failure.omega])
     raise failure

@@ -285,6 +285,17 @@ class TestNumericalFailureInProcess:
         assert code == 4
         assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
+    def test_force_blind_readout(self, capsys):
+        # the amplitude quadrature at Delta = 0 carries no force signal
+        code = cli.main([
+            "spectrum", "--phi", "1.5707963267948966", "--omega-max", "0.02",
+            "--points", "5",
+        ])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: force invisible at readout, omega = 0.001\n"
+        )
+
     @pytest.mark.parametrize("error, default", [
         (errors.SingularAtFrequency, "system matrix singular at omega = 0.25"),
         (errors.ParametricDivergence, "parametric divergence at omega = 0.25"),

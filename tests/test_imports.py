@@ -72,3 +72,50 @@ def test_detector():
         "    return os.path.join(x)\n"
     )
     assert unused_imports(source) == [("dataclass", 3), ("field", 3), ("np", 5)]
+
+
+def private_definitions(tree):
+    """Single-underscore names a module binds at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def referenced_names(tree):
+    """Names a module reads, reaches as an attribute or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def orphans(sources):
+    """(module, name) of each private top-level name no module refers to."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = {n for tree in trees.values() for n in referenced_names(tree)}
+    return [(module, name) for module, tree in trees.items()
+            for name in private_definitions(tree) if name not in used]
+
+
+def test_no_orphan_private_names():
+    # a helper folded into its caller must not stay behind
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert orphans(sources) == []
+
+
+def test_orphan_detector():
+    sources = {
+        "a.py": "_LIMIT = 1\n_seen = 2\ndef _helper():\n    return _LIMIT\n"
+                "class _Old:\n    pass\n__all__ = []\n",
+        "b.py": "from a import _helper\nx = _helper()\n",
+    }
+    assert orphans(sources) == [("a.py", "_seen"), ("a.py", "_Old")]

@@ -268,7 +268,7 @@ def test_condition_number_against_numpy(variant):
     for k in range(8):
         config, omega = _oracle_draw(rng, variant, k)
         omegas = np.append(rng.uniform(0.01, 12.0, size=15), omega)
-        m, inv = linsys._inverted_system(build(config), omegas)
+        m, inv = linsys.inverted_system(build(config), omegas)
         assert np.allclose(linsys._cond1(m, inv), np.linalg.cond(m, 1), rtol=1e-12, atol=0)
 
 

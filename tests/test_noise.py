@@ -343,6 +343,11 @@ def outcome(evaluate, *args):
         return type(exc), str(exc)
 
 
+def undamped(Omega, g):
+    """The standard scheme with an undamped oscillator."""
+    return SchemeConfig("standard", DetectorParams(Omega=Omega, Gamma=0.0, gamma=3.0, g=g))
+
+
 def preset_cases():
     from forcelimits import presets
 
@@ -439,21 +444,31 @@ class TestBlockedEngine:
                 assert noise.sensitivity_at(cfg, grid[k]) == spec.s_f[k]
 
     @pytest.mark.parametrize(
-        "Omega, g, grid",
+        "cfg, grid",
         [
             # undamped oscillator, singular matrix on resonance; g = 0 also
             # hides the force at every frequency
-            (1.0, 0.0, np.linspace(0.5, 2.0, 4)),
-            (1.0, 0.5, np.linspace(0.5, 2.0, 4)),
-            (1.0, 0.5, np.concatenate([np.linspace(0.2, 0.9, 600), [1.0, 1.5]])),
+            pytest.param(undamped(1.0, 0.0), np.linspace(0.5, 2.0, 4),
+                         id="1.0-0.0-grid0"),
+            pytest.param(undamped(1.0, 0.5), np.linspace(0.5, 2.0, 4),
+                         id="1.0-0.5-grid1"),
+            pytest.param(undamped(1.0, 0.5),
+                         np.concatenate([np.linspace(0.2, 0.9, 600), [1.0, 1.5]]),
+                         id="1.0-0.5-grid2"),
             # the force stays visible relative to the solved response up to
             # the singular top frequency, in the third block
-            (1e6, 1e-3, np.geomspace(1e3, 1e6, 700)),
+            pytest.param(undamped(1e6, 1e-3), np.geomspace(1e3, 1e6, 700),
+                         id="1000000.0-0.001-grid3"),
+            # readouts blind to the force at every frequency: the amplitude
+            # quadrature at Delta = 0, and the toy's v = (a, -a) at phi = pi/4
+            pytest.param(replace(presets.fig2a_configs()["standard"],
+                                 readout_angle=math.pi / 2),
+                         np.geomspace(1e-3, 1e7, 300), id="amplitude-quadrature"),
+            pytest.param(replace(presets.fig2b_config(), readout_angle=math.pi / 4),
+                         np.geomspace(1e-3, 1e7, 300), id="toy-quarter-angle"),
         ],
     )
-    def test_first_failure_in_grid_order(self, Omega, g, grid):
-        params = DetectorParams(Omega=Omega, Gamma=0.0, gamma=3.0, g=g)
-        cfg = SchemeConfig("standard", params)
+    def test_first_failure_in_grid_order(self, cfg, grid):
         reference = outcome(pointwise_spectrum, cfg, grid)
         assert isinstance(reference, tuple)
         assert outcome(noise.sensitivity_spectrum, cfg, grid) == reference
@@ -487,11 +502,9 @@ def _mp_sensitivity(config, omega):
 
 
 @pytest.mark.parametrize("name", ["standard", "vm", "cqnc", "toy"])
-def test_sensitivity_against_50_digit_oracle(name, monkeypatch):
+def test_sensitivity_against_50_digit_oracle(name):
     # far above both preset bands the force response is many orders below the
-    # largest solved response; this certifies the solve there, not the floor
-    # (vm's response at 1e6 is 5e-15 of the largest, which the floor rejects)
-    monkeypatch.setattr(noise, "_RESPONSE_FLOOR", 0.0)
+    # largest state-row response, but not below the output quadratures' own
     config = presets.fig2b_config() if name == "toy" else presets.fig2a_configs()[name]
     omegas = np.array([1e3, 3e4, 1e5, 1e6])
     s_f = noise.sensitivity_spectrum(config, omegas).s_f
@@ -501,9 +514,11 @@ def test_sensitivity_against_50_digit_oracle(name, monkeypatch):
 
 def test_floor_is_relative_to_the_solved_response():
     # the force response falls as 1/omega^2 against the cavity's; an absolute
-    # floor rejected the standard curve from omega ~ 3e4 on
-    config = presets.fig2a_configs()["standard"]
-    spec = noise.sensitivity_spectrum(config, np.geomspace(1e-3, 1e6, 50))
-    assert np.isfinite(spec.s_f).all()
-    with pytest.raises(ZeroResponse, match=r"omega = 10000000\.0$"):
-        noise.sensitivity_spectrum(config, np.array([1.0, 1e7]))
+    # floor rejected the standard curve from omega ~ 3e4 on, and one relative
+    # to the largest state-row response rejected it from about 3.4e6
+    grid = np.geomspace(1e-3, 1e7, 300)
+    for name in ("standard", "vm", "cd", "cqnc", "toy"):
+        cfg, _ = preset_cases()[name]
+        spec = noise.sensitivity_spectrum(cfg, grid)
+        reference = pointwise_spectrum(cfg, grid)
+        np.testing.assert_allclose(spec.s_f, reference[:, 0], rtol=1e-12, atol=0)
