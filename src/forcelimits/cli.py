@@ -320,7 +320,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a failure is reported in one line below; numpy's warnings would add more
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except InvalidConfig as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

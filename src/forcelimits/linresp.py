@@ -30,7 +30,7 @@ from .errors import (
     ZeroFrequencyFeedback,
 )
 from .linsys import adjoint_response, channel_output, quadrature, readout_drive
-from .schemes import DetectorParams, SchemeConfig, build
+from .schemes import VARIANTS, DetectorParams, SchemeConfig, build, conjugate_drive
 from .spectra import QuadratureSpectrum
 
 _TINY = 1e-300
@@ -187,34 +187,19 @@ def combined_sensitivity(
     return 2.0 * inv_chi.real * cq.H + cq.K + abs(inv_chi) ** 2 * cq.L
 
 
-def _conjugate_drive(f_vector: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Drive vector produced by perturbing the Hamiltonian with -h*F.
-
-    States come in canonical pairs (even, odd) with commutator i, so an
-    x-like component of F drives its partner's row with +1 and a p-like
-    component drives its partner's row with -1.
-    """
-    drive = np.zeros_like(f_vector)
-    for k in range(0, len(f_vector), 2):
-        drive[k + 1] += f_vector[k]
-        drive[k] -= f_vector[k + 1]
-    return drive
-
-
 def coupling_vector(config: SchemeConfig) -> NDArray[np.float64]:
-    """Real state-space vector of the detector's input operator F.
+    """Real state-space vector of the detector's input operator F, a fresh array.
 
     Only schemes with a single product coupling -g*F*q map exactly onto the
     generic layer; the backaction-cancelling scheme has a second coupling
     (cavity to ancilla) that also scales with g, so it is rejected here.
     """
-    if config.variant == "cqnc":
+    couplings = VARIANTS[config.variant].couplings
+    if len(couplings) > 1:
         raise InvalidConfig(
-            "the ancilla scheme has two couplings and no single input operator"
+            f"{config.variant} has {len(couplings)} couplings, not one input operator"
         )
-    if config.variant == "toy":
-        return np.array([0.0, 0.0, 1.0, 1.0])  # F = b1 + b2
-    return np.array([0.0, 0.0, 1.0, 0.0])  # F = b1
+    return couplings[0][1].copy()
 
 
 def extract_detector(
@@ -240,7 +225,7 @@ def extract_detector(
     # one adjoint solve for the state functionals of F = f . x and of d . out
     b = np.stack([f_vector, readout_drive(model0, d)], axis=1)
     y_f, y_z = adjoint_response(model0, np.array([omega], dtype=float), b)[0].T
-    drive = _conjugate_drive(f_vector)
+    drive = conjugate_drive(f_vector)
     chi_ff = complex(y_f @ drive)
     chi_zf_raw = complex(y_z @ drive)
     if abs(chi_zf_raw) < _TINY:

@@ -41,7 +41,7 @@ class DriftMatrix:
             raise ValueError("drift matrix must be square")
         if n == 0 or n % 2 != 0:
             raise ValueError("state dimension must be a positive even number")
-        if not np.all(np.isfinite(entries)):
+        if not np.isfinite(entries).all():
             raise ValueError("drift entries must be finite")
 
     @property
@@ -104,7 +104,7 @@ class FrequencyResponse:
 def stability_check(drift: DriftMatrix) -> tuple[bool, NDArray[np.complex128]]:
     """Return (stable, eigenvalues); stable means all real parts <= tolerance."""
     eigenvalues = np.linalg.eigvals(drift.entries)
-    stable = bool(np.max(eigenvalues.real) <= STABILITY_TOL)
+    stable = bool(eigenvalues.real.max() <= STABILITY_TOL)
     return stable, eigenvalues
 
 

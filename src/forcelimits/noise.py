@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import bounds
-from .errors import SingularAtFrequency, ZeroResponse
+from .errors import FailureAtFrequency, ZeroResponse
 from .linsys import (
     FrequencyResponse,
     LinearModel,
@@ -164,8 +164,8 @@ def sensitivity_spectrum(
 ) -> SensitivitySpectrum:
     """Evaluate S_f and the bound columns of a scheme over a frequency grid.
 
-    The generalized bound column uses the scheme's own coupling mix,
-    `config.coupling_mix`.
+    The generalized bound column uses `config.coupling_mix`.  A non-finite
+    value is a FailureAtFrequency at the first frequency where it occurs.
     """
     omegas = np.asarray(grid, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
@@ -176,22 +176,23 @@ def sensitivity_spectrum(
 
     params = config.params
     try:
-        s_f = _sensitivity(config, build(config), omegas)
-    except (SingularAtFrequency, ZeroResponse) as exc:
-        failure = exc
-    else:
-        return SensitivitySpectrum(
-            omegas=omegas,
-            s_f=s_f,
-            sql=bounds.sql(params, omegas),
-            uql=bounds.uql(params, omegas),
-            guql=bounds.generalized_uql(
+        columns = [  # after omegas, in SensitivitySpectrum's field order
+            _sensitivity(config, build(config), omegas),
+            bounds.sql(params, omegas),
+            bounds.uql(params, omegas),
+            bounds.generalized_uql(
                 bounds.coupling_susceptibilities(params, config.coupling_mix, omegas)
             ),
-            opt_uql=bounds.optimal_uql(params, omegas),
-        )
-    # grid order: a failure of any stage, the bound columns included, at a
-    # lower frequency is the one a frequency-by-frequency loop would meet first
-    if failure.omega > omegas[0]:
-        sensitivity_spectrum(config, omegas[omegas < failure.omega])
-    raise failure
+            bounds.optimal_uql(params, omegas),
+        ]
+        finite = np.isfinite(columns)
+        if not finite.all():
+            bad = omegas[np.argmin(finite.all(axis=0))]
+            raise FailureAtFrequency(bad, "non-finite S_f or bound value")
+    except FailureAtFrequency as failure:
+        # grid order: a failure of any stage, the bound columns included, at a
+        # lower frequency is the one a frequency-by-frequency loop would meet first
+        if failure.omega > omegas[0]:
+            sensitivity_spectrum(config, omegas[omegas < failure.omega])
+        raise
+    return SensitivitySpectrum(omegas, *columns)

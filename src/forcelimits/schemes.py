@@ -27,9 +27,63 @@ MECHANICAL = "mechanical"
 READOUT = "readout"
 ANCILLA = "ancilla"
 
-VARIANTS = ("standard", "cqnc", "toy")
-
 _DIVERGENCE_FLOOR = 1e-14
+
+#: unit vectors of the state quadratures: oscillator x, p on rows (0, 1),
+#: cavity b1, b2 on (2, 3) and ancilla x_a on 4 (its p_a, row 5, couples to nothing)
+_X, _P, _B1, _B2, _XA = np.eye(6)[:5]
+
+_VACUUM = vacuum()
+
+
+def conjugate_drive(f: np.ndarray) -> np.ndarray:
+    """Drive vector J f produced by perturbing the Hamiltonian with -h*F, F = f . x.
+
+    States come in canonical pairs (even, odd) with commutator i, so an
+    x-like component of F drives its partner's row with +1 and a p-like
+    component drives its partner's row with -1.
+    """
+    drive = np.empty_like(f)
+    drive[1::2], drive[0::2] = f[0::2], -f[1::2]
+    return drive
+
+
+def _coupling(q: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Drift of the interaction -q F at unit g: J q (x) F + J F (x) q."""
+    return np.outer(conjugate_drive(q), f) + np.outer(conjugate_drive(f), q)
+
+
+class _Variant:
+    """One variant's facts: the channel whose block sits on each row pair
+    (0, 1), (2, 3), ...; (q, F) of each coupling -g q F, the oscillator's
+    first; why it needs Delta = 0 ("" if it does not); and whether it is
+    mixed, the oscillator coupling through q = x + eta*p rather than x."""
+
+    def __init__(self, channels, couplings, resonant="", mixed=False):
+        self.channels, self.resonant, self.mixed = channels, resonant, mixed
+        n = 2 * len(channels)
+        self.couplings = [(q[:n], f[:n]) for q, f in couplings]
+        # the drift per unit of each coefficient of build, on the last axis:
+        # each pair's decay rate and rotation frequency, then g and g*eta
+        basis = [np.kron(np.diag(e), block) for e in np.eye(len(channels))
+                 for block in ([[-0.5, 0.0], [0.0, -0.5]], [[0.0, 1.0], [-1.0, 0.0]])]
+        basis.append(sum(_coupling(q, f) for q, f in self.couplings))
+        basis.append(_coupling(_P[:n], self.couplings[0][1]))  # q = x + eta*p
+        self.basis = np.stack(basis, axis=-1)
+
+
+#: every variant by name (see the module docstring)
+VARIANTS = {
+    "standard": _Variant((MECHANICAL, READOUT), [(_X, _B1)]),
+    "cqnc": _Variant(
+        (MECHANICAL, READOUT, ANCILLA), [(_X, _B1), (_XA, _B1)],
+        resonant="the cqnc ancilla wiring requires Delta = 0",
+    ),
+    "toy": _Variant(
+        (MECHANICAL, READOUT), [(_X, _B1 + _B2)],
+        resonant="the mixed-coupling model is defined on resonance", mixed=True,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -80,88 +134,44 @@ class SchemeConfig:
     def __post_init__(self):
         if not (math.isfinite(self.readout_angle) and math.isfinite(self.eta)):
             raise InvalidConfig("readout angle and eta must be finite")
-        if self.variant not in VARIANTS:
+        variant = VARIANTS.get(self.variant)
+        if variant is None:
             raise InvalidConfig(f"unknown variant {self.variant!r}")
-        if self.variant == "cqnc" and self.params.Delta != 0.0:
-            raise InvalidConfig("the cqnc ancilla wiring requires Delta = 0")
-        if self.variant == "toy" and self.params.Delta != 0.0:
-            raise InvalidConfig("the mixed-coupling model is defined on resonance")
+        if variant.resonant and self.params.Delta != 0.0:
+            raise InvalidConfig(variant.resonant)
 
     @property
     def coupling_mix(self) -> float:
         """eta of the coupling operator q = x + eta*p: `eta` for toy, 0 otherwise."""
-        return self.eta if self.variant == "toy" else 0.0
-
-
-def _standard_drift(p: DetectorParams) -> np.ndarray:
-    return np.array(
-        [
-            [-p.Gamma / 2.0, p.Omega, 0.0, 0.0],
-            [-p.Omega, -p.Gamma / 2.0, p.g, 0.0],
-            [0.0, 0.0, -p.gamma / 2.0, p.Delta],
-            [p.g, 0.0, -p.Delta, -p.gamma / 2.0],
-        ]
-    )
-
-
-def _cqnc_drift(p: DetectorParams) -> np.ndarray:
-    # ancilla is a negative-mass copy of the oscillator, decaying at Gamma
-    return np.array(
-        [
-            [-p.Gamma / 2.0, p.Omega, 0.0, 0.0, 0.0, 0.0],
-            [-p.Omega, -p.Gamma / 2.0, p.g, 0.0, 0.0, 0.0],
-            [0.0, 0.0, -p.gamma / 2.0, 0.0, 0.0, 0.0],
-            [p.g, 0.0, 0.0, -p.gamma / 2.0, p.g, 0.0],
-            [0.0, 0.0, 0.0, 0.0, -p.Gamma / 2.0, -p.Omega],
-            [0.0, 0.0, p.g, 0.0, p.Omega, -p.Gamma / 2.0],
-        ]
-    )
-
-
-def _toy_drift(p: DetectorParams, eta: float) -> np.ndarray:
-    # interaction -g (x + eta*p)(b1 + b2); eta = 1 gives the symmetric case
-    g = p.g
-    return np.array(
-        [
-            [-p.Gamma / 2.0, p.Omega, -g * eta, -g * eta],
-            [-p.Omega, -p.Gamma / 2.0, g, g],
-            [-g, -g * eta, -p.gamma / 2.0, 0.0],
-            [g, g * eta, 0.0, -p.gamma / 2.0],
-        ]
-    )
+        return self.eta if VARIANTS[self.variant].mixed else 0.0
 
 
 def build(config: SchemeConfig) -> LinearModel:
     """Construct the LinearModel for a scheme and verify its stability."""
     p = config.params
-    if config.variant == "standard":
-        entries = _standard_drift(p)
-    elif config.variant == "cqnc":
-        entries = _cqnc_drift(p)
-    else:
-        entries = _toy_drift(p, config.eta)
-
-    drift = DriftMatrix(entries=entries)
-    channels = [
-        NoiseChannel(MECHANICAL, rate=p.Gamma, rows=(0, 1), spectrum=thermal(p.n_th)),
-        NoiseChannel(
-            READOUT, rate=p.gamma, rows=(2, 3),
-            spectrum=config.input_spectrum, is_readout=True,
-        ),
-    ]
-    if config.variant == "cqnc":
-        channels.append(
-            NoiseChannel(ANCILLA, rate=p.Gamma, rows=(4, 5), spectrum=vacuum())
-        )
+    variant = VARIANTS[config.variant]
+    mix = p.g * config.coupling_mix
+    if not math.isfinite(mix):
+        raise InvalidConfig(f"g * eta overflows (g = {p.g!r}, eta = {config.eta!r})")
+    blocks = {  # each channel's rate, its block's rotation frequency and its input
+        MECHANICAL: (p.Gamma, p.Omega, thermal(p.n_th)),
+        READOUT: (p.gamma, p.Delta, config.input_spectrum),
+        ANCILLA: (p.Gamma, -p.Omega, _VACUUM),  # a negative-mass oscillator copy
+    }
+    pairs = [(c, *blocks[c]) for c in variant.channels]
+    coefficients = [x for _, rate, frequency, _ in pairs for x in (rate, frequency)]
+    drift = DriftMatrix(entries=variant.basis @ (coefficients + [p.g, mix]))
+    channels = tuple([
+        NoiseChannel(c, rate, (2 * k, 2 * k + 1), spectrum, c == READOUT)
+        for k, (c, rate, _, spectrum) in enumerate(pairs)
+    ])
 
     stable, eigenvalues = stability_check(drift)
     if not stable:
-        worst = float(np.max(eigenvalues.real))
-        raise UnstableModel(
-            f"{config.variant} drift has eigenvalue real part {worst:.3e} > 0"
-        )
+        raise UnstableModel(f"{config.variant} drift has eigenvalue real part "
+                            f"{eigenvalues.real.max():.3e} > 0")
 
-    return LinearModel(drift=drift, channels=tuple(channels), force_row=1)
+    return LinearModel(drift=drift, channels=channels, force_row=1)
 
 
 def closed_form_transfer(

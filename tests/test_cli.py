@@ -1,14 +1,18 @@
+import contextlib
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forcelimits import cli, errors, noise
@@ -307,6 +311,17 @@ class TestNumericalFailureInProcess:
         assert custom.omega == 0.25
         assert str(custom) == "non-finite transfer entries at omega = 0.25"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--omega-max", "1e60"], "non-finite S_f or bound value at omega = 1e+60"),
+        (["--gamma", "1e308"], "system matrix singular at omega = 0.001"),
+    ])
+    def test_overflow_is_one_line(self, flags, message):
+        # an overflowing S_f is a failure at its frequency, and no overflow
+        # warning reaches stderr
+        assert run_main(["spectrum", "--points", "3", *flags]) == (
+            4, f"numerical failure: {message}\n"
+        )
+
     def test_bound_column_failure(self, capsys):
         # S_f is finite at omega = 1, but the undamped chi_mech of the bound
         # columns is singular there
@@ -363,6 +378,7 @@ class TestNumericalFailureInProcess:
     (["--omega-min", "1", "--omega-max", "1.0000000000000002", "--points", "10",
       "--spacing", "linear"],
      "10 linear points over [1.0, 1.0000000000000002] are not strictly increasing"),
+    (["--scheme", "toy", "--eta", "1e308"], "g * eta overflows (g = -10.0, eta = 1e+308)"),
 ])
 def test_invalid_number_is_a_configuration_error(capsys, flags, message):
     code = cli.main(["spectrum", "--points", "3", *flags])
@@ -370,6 +386,61 @@ def test_invalid_number_is_a_configuration_error(capsys, flags, message):
     assert code == 2
     assert err.startswith(f"configuration error: {message}")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def run_main(argv):
+    """cli.main in process: its exit code and its stderr, each warning one more line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue() + "".join(
+        f"{w.category.__name__}: {w.message}\n" for w in caught
+    )
+
+
+NUMERIC_FLAGS = ("Omega", "Gamma", "gamma", "Delta", "g", "phi", "eta", "squeeze",
+                 "squeeze_angle", "n_th", "omega_min", "omega_max")
+
+EDGE_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-308, -1.0, -1e-3, 0.0]
+)
+
+
+@given(
+    scheme=st.sampled_from(["standard", "cqnc", "toy"]),
+    spacing=st.sampled_from(["linear", "log"]),
+    points=st.integers(1, 5),
+    numbers=st.dictionaries(
+        st.sampled_from(NUMERIC_FLAGS), EDGE_FLOATS | st.floats(), max_size=4
+    ),
+)
+@example(scheme="toy", spacing="log", points=5, numbers={"eta": 1e308})
+@example(scheme="standard", spacing="log", points=3, numbers={"omega_max": 1e60})
+@example(scheme="standard", spacing="log", points=3, numbers={"gamma": 1e308})
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_spectrum_ends_in_csv_or_one_line(scheme, spacing, points, numbers):
+    # any numbers end in a finite CSV or one stderr line with exit 2, 3 or 4,
+    # and the dumped configuration reproduces the run
+    argv = ["spectrum", f"--scheme={scheme}", f"--spacing={spacing}", f"--points={points}"]
+    argv += [f"--{key.replace('_', '-')}={value!r}" for key, value in numbers.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        dump, first, second = (Path(tmp) / name for name in ("run.cfg", "a.csv", "b.csv"))
+        code, err = run_main([*argv, "--dump-config", str(dump), "--output", str(first)])
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+            assert "Traceback" not in err
+        else:
+            assert err == ""
+            _, data = parse_csv(first.read_text(encoding="utf-8"))
+            assert data.shape == (points, 6) and np.isfinite(data).all()
+        rerun = run_main(["spectrum", "--config", str(dump), "--output", str(second)])
+        assert rerun == (code, err)
+        assert code or second.read_bytes() == first.read_bytes()
 
 
 def test_cli_import_leaves_scipy_unloaded():

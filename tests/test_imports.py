@@ -119,3 +119,32 @@ def test_orphan_detector():
         "b.py": "from a import _helper\nx = _helper()\n",
     }
     assert orphans(sources) == [("a.py", "_seen"), ("a.py", "_Old")]
+
+
+def variant_comparisons(tree):
+    """Lines that compare a `.variant` attribute (==, !=, in, ...)."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(n, ast.Attribute) and n.attr == "variant"
+                for n in (node.left, *node.comparators))
+    ]
+
+
+def test_variant_facts_stay_in_schemes():
+    # schemes.VARIANTS states each variant's facts once; elsewhere a scheme is
+    # read through those facts, never by testing its name
+    found = {p.name: variant_comparisons(ast.parse(p.read_text(encoding="utf-8")))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "schemes.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_variant_comparison_detector():
+    source = (
+        "if config.variant == 'cqnc':\n    pass\n"
+        "toy = 'toy' != cfg.variant\n"
+        "known = config.variant in VARIANTS\n"
+        "name = config.variant\n"
+        "same = variant == 'toy'\n"
+    )
+    assert variant_comparisons(ast.parse(source)) == [1, 3, 4]

@@ -88,6 +88,18 @@ class TestSprimeF:
                 SchemeConfig("cqnc", replace(FIG2A, Delta=0.0)), 0.5
             )
 
+    def test_coupling_vector_is_a_fresh_array(self):
+        toy = SchemeConfig("toy", FIG2A, eta=0.5)
+        f = linresp.coupling_vector(toy)
+        assert f.tolist() == [0.0, 0.0, 1.0, 1.0]  # F = b1 + b2
+        drift = build(toy).drift.entries
+        f[:] = 7.0
+        assert linresp.coupling_vector(toy).tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert np.array_equal(build(toy).drift.entries, drift)
+        assert linresp.coupling_vector(SchemeConfig("standard", FIG2A)).tolist() == [
+            0.0, 0.0, 1.0, 0.0,  # F = b1
+        ]
+
     def test_toy_detector_matches_pipeline(self):
         # the mixed-coupling scheme maps onto the generic layer with
         # chi_qq = (1 + eta^2) chi_mech and the printed chi_qx

@@ -22,18 +22,19 @@ FIG2A = DetectorParams(Omega=0.01, Gamma=0.01, gamma=3.0, Delta=0.0, g=-10.0)
 
 class TestBuild:
     def test_standard_drift_entries(self):
-        model = build(SchemeConfig("standard", FIG2A))
-        p = FIG2A
-        expected = np.array(
-            [
-                [-p.Gamma / 2, p.Omega, 0.0, 0.0],
-                [-p.Omega, -p.Gamma / 2, p.g, 0.0],
-                [0.0, 0.0, -p.gamma / 2, p.Delta],
-                [p.g, 0.0, -p.Delta, -p.gamma / 2],
-            ]
-        )
-        assert np.array_equal(model.drift.entries, expected)
-        assert model.force_row == 1
+        # the cd preset's Delta = -7 pins where the cavity block puts the detuning
+        for p in (FIG2A, replace(FIG2A, Delta=-7.0)):
+            model = build(SchemeConfig("standard", p))
+            expected = np.array(
+                [
+                    [-p.Gamma / 2, p.Omega, 0.0, 0.0],
+                    [-p.Omega, -p.Gamma / 2, p.g, 0.0],
+                    [0.0, 0.0, -p.gamma / 2, p.Delta],
+                    [p.g, 0.0, -p.Delta, -p.gamma / 2],
+                ]
+            )
+            assert np.array_equal(model.drift.entries, expected)
+            assert model.force_row == 1
 
     def test_toy_drift_symmetric_mix(self):
         p = DetectorParams(Omega=1.0, Gamma=1.0, gamma=100.0, g=5.0)
