@@ -29,26 +29,11 @@ _TINY = 1e-300
 FloatOrArray = Union[float, NDArray[np.float64]]
 
 
-def _any(mask) -> bool:
-    """Whether a scalar or array mask holds anywhere; plain bools skip numpy."""
-    return mask is True or (mask is not False and bool(mask.any()))
-
-
-def _first(omega: FloatOrArray, bad) -> float:
-    """The first frequency at which the (scalar or array) mask `bad` holds."""
-    return float(np.broadcast_to(omega, np.shape(bad))[bad][0])
-
-
 def chi_mech(params: DetectorParams, omega: FloatOrArray):
     """Mechanical susceptibility Omega / ((Gamma/2 - i w)^2 + Omega^2)."""
     d = params.Gamma / 2.0 - 1j * omega
     denom = d * d + params.Omega * params.Omega
-    singular = abs(denom) < _TINY
-    if _any(singular):
-        raise MechanicalResonanceSingularity(
-            "undamped oscillator driven on resonance "
-            f"(omega = {_first(omega, singular)!r})"
-        )
+    MechanicalResonanceSingularity.at_first(omega, abs(denom) < _TINY)
     return params.Omega / denom
 
 
@@ -100,11 +85,7 @@ def coupling_susceptibilities(
 def generalized_uql(q: CouplingSusceptibilities):
     """Lower bound |Im chi_qq| / |chi_qx|^2 for a detector coupled through q."""
     mag = abs(q.chi_qx)
-    vanished = mag < math.sqrt(_TINY)
-    if _any(vanished):
-        raise ZeroResponseSusceptibility(
-            f"chi_qx vanished at omega = {_first(q.omega, vanished)!r}"
-        )
+    ZeroResponseSusceptibility.at_first(q.omega, mag < math.sqrt(_TINY))
     return abs(q.chi_qq.imag) / (mag * mag)
 
 

@@ -142,11 +142,21 @@ def _read_config_file(path: str) -> dict[str, dict[str, object]]:
     return values
 
 
+def _open_output(path: str | Path, make_dir: bool = False) -> IO[str]:
+    """`path` opened for writing, its directory made if asked; failing is a config error."""
+    try:
+        if make_dir:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise InvalidConfig(f"cannot write {str(path)!r}: {exc}") from exc
+
+
 def _dump_config(path: str, values: Mapping[str, Mapping[str, object]]):
     parser = _config_parser()
     for name, section in values.items():
         parser[name] = {k: str(v) for k, v in section.items()}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(path) as fh:
         parser.write(fh)
 
 
@@ -155,6 +165,8 @@ def _scheme_config(values: Mapping[str, object]) -> SchemeConfig:
     s, angle = values["squeeze"], values["squeeze_angle"]
     if not math.isfinite(angle):
         raise InvalidConfig("squeeze_angle must be finite")
+    if not math.isfinite(2.0 * angle):
+        raise InvalidConfig(f"2 * squeeze_angle overflows (squeeze_angle = {angle!r})")
     try:
         spectrum = squeeze_spectrum(s, angle) if s != 0.0 else vacuum()
     except (ValueError, OverflowError) as exc:
@@ -200,7 +212,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     spectrum = noise.sensitivity_spectrum(config, _frequencies(**values["grid"]))
     metadata = {**values["scheme"], **values["grid"]}
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+        with _open_output(args.output) as fh:
             write_spectrum_csv(spectrum, fh, metadata)
     else:
         write_spectrum_csv(spectrum, sys.stdout, metadata)
@@ -220,27 +232,22 @@ def _write_preset(
         "spacing": "log",
     }
     metadata.update(extra)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(path, make_dir=True) as fh:
         write_spectrum_csv(spectrum, fh, metadata)
+    print(f"wrote {path}")
 
 
 def cmd_fig2a(args: argparse.Namespace) -> int:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     grid = presets.fig2a_grid()
     for name, config in presets.fig2a_configs().items():
-        _write_preset(config, grid, outdir / f"fig2a_{name}.csv", {"curve": name})
-        print(f"wrote {outdir / f'fig2a_{name}.csv'}")
+        _write_preset(config, grid, Path(args.outdir, f"fig2a_{name}.csv"), {"curve": name})
     return 0
 
 
 def cmd_fig2b(args: argparse.Namespace) -> int:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     config = presets.fig2b_config()
-    path = outdir / "fig2b_toy.csv"
+    path = Path(args.outdir, "fig2b_toy.csv")
     _write_preset(config, presets.fig2b_grid(), path, {"curve": "toy", "eta": config.eta})
-    print(f"wrote {path}")
     return 0
 
 

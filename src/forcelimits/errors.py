@@ -1,5 +1,7 @@
 """Exception types for the forcelimits package."""
 
+import numpy as np
+
 
 class ForceLimitsError(Exception):
     """Base class for all package-specific failures."""
@@ -14,7 +16,7 @@ class UnstableModel(ForceLimitsError):
 
 
 class NumericalFailure(ForceLimitsError):
-    """A computation broke down at a particular frequency (CLI exit code 4)."""
+    """A computation broke down (CLI exit code 4)."""
 
 
 class FailureAtFrequency(NumericalFailure):
@@ -24,6 +26,13 @@ class FailureAtFrequency(NumericalFailure):
         self.omega = float(omega)
         text = f"{message} at" if message else self.default
         super().__init__(f"{text} omega = {self.omega!r}")
+
+    @classmethod
+    def at_first(cls, omega, bad, message: str | None = None) -> None:
+        """Raise at the first omega (array order, broadcast with `bad`) where `bad` holds."""
+        if np.count_nonzero(bad):
+            omegas, bad = np.broadcast_arrays(omega, bad)
+            raise cls(omegas[bad][0], message)
 
 
 class SingularAtFrequency(FailureAtFrequency):
@@ -41,20 +50,23 @@ class ZeroResponse(FailureAtFrequency):
     default = "force invisible at readout,"
 
 
-class MechanicalResonanceSingularity(NumericalFailure):
+class MechanicalResonanceSingularity(FailureAtFrequency):
     """Undamped mechanical susceptibility evaluated exactly on resonance."""
+    default = "undamped oscillator driven on resonance at"
 
 
-class ZeroResponseSusceptibility(NumericalFailure):
+class ZeroResponseSusceptibility(FailureAtFrequency):
     """The coupling cross-susceptibility vanished; the bound is undefined."""
+    default = "chi_qx vanished at"
 
 
 class ZeroCoupling(NumericalFailure):
     """Detector-oscillator coupling is zero; no signal reaches the output."""
 
 
-class DegenerateReadout(NumericalFailure):
+class DegenerateReadout(FailureAtFrequency):
     """The readout normalization coefficient vanished."""
+    default = "readout normalization C vanished at"
 
 
 class ZeroFrequencyFeedback(FailureAtFrequency):

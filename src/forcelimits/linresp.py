@@ -170,8 +170,7 @@ def combined_quantities(
     y = g * g * delta
     c = g * math.sqrt(gamma) * (r + xi * delta)
     c2 = abs(c) ** 2
-    if c2 < _TINY:
-        raise DegenerateReadout("readout normalization C vanished")
+    DegenerateReadout.at_first(omega, c2 < _TINY)
     u, v, w = uvw.u, uvw.v, uvw.w
     h = (d * e * u + e * x * w + d * y * w + x * y * v) / c2
     k = (e * e * u + 2.0 * e * y * w + y * y * v) / c2
@@ -228,10 +227,9 @@ def extract_detector(
     drive = conjugate_drive(f_vector)
     chi_ff = complex(y_f @ drive)
     chi_zf_raw = complex(y_z @ drive)
-    if abs(chi_zf_raw) < _TINY:
-        raise DegenerateReadout(
-            f"output does not respond to the input operator at omega = {omega!r}"
-        )
+    DegenerateReadout.at_first(
+        omega, abs(chi_zf_raw) < _TINY, "output does not respond to the input operator"
+    )
 
     f_coeffs = channel_output(model0.readout, y_f)
     z_coeffs = channel_output(model0.readout, y_z, d) / chi_zf_raw
@@ -262,8 +260,7 @@ def feedback_added_noise(
     broadcast against each other into one stacked solve.
     """
     w = det.omega if omega is None else omega
-    if np.any(w == 0.0):
-        raise ZeroFrequencyFeedback(0.0)
+    ZeroFrequencyFeedback.at_first(w, w == 0.0)
     if det.g == 0.0:
         raise ZeroCoupling("added noise is undefined at g = 0")
 

@@ -133,9 +133,7 @@ def inverted_system(
                 inv[k] = np.linalg.inv(mk)
             except np.linalg.LinAlgError:
                 pass
-    singular = ~(_cond1(m, inv) <= _COND_LIMIT)
-    if singular.any():
-        raise SingularAtFrequency(omegas[np.argmax(singular)])
+    SingularAtFrequency.at_first(omegas, ~(_cond1(m, inv) <= _COND_LIMIT))
     return m, inv
 
 
@@ -161,11 +159,9 @@ def refined_solve(
     for _ in range(2):
         residual = rhs_hi - m_hi @ y.astype(np.clongdouble)
         y = y + inv @ residual.astype(np.complex128)
-    finite = np.isfinite(y).all(axis=(1, 2))
-    if not finite.all():
-        raise SingularAtFrequency(
-            omegas[np.argmin(finite)], "non-finite transfer entries"
-        )
+    SingularAtFrequency.at_first(
+        omegas, ~np.isfinite(y).all(axis=(1, 2)), "non-finite transfer entries"
+    )
     return y if np.ndim(b) == 2 else y[..., 0]
 
 

@@ -46,15 +46,14 @@ _RESPONSE_FLOOR = 1e-14
 _BLOCK = 256
 
 
-def _per_force(coeffs, response, v, omegas) -> dict[str, tuple]:
+def _per_force(coeffs, response, v, omega) -> dict[str, tuple]:
     """Each channel's (..., 2) coefficients as a pair per unit force response.
 
     `response` is v . d, `v` the force response of both output quadratures;
-    the first of `omegas` where |v . d| <= _RESPONSE_FLOOR max|v| raises ZeroResponse.
+    the first omega where |v . d| <= _RESPONSE_FLOOR max|v| raises ZeroResponse.
     """
-    invisible = abs(response) <= _RESPONSE_FLOOR * np.abs(v).max(axis=-1)
-    if np.count_nonzero(invisible):
-        raise ZeroResponse(omegas[np.argmax(invisible)])
+    floor = _RESPONSE_FLOOR * np.abs(v).max(axis=-1)
+    ZeroResponse.at_first(omega, abs(response) <= floor)
     return {cid: tuple((c / response[..., None]).T) for cid, c in coeffs.items()}
 
 
@@ -66,7 +65,7 @@ def added_noise(resp: FrequencyResponse, phi: float) -> dict[str, tuple]:
     d = quadrature(phi)
     blocks = {resp.readout_id: resp.M, **resp.cross}
     coeffs = {k: d @ m for k, m in blocks.items()}
-    return _per_force(coeffs, resp.v @ d, resp.v, np.ravel(resp.omega))
+    return _per_force(coeffs, resp.v @ d, resp.v, resp.omega)
 
 
 def _channel_power(c1, c2, spec: QuadratureSpectrum):
@@ -185,10 +184,9 @@ def sensitivity_spectrum(
             ),
             bounds.optimal_uql(params, omegas),
         ]
-        finite = np.isfinite(columns)
-        if not finite.all():
-            bad = omegas[np.argmin(finite.all(axis=0))]
-            raise FailureAtFrequency(bad, "non-finite S_f or bound value")
+        FailureAtFrequency.at_first(
+            omegas, ~np.isfinite(columns).all(axis=0), "non-finite S_f or bound value"
+        )
     except FailureAtFrequency as failure:
         # grid order: a failure of any stage, the bound columns included, at a
         # lower frequency is the one a frequency-by-frequency loop would meet first

@@ -191,8 +191,7 @@ def closed_form_transfer(
     chi_a = bounds.chi_mech(params, omega)
 
     loop = 1.0 - g * g * chi_a * chi_d
-    if abs(loop) < _DIVERGENCE_FLOOR:
-        raise ParametricDivergence(omega)
+    ParametricDivergence.at_first(omega, abs(loop) < _DIVERGENCE_FLOOR)
 
     m_shot = -np.eye(2, dtype=complex) + gamma * np.array(
         [[chi_r, chi_d], [-chi_d, chi_r]]

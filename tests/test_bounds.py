@@ -258,9 +258,9 @@ class TestArrayArguments:
 
     def test_resonance_in_array_names_first_frequency(self):
         p = params(Omega=1.0, Gamma=0.0)
-        with pytest.raises(MechanicalResonanceSingularity, match=r"omega = 1\.0\)"):
+        with pytest.raises(MechanicalResonanceSingularity, match=r"omega = 1\.0$"):
             bounds.sql(p, np.array([0.5, 1.0, 2.0]))
-        with pytest.raises(MechanicalResonanceSingularity, match=r"omega = 1\.0\)"):
+        with pytest.raises(MechanicalResonanceSingularity, match=r"omega = 1\.0$"):
             bounds.coupling_susceptibilities(p, 0.3, np.array([0.5, 1.0, 1.0]))
 
     def test_vanishing_cross_susceptibility_in_array(self):

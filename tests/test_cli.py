@@ -304,12 +304,26 @@ class TestNumericalFailureInProcess:
         (errors.SingularAtFrequency, "system matrix singular at omega = 0.25"),
         (errors.ParametricDivergence, "parametric divergence at omega = 0.25"),
         (errors.ZeroResponse, "force invisible at readout, omega = 0.25"),
+        (errors.MechanicalResonanceSingularity,
+         "undamped oscillator driven on resonance at omega = 0.25"),
+        (errors.ZeroResponseSusceptibility, "chi_qx vanished at omega = 0.25"),
+        (errors.DegenerateReadout, "readout normalization C vanished at omega = 0.25"),
     ])
     def test_message_names_the_frequency(self, error, default):
         assert str(error(0.25)) == default
         custom = error(np.float64(0.25), "non-finite transfer entries")
         assert custom.omega == 0.25
         assert str(custom) == "non-finite transfer entries at omega = 0.25"
+
+    def test_locator_raises_at_the_first_flagged_frequency(self):
+        errors.ZeroResponse.at_first(0.5, False)
+        errors.ZeroResponse.at_first(np.array([0.5, 1.0]), np.zeros(2, dtype=bool))
+        with pytest.raises(errors.ZeroResponse) as info:
+            errors.ZeroResponse.at_first(np.array([0.5, 1.0, 2.0]), np.array([False, True, True]))
+        assert info.value.omega == 1.0
+        # a scalar frequency broadcasts against an array mask
+        with pytest.raises(errors.SingularAtFrequency, match=r"^custom at omega = 0\.25$"):
+            errors.SingularAtFrequency.at_first(0.25, np.array([False, True]), "custom")
 
     @pytest.mark.parametrize("flags, message", [
         (["--omega-max", "1e60"], "non-finite S_f or bound value at omega = 1e+60"),
@@ -332,13 +346,13 @@ class TestNumericalFailureInProcess:
         ])
         assert code == 4
         assert capsys.readouterr().err == (
-            "numerical failure: undamped oscillator driven on resonance (omega = 1.0)\n"
+            "numerical failure: undamped oscillator driven on resonance at omega = 1.0\n"
         )
 
     def test_vanishing_cross_susceptibility(self, capsys, monkeypatch):
         # the S_f path fails first wherever chi_qx vanishes on a positive grid,
         # so the bound column's own error is raised by hand
-        error = errors.ZeroResponseSusceptibility("chi_qx vanished at omega = 0.25")
+        error = errors.ZeroResponseSusceptibility(0.25)
 
         def fail(config, grid):
             raise error
@@ -349,7 +363,7 @@ class TestNumericalFailureInProcess:
 
     @pytest.mark.parametrize("error", [
         errors.ZeroCoupling("output carries no force signal"),
-        errors.DegenerateReadout("readout normalization C vanished"),
+        errors.DegenerateReadout(0.25, "output does not respond to the input operator"),
         errors.ZeroFrequencyFeedback(0.0),
     ], ids=lambda e: type(e).__name__)
     def test_linresp_failures_exit_4(self, capsys, monkeypatch, error):
@@ -379,6 +393,8 @@ class TestNumericalFailureInProcess:
       "--spacing", "linear"],
      "10 linear points over [1.0, 1.0000000000000002] are not strictly increasing"),
     (["--scheme", "toy", "--eta", "1e308"], "g * eta overflows (g = -10.0, eta = 1e+308)"),
+    (["--squeeze", "1", "--squeeze-angle", "1e308"],
+     "2 * squeeze_angle overflows (squeeze_angle = 1e+308)"),
 ])
 def test_invalid_number_is_a_configuration_error(capsys, flags, message):
     code = cli.main(["spectrum", "--points", "3", *flags])
@@ -386,6 +402,20 @@ def test_invalid_number_is_a_configuration_error(capsys, flags, message):
     assert code == 2
     assert err.startswith(f"configuration error: {message}")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["spectrum", "--points", "3", "--output", "/nonexistent/x.csv"], "/nonexistent/x.csv"),
+    (["spectrum", "--points", "3", "--dump-config", "/nonexistent/x.ini"],
+     "/nonexistent/x.ini"),
+    (["fig2b", "--outdir", "/dev/null/x"], "/dev/null/x/fig2b_toy.csv"),
+], ids=["output", "dump-config", "outdir"])
+def test_unwritable_output_is_a_configuration_error(capsys, argv, path):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: cannot write {path!r}: ")
+    assert captured.err.count("\n") == 1
 
 
 def run_main(argv):

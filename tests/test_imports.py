@@ -148,3 +148,31 @@ def test_variant_comparison_detector():
         "same = variant == 'toy'\n"
     )
     assert variant_comparisons(ast.parse(source)) == [1, 3, 4]
+
+
+def hand_located_raises(tree):
+    """Lines of raise statements whose text spells out an `omega =` location."""
+    return [
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)
+        and any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                and "omega =" in n.value for n in ast.walk(node))
+    ]
+
+
+def test_frequency_failures_use_the_locator():
+    # errors.FailureAtFrequency states how a failure names its frequency, and
+    # its at_first picks the first one in grid order; no message is hand-written
+    found = {p.name: hand_located_raises(ast.parse(p.read_text(encoding="utf-8")))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "errors.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_hand_located_raise_detector():
+    source = (
+        "raise ValueError(f'bad at omega = {w!r}')\n"
+        "raise Failure('chi vanished (omega = 1.0)')\n"
+        "message = 'omega = 2'\n"
+        "raise Failure.at_first(w, bad)\n"
+        "if x:\n    raise Failure(w, 'singular')\n"
+    )
+    assert hand_located_raises(ast.parse(source)) == [1, 2]

@@ -4,12 +4,17 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_linsys import _mp_resolvent
 
 from forcelimits import bounds, noise, presets
-from forcelimits.errors import ForceLimitsError, UnstableModel, ZeroResponse
+from forcelimits.errors import (
+    FailureAtFrequency,
+    ForceLimitsError,
+    UnstableModel,
+    ZeroResponse,
+)
 from forcelimits.linsys import quadrature, transfer
 from forcelimits.schemes import DetectorParams, SchemeConfig, build
 from forcelimits.spectra import QuadratureSpectrum, squeeze_spectrum, vacuum
@@ -472,6 +477,48 @@ class TestBlockedEngine:
         reference = outcome(pointwise_spectrum, cfg, grid)
         assert isinstance(reference, tuple)
         assert outcome(noise.sensitivity_spectrum, cfg, grid) == reference
+
+
+@st.composite
+def scan_cases(draw):
+    """A scheme drawn as param-scan draws it, some undamped, on a log grid up to 1e160."""
+    variant = draw(st.sampled_from(["standard", "cqnc", "toy"]))
+    params = DetectorParams(
+        Omega=draw(st.floats(0.05, 3.0)),
+        Gamma=draw(st.just(0.0) | st.floats(0.01, 1.0)),
+        gamma=draw(st.floats(0.3, 6.0)),
+        Delta=draw(st.floats(-4.0, 4.0)) if variant == "standard" else 0.0,
+        g=draw(st.floats(0.2, 4.0)) * draw(st.sampled_from([-1.0, 1.0])),
+    )
+    config = SchemeConfig(variant, params, readout_angle=draw(st.floats(-1.3, 1.3)),
+                          eta=draw(st.floats(-2.0, 2.0)))
+    low = draw(st.floats(-3.0, 2.0))
+    grid = np.geomspace(10.0**low, 10.0 ** draw(st.floats(low + 1.0, 160.0)),
+                        draw(st.integers(2, 40)))
+    return config, grid
+
+
+@given(scan_cases())
+# S_f overflows at the fourth point; chi_qx of the bound column only at the fifth
+@example((presets.fig2a_configs()["standard"], np.geomspace(1e-3, 1e80, 5)))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_failure_is_the_first_in_grid_order(case):
+    # a spectrum either evaluates, or fails at a grid point below which it evaluates
+    config, grid = case
+    try:
+        build(config)
+    except UnstableModel:
+        return
+    try:
+        with np.errstate(all="ignore"):
+            spec = noise.sensitivity_spectrum(config, grid)
+    except FailureAtFrequency as failure:
+        assert failure.omega in grid
+        if failure.omega > grid[0]:
+            with np.errstate(all="ignore"):
+                noise.sensitivity_spectrum(config, grid[grid < failure.omega])
+    else:
+        assert all(np.isfinite(getattr(spec, c)).all() for c in ("s_f", "guql"))
 
 
 def _mp_sensitivity(config, omega):
