@@ -12,17 +12,14 @@ from .bounds import (
     uql,
 )
 from .linresp import (
-    CombinedProofQuantities,
     GenericDetector,
-    UncertaintyReport,
     combined_quantities,
-    combined_sensitivity,
     extract_detector,
     feedback_added_noise,
     g_optimized_bound,
     sensitivity,
     sprime_f,
-    uncertainty_check,
+    uncertainty_slack,
 )
 from .linsys import (
     DriftMatrix,

@@ -9,11 +9,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO, Iterator, Mapping
 
 import numpy as np
 
@@ -122,8 +124,10 @@ def _read_config_file(path: str) -> dict[str, dict[str, object]]:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except (OSError, configparser.Error) as exc:
-        raise InvalidConfig(f"cannot read config file {path!r}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        # on one line, like every message: configparser's may have several
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise InvalidConfig(f"cannot read config file {path!r}: {message}") from exc
 
     for name in parser.sections():
         if name not in _DEFAULTS:
@@ -142,12 +146,17 @@ def _read_config_file(path: str) -> dict[str, dict[str, object]]:
     return values
 
 
-def _open_output(path: str | Path, make_dir: bool = False) -> IO[str]:
-    """`path` opened for writing, its directory made if asked; failing is a config error."""
+@contextmanager
+def _open_output(path: str | Path, make_dir: bool = False) -> Iterator[IO[str]]:
+    """`path` opened for writing, its directory made if asked.
+
+    Failing to open, write or close it is a config error.
+    """
     try:
         if make_dir:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
-        return open(path, "w", encoding="utf-8", newline="\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
     except OSError as exc:
         raise InvalidConfig(f"cannot write {str(path)!r}: {exc}") from exc
 
@@ -330,6 +339,11 @@ def main(argv: list[str] | None = None) -> int:
         # a failure is reported in one line below; numpy's warnings would add more
         with np.errstate(all="ignore"):
             return args.func(args)
+    except BrokenPipeError:
+        # the reader of stdout has gone (`| head`): stop quietly, and let the
+        # flush at exit write what is still buffered to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except InvalidConfig as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,10 @@
 
 Any linear detector is summarized at one frequency by the input operator's
 self-susceptibility chi_FF, the noise spectra (S_FF, S_ZZ, S_ZF) of the
-unperturbed input/rescaled-output pair, the coupling g, and the oscillator
-susceptibilities (chi_qq, chi_qx) of the coupling operator q.  The rescaled
+input/rescaled-output pair, the coupling g, and the oscillator
+susceptibilities (chi_qq, chi_qx) of the coupling operator q.  For a
+concrete scheme the detector is the whole model less the oscillator's own
+coupling -g q F; everything else, the cqnc ancilla included, belongs to it.  The rescaled
 output is normalized so its response to the input drive is one, the output
 commutes with itself at different times, and causality forbids any response
 of the input to the output; those conventions are built into the extraction
@@ -23,14 +25,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import bounds
-from .errors import (
-    DegenerateReadout,
-    InvalidConfig,
-    ZeroCoupling,
-    ZeroFrequencyFeedback,
-)
-from .linsys import adjoint_response, channel_output, quadrature, readout_drive
+from .errors import DegenerateReadout, ZeroCoupling, ZeroFrequencyFeedback
+from .linsys import DriftMatrix, LinearModel, adjoint_response, channel_output
+from .linsys import quadrature, readout_drive
+from .noise import noise_budget
 from .schemes import VARIANTS, DetectorParams, SchemeConfig, build, conjugate_drive
+from .schemes import coupling_drift
 from .spectra import QuadratureSpectrum
 
 _TINY = 1e-300
@@ -91,47 +91,13 @@ def g_optimized_bound(det: GenericDetector) -> float:
     return const + 2.0 * abs(cqq) * math.sqrt(max(det.S_ZZ * bracket, 0.0))
 
 
-def spectral_matrix(
-    s: NDArray[np.complex128], chi: NDArray[np.complex128]
-) -> NDArray[np.complex128]:
-    """Hermitian matrix M = S - i (chi - chi^dagger)/2 whose positivity encodes
-    the spectral uncertainty relations of an operator pair."""
-    s = np.asarray(s, dtype=complex)
-    chi = np.asarray(chi, dtype=complex)
-    return s - 1j * (chi - chi.conj().T) / 2.0
+def uncertainty_slack(det: GenericDetector) -> float:
+    """Slack of the combined input/output uncertainty relation, >= 0 when it holds.
 
-
-def _detector_spectral_matrix(det: GenericDetector) -> NDArray[np.complex128]:
-    # pair (F, Z) with chi_ZF = 1 and chi_ZZ = chi_FZ = 0 by convention
-    s = np.array(
-        [[det.S_FF, det.S_ZF.conjugate()], [det.S_ZF, det.S_ZZ]], dtype=complex
-    )
-    chi = np.array([[det.chi_FF, 0.0], [1.0, 0.0]], dtype=complex)
-    return spectral_matrix(s, chi)
-
-
-@dataclass(frozen=True)
-class UncertaintyReport:
-    holds: bool
-    slack: float
-    matrix_positive: bool
-
-
-def uncertainty_check(det: GenericDetector, tol: float = 1e-9) -> UncertaintyReport:
-    """Evaluate the combined input/output uncertainty relation.
-
-    slack = S_FF S_ZZ - |S_ZF|^2 - |B| - 1/4 with B = Im(chi_FF) S_ZZ +
-    Im(S_ZF); the relation holds when slack >= -tol.  The eigenvalue
-    positivity of the (F, Z) spectral matrix is reported alongside.
+    slack = S_FF S_ZZ - |S_ZF|^2 - |B| - 1/4 with B = Im(chi_FF) S_ZZ + Im(S_ZF).
     """
     b = det.chi_FF.imag * det.S_ZZ + det.S_ZF.imag
-    slack = det.S_FF * det.S_ZZ - abs(det.S_ZF) ** 2 - abs(b) - 0.25
-    eigenvalues = np.linalg.eigvalsh(_detector_spectral_matrix(det))
-    return UncertaintyReport(
-        holds=bool(slack >= -tol),
-        slack=float(slack),
-        matrix_positive=bool(eigenvalues.min() >= -tol),
-    )
+    return float(det.S_FF * det.S_ZZ - abs(det.S_ZF) ** 2 - abs(b) - 0.25)
 
 
 @dataclass(frozen=True)
@@ -178,27 +144,17 @@ def combined_quantities(
     return CombinedProofQuantities(D=d, E=e, X=x, Y=y, C=c, H=h, K=k, L=ell)
 
 
-def combined_sensitivity(
-    params: DetectorParams, omega: float, cq: CombinedProofQuantities
-) -> float:
-    """S_f reassembled from the combined-scheme quantities."""
-    inv_chi = bounds.inverse_chi_mech(params, omega)
-    return 2.0 * inv_chi.real * cq.H + cq.K + abs(inv_chi) ** 2 * cq.L
+def _detector_model(config: SchemeConfig) -> LinearModel:
+    """The built model less the oscillator's own coupling -g q F, q = x + eta*p.
 
-
-def coupling_vector(config: SchemeConfig) -> NDArray[np.float64]:
-    """Real state-space vector of the detector's input operator F, a fresh array.
-
-    Only schemes with a single product coupling -g*F*q map exactly onto the
-    generic layer; the backaction-cancelling scheme has a second coupling
-    (cavity to ancilla) that also scales with g, so it is rejected here.
+    That coupling is the variant's first; any further one (the cqnc
+    ancilla's to the cavity) stays part of the detector.
     """
-    couplings = VARIANTS[config.variant].couplings
-    if len(couplings) > 1:
-        raise InvalidConfig(
-            f"{config.variant} has {len(couplings)} couplings, not one input operator"
-        )
-    return couplings[0][1].copy()
+    model = build(config)
+    x, f = VARIANTS[config.variant].couplings[0]
+    q = x + config.coupling_mix * conjugate_drive(x)  # J x is p
+    drift = model.drift.entries - config.params.g * coupling_drift(q, f)
+    return replace(model, drift=DriftMatrix(drift))
 
 
 def extract_detector(
@@ -208,41 +164,42 @@ def extract_detector(
 ) -> GenericDetector:
     """Map a concrete scheme onto a GenericDetector at one frequency.
 
-    chi_FF, S_FF, S_ZZ and S_ZF come from the unperturbed dynamics (the same
-    model with the coupling switched off) driven by the readout channel's
-    input state; chi_qq and chi_qx are the analytic susceptibilities of the
-    scheme's coupling operator.
+    chi_FF, S_FF, S_ZZ and S_ZF come from the detector, the model less the
+    oscillator's coupling, with every channel of the noise budget driven by
+    its input state (the readout's replaced by `input_spectrum` if given);
+    chi_qq and chi_qx are the analytic susceptibilities of the oscillator's
+    coupling operator q.
     """
-    params = config.params
-    spectrum = config.input_spectrum if input_spectrum is None else input_spectrum
-
-    bare = replace(config, params=replace(params, g=0.0))
-    model0 = build(bare)
+    if input_spectrum is not None:
+        config = replace(config, input_spectrum=input_spectrum)
+    model = _detector_model(config)
+    f = VARIANTS[config.variant].couplings[0][1]
     d = quadrature(config.readout_angle)
-    f_vector = coupling_vector(config)
 
     # one adjoint solve for the state functionals of F = f . x and of d . out
-    b = np.stack([f_vector, readout_drive(model0, d)], axis=1)
-    y_f, y_z = adjoint_response(model0, np.array([omega], dtype=float), b)[0].T
-    drive = conjugate_drive(f_vector)
+    b = np.stack([f, readout_drive(model, d)], axis=1)
+    y_f, y_z = adjoint_response(model, np.array([omega], dtype=float), b)[0].T
+    drive = conjugate_drive(f)
     chi_ff = complex(y_f @ drive)
     chi_zf_raw = complex(y_z @ drive)
     DegenerateReadout.at_first(
         omega, abs(chi_zf_raw) < _TINY, "output does not respond to the input operator"
     )
 
-    f_coeffs = channel_output(model0.readout, y_f)
-    z_coeffs = channel_output(model0.readout, y_z, d) / chi_zf_raw
+    spectra = np.zeros(3, dtype=complex)  # S_FF, S_ZZ, S_ZF
+    budget = noise_budget(config, model)
+    for ch in model.channels:
+        if ch.id in budget:
+            f_c = channel_output(ch, y_f)
+            z_c = channel_output(ch, y_z, d) / chi_zf_raw
+            form = budget[ch.id].form
+            spectra += [form(f_c, f_c), form(z_c, z_c), form(z_c, f_c)]
 
-    s = spectrum.matrix()
-    s_ff = float((f_coeffs @ s @ f_coeffs.conj()).real)
-    s_zz = float((z_coeffs @ s @ z_coeffs.conj()).real)
-    s_zf = complex(z_coeffs @ s @ f_coeffs.conj())
-
-    q = bounds.coupling_susceptibilities(params, config.coupling_mix, omega)
+    q = bounds.coupling_susceptibilities(config.params, config.coupling_mix, omega)
     return GenericDetector(
-        omega=omega, chi_FF=chi_ff, S_FF=s_ff, S_ZZ=s_zz, S_ZF=s_zf,
-        chi_qq=q.chi_qq, chi_qx=q.chi_qx, g=params.g,
+        omega=omega, chi_FF=chi_ff, S_FF=float(spectra[0].real),
+        S_ZZ=float(spectra[1].real), S_ZF=complex(spectra[2]),
+        chi_qq=q.chi_qq, chi_qx=q.chi_qx, g=config.params.g,
     )
 
 

@@ -68,15 +68,6 @@ def added_noise(resp: FrequencyResponse, phi: float) -> dict[str, tuple]:
     return _per_force(coeffs, resp.v @ d, resp.v, resp.omega)
 
 
-def _channel_power(c1, c2, spec: QuadratureSpectrum):
-    """Noise power of one channel's coefficient pair (scalars or arrays)."""
-    return (
-        abs(c1) ** 2 * spec.u
-        + abs(c2) ** 2 * spec.v
-        + 2.0 * (c1 * c2.conjugate()).real * spec.w
-    )
-
-
 def power_density(
     coeffs: Mapping[str, tuple], spectra: Mapping[str, QuadratureSpectrum]
 ) -> float | NDArray[np.float64]:
@@ -87,10 +78,10 @@ def power_density(
     the power at every frequency.
     """
     total = 0.0
-    for cid, (c1, c2) in coeffs.items():
+    for cid, pair in coeffs.items():
         spec = spectra.get(cid)
         if spec is not None:
-            total = total + _channel_power(c1, c2, spec)
+            total = total + spec.form(pair, pair).real
     return total
 
 

@@ -48,7 +48,7 @@ def conjugate_drive(f: np.ndarray) -> np.ndarray:
     return drive
 
 
-def _coupling(q: np.ndarray, f: np.ndarray) -> np.ndarray:
+def coupling_drift(q: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Drift of the interaction -q F at unit g: J q (x) F + J F (x) q."""
     return np.outer(conjugate_drive(q), f) + np.outer(conjugate_drive(f), q)
 
@@ -67,8 +67,8 @@ class _Variant:
         # each pair's decay rate and rotation frequency, then g and g*eta
         basis = [np.kron(np.diag(e), block) for e in np.eye(len(channels))
                  for block in ([[-0.5, 0.0], [0.0, -0.5]], [[0.0, 1.0], [-1.0, 0.0]])]
-        basis.append(sum(_coupling(q, f) for q, f in self.couplings))
-        basis.append(_coupling(_P[:n], self.couplings[0][1]))  # q = x + eta*p
+        basis.append(sum(coupling_drift(q, f) for q, f in self.couplings))
+        basis.append(coupling_drift(_P[:n], self.couplings[0][1]))  # q = x + eta*p
         self.basis = np.stack(basis, axis=-1)
 
 

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
 _HEISENBERG_SLOP = 1e-12
 
@@ -29,8 +28,14 @@ class QuadratureSpectrum:
         if self.u * self.v - self.w * self.w < 0.25 - _HEISENBERG_SLOP:
             raise ValueError("spectrum violates u*v - w^2 >= 1/4")
 
-    def matrix(self) -> NDArray[np.float64]:
-        return np.array([[self.u, self.w], [self.w, self.v]])
+    def form(self, a, b):
+        """Hermitian form a S b^dagger of two coefficient pairs, S = [[u, w], [w, v]].
+
+        With a = b it is the noise power of the input combination a, else
+        the cross spectrum of a and b; pairs of arrays give arrays.
+        """
+        (a1, a2), (b1, b2) = a, np.conjugate(b)
+        return a1 * b1 * self.u + a2 * b2 * self.v + (a1 * b2 + a2 * b1) * self.w
 
 
 def vacuum() -> QuadratureSpectrum:

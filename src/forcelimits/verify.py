@@ -338,8 +338,7 @@ def suite_linresp(check, seed: int) -> list[CheckResult]:
             SchemeConfig("standard", params, readout_angle=phi), omega,
             input_spectrum=vacuum(),
         )
-        report = linresp.uncertainty_check(det)
-        worst_extraction = min(worst_extraction, report.slack)
+        worst_extraction = min(worst_extraction, linresp.uncertainty_slack(det))
     return [
         check(
             "min-above-bound", worst_min_vs_bound, ">=", -1e-9,

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -270,6 +271,22 @@ class TestRunKeys:
         assert captured.out == ""
         assert captured.err == "configuration error: unknown config section 'grids'\n"
 
+    @pytest.mark.parametrize("content, message", [
+        (b"[scheme]\nvariant = \xff\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"points = 3\n", "File contains no section headers. file: "),
+        (b"[grid]\n= 3\n", "Source contains parsing errors: "),
+    ], ids=["not-utf-8", "no-section-header", "no-key"])
+    def test_unreadable_file_is_one_line(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(content)
+        assert cli.main(["spectrum", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"configuration error: cannot read config file {str(cfg)!r}: {message}"
+        )
+        assert captured.err.count("\n") == 1
+
 
 class TestNumericalFailureInProcess:
     # the first failure in grid order is reported, with a plain float
@@ -409,13 +426,53 @@ def test_invalid_number_is_a_configuration_error(capsys, flags, message):
     (["spectrum", "--points", "3", "--dump-config", "/nonexistent/x.ini"],
      "/nonexistent/x.ini"),
     (["fig2b", "--outdir", "/dev/null/x"], "/dev/null/x/fig2b_toy.csv"),
-], ids=["output", "dump-config", "outdir"])
+    # opens, then fails to write
+    pytest.param(["spectrum", "--points", "3", "--output", "/dev/full"], "/dev/full",
+                 marks=pytest.mark.skipif(not Path("/dev/full").exists(),
+                                          reason="no /dev/full")),
+], ids=["output", "dump-config", "outdir", "full-device"])
 def test_unwritable_output_is_a_configuration_error(capsys, argv, path):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"configuration error: cannot write {path!r}: ")
     assert captured.err.count("\n") == 1
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone; its descriptor is a real one, `fd`."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_ends_quietly(capsys, monkeypatch, tmp_path):
+    # the rest of stdout goes to devnull, so the flush at exit cannot fail
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        assert cli.main(["spectrum", "--points", "3"]) == 0
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # `forcelimits spectrum --points 2000 | head -1`: the rows overflow the
+    # pipe's buffer, so the process is still writing when the reader closes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "forcelimits", "spectrum", "--points", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"# variant = standard\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def run_main(argv):

@@ -7,9 +7,10 @@ import pytest
 from scipy import optimize
 from test_linsys import _mp_resolvent, _oracle_draw
 
-from forcelimits import bounds, linresp, noise
+from forcelimits import bounds, linresp, noise, presets
 from forcelimits.errors import FailureAtFrequency, ZeroCoupling, ZeroFrequencyFeedback
-from forcelimits.schemes import DetectorParams, SchemeConfig, build
+from forcelimits.linsys import DriftMatrix
+from forcelimits.schemes import ANCILLA, READOUT, DetectorParams, SchemeConfig, build
 from forcelimits.spectra import squeeze_spectrum, vacuum
 from forcelimits.verify import (
     numeric_coupling_minimum,
@@ -80,25 +81,27 @@ class TestSprimeF:
                 noise.sensitivity_at(cfg, omega), rel=1e-9
             )
 
-    def test_ancilla_scheme_has_no_single_input_operator(self):
-        from forcelimits.errors import InvalidConfig
+    def test_cqnc_detector_has_no_backaction(self):
+        # the ancilla is part of the cqnc detector and cancels the input
+        # operator's response to its own drive exactly
+        for g in (-10.0, 3.7, 1e3, 1e4):
+            cfg = SchemeConfig("cqnc", replace(FIG2A, g=g))
+            for omega in (1e-3, 0.01, 0.5, 10.0):
+                assert linresp.extract_detector(cfg, omega).chi_FF == 0.0
 
-        with pytest.raises(InvalidConfig):
-            linresp.extract_detector(
-                SchemeConfig("cqnc", replace(FIG2A, Delta=0.0)), 0.5
-            )
-
-    def test_coupling_vector_is_a_fresh_array(self):
-        toy = SchemeConfig("toy", FIG2A, eta=0.5)
-        f = linresp.coupling_vector(toy)
-        assert f.tolist() == [0.0, 0.0, 1.0, 1.0]  # F = b1 + b2
-        drift = build(toy).drift.entries
-        f[:] = 7.0
-        assert linresp.coupling_vector(toy).tolist() == [0.0, 0.0, 1.0, 1.0]
-        assert np.array_equal(build(toy).drift.entries, drift)
-        assert linresp.coupling_vector(SchemeConfig("standard", FIG2A)).tolist() == [
-            0.0, 0.0, 1.0, 0.0,  # F = b1
-        ]
+    @pytest.mark.parametrize("variant", ["standard", "toy"])
+    def test_detector_drift_is_the_uncoupled_build(self, variant):
+        # with one coupling, the model less the oscillator's coupling is the
+        # model at g = 0, bit for bit, and extracting leaves the scheme as built
+        rng = np.random.default_rng(["standard", "toy"].index(variant) + 101)
+        for k in range(150):
+            config, _ = _oracle_draw(rng, variant, k)
+            uncoupled = build(replace(config, params=replace(config.params, g=0.0)))
+            drift = build(config).drift.entries
+            detector = linresp._detector_model(config).drift.entries
+            assert detector.tobytes() == uncoupled.drift.entries.tobytes()
+            linresp.extract_detector(config, 0.5)
+            assert build(config).drift.entries.tobytes() == drift.tobytes()
 
     def test_toy_detector_matches_pipeline(self):
         # the mixed-coupling scheme maps onto the generic layer with
@@ -120,55 +123,77 @@ class TestSprimeF:
             )
 
 
+def _mp_cross(a, s, b):
+    """a S b^dagger of two coefficient pairs, summed term by term."""
+    return sum(a[i] * s[i][k] * mpmath.conj(b[k]) for i in range(2) for k in range(2))
+
+
 def _mp_detector(config, omega, spectrum):
     """chi_FF, S_FF, S_ZZ and S_ZF from the resolvent formulas at 50 digits.
 
-    R is the bare model's -(A + i w I)^(-1).  F = f . x responds to its own
-    conjugate drive J f as f . R J f, and its readout coefficients are
-    sqrt(rate) (f . R[:, row]).  Z is d . out normalized by its response to
-    J f, with readout coefficients d . (rate R[rows, rows] - I).  The last
-    value is the scale of chi_FF, the sum of its terms' magnitudes (chi_FF
-    cancels to zero for the toy coupling).
+    The detector drift is the built drift less g (J q F + J F q) for the
+    oscillator's coupling -g q F, written out here: q = x + eta p (eta for
+    toy only) and F = b1, or b1 + b2 for toy; J maps each (x, p) pair to
+    (-p, x).  R is its -(A + i w I)^(-1).  F = f . x responds to its own
+    conjugate drive J f as f . R J f, and a budget channel's coefficients
+    in F are sqrt(rate) (f . R[:, row]).  Z is d . out normalized by its
+    response to J f, with channel coefficients d . (sqrt(rate_r rate)
+    R[readout rows, row] - [readout] I).  The noise sums over the readout
+    (in state `spectrum`) and the cqnc ancilla (vacuum).  The last value is
+    the scale of chi_FF, the sum of its terms' magnitudes (chi_FF cancels
+    to zero for the toy and cqnc couplings).
     """
-    model0 = build(replace(config, params=replace(config.params, g=0.0)))
-    rows = model0.readout.rows
-    f = linresp.coupling_vector(config)
-    drive = np.zeros_like(f)  # J f: (x, p) pairs with commutator i
-    drive[1::2], drive[0::2] = f[0::2], -f[1::2]
+    model = build(replace(config, input_spectrum=spectrum))
+    n = model.drift.n
+    toy = config.variant == "toy"
+    q, f = np.zeros(n), np.zeros(n)
+    q[:2] = 1.0, config.eta if toy else 0.0
+    f[2:4] = 1.0, 1.0 if toy else 0.0
+    j = np.kron(np.eye(n // 2), [[0.0, -1.0], [1.0, 0.0]])
+    coupling = np.outer(j @ q, f) + np.outer(j @ f, q)
+    bare = replace(model, drift=DriftMatrix(model.drift.entries - config.params.g * coupling))
+    readout = model.readout
+    rows = readout.rows
+    drive = j @ f
     phi = config.readout_angle
     with mpmath.workdps(50):
-        R = _mp_resolvent(model0, omega)
-        n = model0.drift.n
-        rate = mpmath.mpf(model0.readout.rate)
+        R = _mp_resolvent(bare, omega)
+        rate = mpmath.mpf(readout.rate)
         d = [mpmath.sin(phi), mpmath.cos(phi)]
-        response = [sum(R[i, j] * drive[j] for j in range(n)) for i in range(n)]
+        response = [sum(R[i, k] * drive[k] for k in range(n)) for i in range(n)]
         chi_ff = sum(f[i] * response[i] for i in range(n))
-        chi_scale = sum(abs(f[i] * R[i, j] * drive[j])
-                        for i in range(n) for j in range(n))
-        chi_zf = mpmath.sqrt(rate) * sum(d[k] * response[r] for k, r in enumerate(rows))
-        f_c = [mpmath.sqrt(rate) * sum(f[i] * R[i, c] for i in range(n)) for c in rows]
-        z_c = [
-            sum(d[k] * (rate * R[r, c] - (k == j)) for k, r in enumerate(rows)) / chi_zf
-            for j, c in enumerate(rows)
-        ]
-        s = spectrum.matrix()
-
-        def cross(a, b):
-            return sum(a[i] * s[i, j] * mpmath.conj(b[j])
-                       for i in range(2) for j in range(2))
-
+        chi_scale = sum(abs(f[i] * R[i, k] * drive[k])
+                        for i in range(n) for k in range(n))
+        chi_zf = mpmath.sqrt(rate) * sum(d[m] * response[r] for m, r in enumerate(rows))
+        s_ff = s_zz = s_zf = 0
+        for ch in model.channels:
+            if ch.id not in (READOUT, ANCILLA):
+                continue
+            ch_rate = mpmath.mpf(ch.rate)
+            f_c = [mpmath.sqrt(ch_rate) * sum(f[i] * R[i, c] for i in range(n))
+                   for c in ch.rows]
+            z_c = [
+                sum(d[m] * (mpmath.sqrt(rate * ch_rate) * R[r, c]
+                            - (ch.is_readout and m == k)) for m, r in enumerate(rows))
+                / chi_zf
+                for k, c in enumerate(ch.rows)
+            ]
+            sp = ch.spectrum
+            s = [[sp.u, sp.w], [sp.w, sp.v]]
+            s_ff += _mp_cross(f_c, s, f_c)
+            s_zz += _mp_cross(z_c, s, z_c)
+            s_zf += _mp_cross(z_c, s, f_c)
         return (
-            complex(chi_ff), float(mpmath.re(cross(f_c, f_c))),
-            float(mpmath.re(cross(z_c, z_c))), complex(cross(z_c, f_c)),
-            float(chi_scale),
+            complex(chi_ff), float(mpmath.re(s_ff)), float(mpmath.re(s_zz)),
+            complex(s_zf), float(chi_scale),
         )
 
 
-@pytest.mark.parametrize("variant", ["standard", "toy"])
+@pytest.mark.parametrize("variant", ["standard", "cqnc", "toy"])
 def test_extract_detector_against_50_digit_oracle(variant):
     # standard draws carry Delta != 0 and a random readout angle, toy draws a
     # random coupling mix eta; every input state is squeezed at a random angle
-    rng = np.random.default_rng(["standard", "toy"].index(variant) + 41)
+    rng = np.random.default_rng(["standard", "toy", "cqnc"].index(variant) + 41)
     for k in range(16):
         config, omega = _oracle_draw(rng, variant, k)
         config = replace(config, readout_angle=rng.uniform(-math.pi, math.pi))
@@ -181,6 +206,39 @@ def test_extract_detector_against_50_digit_oracle(variant):
         assert abs(det.S_FF - s_ff) <= 1e-12 * s_ff
         assert abs(det.S_ZZ - s_zz) <= 1e-12 * s_zz
         assert abs(det.S_ZF - s_zf) <= 1e-12 * math.sqrt(s_ff * s_zz)
+
+
+def _sprime_terms(det):
+    """The three terms of S'_f: g^2 |chi_qq|^2 S_FF, |g_z|^2 S_ZZ, 2 Re(g_f* g_z S_ZF)."""
+    g_f = det.g * det.chi_qq
+    g_z = 1.0 / det.g - det.g * det.chi_qq * det.chi_FF
+    return (abs(g_f) ** 2 * det.S_FF, abs(g_z) ** 2 * det.S_ZZ,
+            2.0 * (g_f.conjugate() * g_z * det.S_ZF).real)
+
+
+def _identity_cases():
+    """(config, omega) at every 20th preset grid point and on 16 oracle draws per variant."""
+    presets_ = {**presets.fig2a_configs(), "toy": presets.fig2b_config()}
+    for name, config in presets_.items():
+        grid = presets.fig2b_grid() if name == "toy" else presets.fig2a_grid()
+        yield from ((config, omega) for omega in grid[::20])
+    for variant in ("standard", "cqnc", "toy"):
+        rng = np.random.default_rng(["standard", "cqnc", "toy"].index(variant) + 107)
+        yield from (_oracle_draw(rng, variant, k) for k in range(16))
+
+
+def test_sensitivity_is_scaled_added_noise_for_every_scheme():
+    # S_f |chi_qx|^2 = S'_f, within 1e-13 of S'_f's largest term: the g^2 terms
+    # of S'_f cancel down to the coupling-independent floor
+    variants = set()
+    for config, omega in _identity_cases():
+        det = linresp.extract_detector(config, omega)
+        scale = max(abs(t) for t in _sprime_terms(det))
+        s_f = noise.sensitivity_at(config, omega)
+        assert abs(linresp.sprime_f(det) - s_f * abs(det.chi_qx) ** 2) <= 1e-13 * scale
+        assert abs(linresp.sprime_f(det) - sum(_sprime_terms(det))) <= 1e-13 * scale
+        variants.add(config.variant)
+    assert variants == {"standard", "cqnc", "toy"}
 
 
 class TestGOptimizedBound:
@@ -216,16 +274,33 @@ class TestGOptimizedBound:
             assert linresp.g_optimized_bound(det) >= floor * (1 - 1e-9) - 1e-12
 
 
+def spectral_matrix(s, chi):
+    """Hermitian matrix M = S - i (chi - chi^dagger)/2 whose positivity encodes
+    the spectral uncertainty relations of an operator pair."""
+    s = np.asarray(s, dtype=complex)
+    chi = np.asarray(chi, dtype=complex)
+    return s - 1j * (chi - chi.conj().T) / 2.0
+
+
+def detector_spectral_matrix(det):
+    # pair (F, Z) with chi_ZF = 1 and chi_ZZ = chi_FZ = 0 by convention
+    s = np.array(
+        [[det.S_FF, det.S_ZF.conjugate()], [det.S_ZF, det.S_ZZ]], dtype=complex
+    )
+    chi = np.array([[det.chi_FF, 0.0], [1.0, 0.0]], dtype=complex)
+    return spectral_matrix(s, chi)
+
+
 class TestUncertainty:
     def test_vacuum_saturates(self):
-        report = linresp.uncertainty_check(make_detector())
-        assert report.holds
-        assert report.slack == pytest.approx(0.0, abs=1e-12)
+        slack = linresp.uncertainty_slack(make_detector())
+        assert slack >= -1e-9
+        assert slack == pytest.approx(0.0, abs=1e-12)
 
     def test_sub_heisenberg_fails(self):
-        report = linresp.uncertainty_check(make_detector(S_FF=0.1, S_ZZ=0.1))
-        assert not report.holds
-        assert report.slack == pytest.approx(-0.24, abs=1e-12)
+        slack = linresp.uncertainty_slack(make_detector(S_FF=0.1, S_ZZ=0.1))
+        assert not slack >= -1e-9
+        assert slack == pytest.approx(-0.24, abs=1e-12)
 
     def test_extracted_standard_detector_holds(self):
         rng = np.random.default_rng(67)
@@ -234,11 +309,24 @@ class TestUncertainty:
             cfg = SchemeConfig(
                 "standard", params, readout_angle=float(rng.uniform(-1.2, 1.2))
             )
-            report = linresp.uncertainty_check(
-                linresp.extract_detector(cfg, omega, input_spectrum=vacuum())
-            )
-            assert report.holds
-            assert report.matrix_positive
+            det = linresp.extract_detector(cfg, omega, input_spectrum=vacuum())
+            assert linresp.uncertainty_slack(det) >= -1e-9
+            assert np.linalg.eigvalsh(detector_spectral_matrix(det)).min() >= -1e-9
+
+    @pytest.mark.parametrize("variant", ["standard", "cqnc", "toy"])
+    def test_extracted_detectors_hold(self, variant):
+        # squeezed readout input, random readout angle; the cqnc detector
+        # carries the ancilla's noise too
+        rng = np.random.default_rng(["standard", "cqnc", "toy"].index(variant) + 113)
+        for k in range(24):
+            config, omega = _oracle_draw(rng, variant, k)
+            config = replace(config, readout_angle=rng.uniform(-1.3, 1.3))
+            spectrum = squeeze_spectrum(rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi))
+            det = linresp.extract_detector(config, omega, input_spectrum=spectrum)
+            assert linresp.uncertainty_slack(det) >= -1e-9
+        for g in (-10.0, 3.7, 1e3):
+            det = linresp.extract_detector(SchemeConfig(variant, replace(FIG2A, g=g)), 0.5)
+            assert linresp.uncertainty_slack(det) >= -1e-9
 
     def test_matrix_positivity_equals_scalar_relations(self):
         # positivity of the 2x2 spectral matrix is the same predicate as the
@@ -250,7 +338,7 @@ class TestUncertainty:
             s21 = complex(rng.normal(0, 0.7), rng.normal(0, 0.7))
             s = np.array([[s11, s21.conjugate()], [s21, s22]])
             chi = rng.normal(0, 0.7, size=(2, 2)) + 1j * rng.normal(0, 0.7, size=(2, 2))
-            m = linresp.spectral_matrix(s, chi)
+            m = spectral_matrix(s, chi)
             assert np.allclose(m, m.conj().T)
             eigenvalues = np.linalg.eigvalsh(m)
             det = float(np.real(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
@@ -262,6 +350,12 @@ class TestUncertainty:
             by_scalars = m[0, 0].real >= 0.0 and m[1, 1].real >= 0.0 and det >= 0.0
             assert by_eigenvalues == by_scalars
             checked += 1
+
+
+def combined_sensitivity(params, omega, cq):
+    """S_f reassembled from the combined-scheme quantities."""
+    inv_chi = bounds.inverse_chi_mech(params, omega)
+    return 2.0 * inv_chi.real * cq.H + cq.K + abs(inv_chi) ** 2 * cq.L
 
 
 class TestCombinedQuantities:
@@ -302,11 +396,11 @@ class TestCombinedQuantities:
             cq = linresp.combined_quantities(
                 params, omega, math.tan(phi), uvw, params.g
             )
-            assert linresp.combined_sensitivity(params, omega, cq) == pytest.approx(
+            assert combined_sensitivity(params, omega, cq) == pytest.approx(
                 noise.sensitivity_at(cfg, omega), rel=1e-9
             )
             # chain endpoint: the combined scheme still obeys the dissipation bound
-            assert linresp.combined_sensitivity(params, omega, cq) >= bounds.uql(
+            assert combined_sensitivity(params, omega, cq) >= bounds.uql(
                 params, omega
             ) * (1 - 1e-9)
 

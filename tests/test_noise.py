@@ -4,7 +4,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_linsys import _mp_resolvent
 
@@ -519,6 +519,47 @@ def test_failure_is_the_first_in_grid_order(case):
                 noise.sensitivity_spectrum(config, grid[grid < failure.omega])
     else:
         assert all(np.isfinite(getattr(spec, c)).all() for c in ("s_f", "guql"))
+
+
+@st.composite
+def stable_schemes(draw, variant):
+    """A stable scheme: Omega, Gamma, gamma and |g| log-uniform over four decades.
+
+    standard gets a readout angle, a detuning and a squeezed input, toy a
+    readout angle and eta in [-5, 5]; unstable draws are rejected.
+    """
+    decade = st.floats(-2.0, 2.0)
+    standard = variant == "standard"
+    params = DetectorParams(
+        Omega=10.0 ** draw(decade), Gamma=10.0 ** draw(decade), gamma=10.0 ** draw(decade),
+        Delta=draw(st.floats(-4.0, 4.0)) if standard else 0.0,
+        g=10.0 ** draw(decade) * draw(st.sampled_from([-1.0, 1.0])),
+    )
+    spectrum = vacuum()
+    if standard:
+        spectrum = squeeze_spectrum(draw(st.floats(0.0, 1.5)),
+                                    draw(st.floats(-math.pi, math.pi)))
+    config = SchemeConfig(
+        variant, params, input_spectrum=spectrum, eta=draw(st.floats(-5.0, 5.0)),
+        readout_angle=0.0 if variant == "cqnc" else draw(st.floats(-1.3, 1.3)),
+    )
+    try:
+        build(config)
+    except UnstableModel:
+        assume(False)
+    return config
+
+
+@pytest.mark.parametrize("variant", ["standard", "cqnc", "toy"])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_sensitivity_obeys_the_generalized_uql(variant, data):
+    # the paper's inequality for any linear detector: S_f >= gUQL >= optimal UQL
+    config = data.draw(stable_schemes(variant))
+    omega = config.params.Omega
+    spec = noise.sensitivity_spectrum(config, np.geomspace(omega / 100, omega * 100, 64))
+    assert (spec.s_f >= spec.guql * (1 - 1e-9)).all()
+    assert (spec.guql >= spec.opt_uql * (1 - 1e-12)).all()
 
 
 def _mp_sensitivity(config, omega):
