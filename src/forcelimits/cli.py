@@ -312,17 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     spectrum.set_defaults(func=cmd_spectrum)
 
-    fig2a = sub.add_parser(
-        "fig2a", help="emit the four benchmark readout-strategy spectra"
-    )
-    fig2a.add_argument("--outdir", default=".")
-    fig2a.set_defaults(func=cmd_fig2a)
-
-    fig2b = sub.add_parser(
-        "fig2b", help="emit the mixed-coupling benchmark spectrum"
-    )
-    fig2b.add_argument("--outdir", default=".")
-    fig2b.set_defaults(func=cmd_fig2b)
+    for name, func, summary in [
+        ("fig2a", cmd_fig2a, "emit the four benchmark readout-strategy spectra"),
+        ("fig2b", cmd_fig2b, "emit the mixed-coupling benchmark spectrum"),
+    ]:
+        preset = sub.add_parser(name, help=summary)
+        preset.add_argument("--outdir", default=".")
+        preset.set_defaults(func=func)
 
     verify_cmd = sub.add_parser("verify", help="run a verification suite")
     verify_cmd.add_argument("suite", choices=verify.SUITES + ("all",))

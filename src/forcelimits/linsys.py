@@ -1,15 +1,16 @@
 """Frequency-domain machinery for linear stochastic detector models.
 
 A model is dx/dt = A x + w with a real drift matrix A and white-noise inputs
-entering pairs of quadrature rows at rate sqrt(kappa).  Stationary spectra
-follow from x(w) = -(A + i w I)^(-1) w(w); outgoing fields obey the
-input-output relation out = sqrt(kappa) * (intracavity) - in.
+entering pairs of quadrature rows at rate sqrt(kappa); outgoing fields obey
+out = sqrt(kappa) * (intracavity) - in.  Spectra come from the adjoint solve
+m y = -b, m = (A + i w I)^T, a block of frequencies at a time: one inverse, a
+1-norm condition test with ||m||_1 read off A, and one refinement step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -32,6 +33,9 @@ class DriftMatrix:
     """Real drift matrix of the state quadratures."""
 
     entries: NDArray[np.float64]
+    #: set once per model: A^T in extended precision and each row's sum of |a_kj|, j != k
+    transposed_hi: NDArray[np.clongdouble] = field(init=False, repr=False, compare=False)
+    off_diagonal: NDArray[np.float64] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
@@ -43,6 +47,9 @@ class DriftMatrix:
             raise ValueError("state dimension must be a positive even number")
         if not np.isfinite(entries).all():
             raise ValueError("drift entries must be finite")
+        object.__setattr__(self, "transposed_hi", entries.T.astype(np.clongdouble))
+        object.__setattr__(self, "off_diagonal",
+                           np.abs(entries).sum(axis=1) - np.abs(entries.diagonal()))
 
     @property
     def n(self) -> int:
@@ -78,8 +85,7 @@ class LinearModel:
         n = self.drift.n
         if not 0 <= self.force_row < n:
             raise ValueError("force_row out of range")
-        readouts = [ch for ch in self.channels if ch.is_readout]
-        if len(readouts) != 1:
+        if sum(ch.is_readout for ch in self.channels) != 1:
             raise ValueError("exactly one channel must be the readout")
         for ch in self.channels:
             if not all(0 <= r < n for r in ch.rows):
@@ -108,22 +114,26 @@ def stability_check(drift: DriftMatrix) -> tuple[bool, NDArray[np.complex128]]:
     return stable, eigenvalues
 
 
-def _cond1(m: NDArray[np.complex128], inv: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """1-norm condition numbers ||m||_1 ||m^-1||_1 of a stack and its inverse."""
-    return np.abs(m).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
+def _cond1(drift: DriftMatrix, omegas, inv: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """1-norm condition numbers of the stack m = (A + i w I)^T, given its inverse."""
+    diagonal = drift.entries.diagonal()[:, None]
+    norm = (drift.off_diagonal[:, None] + np.hypot(diagonal, omegas)).max(axis=0)
+    # |m^-1| copied to (i, j, w) order, so the sum and the max run along whole rows
+    return norm * np.abs(inv).transpose(1, 2, 0).copy().sum(axis=0).max(axis=0)
 
 
-def inverted_system(
-    model: LinearModel, omegas: NDArray[np.float64]
-) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """Stack of (A + i w I)^T, one per frequency, and its inverse.
+def inverted_system(model: LinearModel, omegas: NDArray[np.float64]) -> NDArray[np.complex128]:
+    """Stack of the inverses of m = (A + i w I)^T, one per frequency.
 
-    The first w whose 1-norm condition number exceeds the limit raises.  An
-    exactly singular matrix makes the batched inverse fail for the whole
-    stack; the stack is then inverted point by point, and a matrix that
-    fails to invert counts as infinitely ill-conditioned.
+    The first w whose 1-norm condition number ||m||_1 ||m^-1||_1 exceeds the
+    limit raises.  Column k of m is row k of A with a_kk + i w on the diagonal,
+    so ||m||_1 = max_k (sum_{j != k} |a_kj| + hypot(a_kk, w)), O(n) per w.  An
+    exactly singular m fails the batched inverse; the stack is then inverted
+    point by point, and a failing matrix counts as infinitely ill-conditioned.
     """
-    m = model.drift.entries.T + 1j * omegas[:, None, None] * np.eye(model.drift.n)
+    n = model.drift.n
+    m = np.repeat(model.drift.entries.T[None].astype(complex), len(omegas), axis=0)
+    m.reshape(-1, n * n)[:, ::n + 1] += 1j * omegas[:, None]  # every diagonal
     try:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError:
@@ -133,32 +143,30 @@ def inverted_system(
                 inv[k] = np.linalg.inv(mk)
             except np.linalg.LinAlgError:
                 pass
-    SingularAtFrequency.at_first(omegas, ~(_cond1(m, inv) <= _COND_LIMIT))
-    return m, inv
+    SingularAtFrequency.at_first(omegas, ~(_cond1(model.drift, omegas, inv) <= _COND_LIMIT))
+    return inv
 
 
 def refined_solve(
-    m: NDArray[np.complex128], inv: NDArray[np.complex128],
+    drift: DriftMatrix, inv: NDArray[np.complex128],
     omegas: NDArray[np.float64], b: NDArray[np.float64],
 ) -> NDArray[np.complex128]:
-    """Solve m y = -b at every w in omegas, given the stack m and its inverse.
+    """Solve (A + i w I)^T y = -b at every w in omegas, given the inverse stack.
 
     A b of shape (n,) gives y of shape (N, n); a b of shape (n, k) solves its
     k columns together and gives (N, n, k).
 
-    The solve is the inverse applied to -b, then two steps of mixed-precision
-    iterative refinement.  The schemes cancel large internal paths exactly;
-    refining with the residual accumulated in extended precision keeps that
-    cancellation at working precision instead of at the magnitude of the
-    intermediates.
+    The solve is the inverse applied to -b, then one step of mixed-precision
+    iterative refinement, its residual -b - (A^T y + i w y) accumulated in
+    extended precision from the real n x n drift.  The schemes cancel large
+    internal paths exactly; that residual keeps the cancellation at working
+    precision, and one step reaches the limit its precision sets.
     """
-    rhs = -np.reshape(b, (m.shape[-1], -1))
+    rhs = -np.reshape(b, (drift.n, -1))
     y = inv @ rhs
-    m_hi = m.astype(np.clongdouble)
-    rhs_hi = rhs.astype(np.clongdouble)
-    for _ in range(2):
-        residual = rhs_hi - m_hi @ y.astype(np.clongdouble)
-        y = y + inv @ residual.astype(np.complex128)
+    y_hi = y.astype(np.clongdouble)
+    residual = rhs - (drift.transposed_hi @ y_hi + 1j * omegas[:, None, None] * y_hi)
+    y = y + inv @ residual.astype(np.complex128)
     SingularAtFrequency.at_first(
         omegas, ~np.isfinite(y).all(axis=(1, 2)), "non-finite transfer entries"
     )
@@ -173,7 +181,7 @@ def adjoint_response(
     Entry k of y is the response of the state functional b . x to a unit
     drive of state row k.  It is inverted_system followed by refined_solve.
     """
-    return refined_solve(*inverted_system(model, omegas), omegas, b)
+    return refined_solve(model.drift, inverted_system(model, omegas), omegas, b)
 
 
 def quadrature(phi: float) -> NDArray[np.float64]:

@@ -107,14 +107,13 @@ def _sensitivity(
     budget = noise_budget(config, model)
     d = quadrature(config.readout_angle)
     b = readout_drive(model, d)
-    channels = [ch for ch in model.channels if ch.id in budget]
     s_f = np.empty_like(omegas)
     for start in range(0, len(omegas), _BLOCK):
         block = omegas[start:start + _BLOCK]
-        m, inv = inverted_system(model, block)
-        y = refined_solve(m, inv, block, b)
+        inv = inverted_system(model, block)
+        y = refined_solve(model.drift, inv, block, b)
         v = -channel_output(model.readout, inv[:, model.force_row])
-        coeffs = {ch.id: channel_output(ch, y, d) for ch in channels}
+        coeffs = {ch.id: channel_output(ch, y, d) for ch in model.channels if ch.id in budget}
         s_f[start:start + _BLOCK] = power_density(
             _per_force(coeffs, y[:, model.force_row], v, block), budget
         )
@@ -141,11 +140,8 @@ class SensitivitySpectrum:
     columns = ("omega", "s_f", "sql", "uql", "guql", "opt_uql")
 
     def __post_init__(self):
-        lengths = {
-            len(self.omegas), len(self.s_f), len(self.sql),
-            len(self.uql), len(self.guql), len(self.opt_uql),
-        }
-        if len(lengths) != 1:
+        cols = (self.omegas, self.s_f, self.sql, self.uql, self.guql, self.opt_uql)
+        if len({len(c) for c in cols}) != 1:
             raise ValueError("all spectrum columns must have the same length")
 
 

@@ -51,13 +51,14 @@ def thermal(n_th: float) -> QuadratureSpectrum:
 def squeeze_spectrum(s: float, theta_sq: float) -> QuadratureSpectrum:
     """Pure squeezed input with squeezing factor s and angle theta_sq.
 
-    Saturates the Heisenberg bound exactly, u*v - w^2 = 1/4, and s = 0
-    returns the vacuum.
+    u = (e^(2s) sin^2 theta + e^(-2s) cos^2 theta)/2 and v (sin, cos swapped)
+    add positive terms, so they do not cancel at large s; u*v - w^2 = 1/4.
     """
-    ch = math.cosh(2.0 * s)
-    sh = math.sinh(2.0 * s)
+    grow, shrink = math.exp(2.0 * s), math.exp(-2.0 * s)
+    sin2 = math.sin(theta_sq) ** 2
+    cos2 = 1.0 - sin2  # sin2 + cos2 is exactly 1: s = 0 gives the vacuum
     return QuadratureSpectrum(
-        u=(ch - sh * math.cos(2.0 * theta_sq)) / 2.0,
-        v=(ch + sh * math.cos(2.0 * theta_sq)) / 2.0,
-        w=-(sh * math.sin(2.0 * theta_sq)) / 2.0,
+        u=(grow * sin2 + shrink * cos2) / 2.0,
+        v=(grow * cos2 + shrink * sin2) / 2.0,
+        w=-math.sinh(2.0 * s) * math.sin(2.0 * theta_sq) / 2.0,
     )

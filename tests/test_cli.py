@@ -530,6 +530,70 @@ def test_spectrum_ends_in_csv_or_one_line(scheme, spacing, points, numbers):
         assert code or second.read_bytes() == first.read_bytes()
 
 
+
+RUN_KEYS = [key for section in cli._DEFAULTS.values() for key in section]
+
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(["standard", "cqnc", "toy", "Toy", "linear", "log", "", "%"]),
+    st.integers(-3, 40).map(str),
+    (EDGE_FLOATS | st.floats()).map(repr),
+    st.text(max_size=8),
+)
+
+CONFIG_PAIRS = st.builds(
+    "{}{}{}".format, st.sampled_from(RUN_KEYS) | st.text(min_size=1, max_size=6),
+    st.sampled_from(["=", " = ", ":", " : "]), CONFIG_VALUES,
+)
+
+CONFIG_LINES = st.one_of(
+    CONFIG_PAIRS, CONFIG_PAIRS, CONFIG_PAIRS,  # most lines are key-value pairs
+    st.text(max_size=8).map(" {}".format),  # a continuation line
+    st.sampled_from(["", "# comment", "; comment", "[scheme", "= 3"]),
+)
+
+CONFIG_SECTIONS = st.lists(st.tuples(
+    st.sampled_from(["scheme", "grid"]) | st.just("Grid") | st.text(min_size=1, max_size=6),
+    st.lists(CONFIG_LINES, max_size=6),
+), max_size=3, unique_by=lambda section: section[0])
+
+
+@given(sections=CONFIG_SECTIONS, junk=st.just(b"") | st.binary(min_size=1, max_size=3),
+       at=st.integers(0, 200))
+@example(sections=[("scheme", ["variant = cqnc"]), ("grid", ["points = 3"])], junk=b"", at=0)
+@example(sections=[("grid", ["points = 3"])], junk=b"\xff", at=9)
+@example(sections=[("scheme", ["g = 1", " 2"])], junk=b"", at=0)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_config_file_ends_in_csv_or_one_line(sections, junk, at):
+    # a --config file of junk ends like any flags do: a finite CSV with exit 0,
+    # or one stderr line with exit 2, 3 or 4
+    lines = [line for name, body in sections for line in (f"[{name}]", *body)]
+    content = "\n".join(lines).encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "out.csv"
+        cfg.write_bytes(content[:at] + junk + content[at:])
+        code, err = run_main(["spectrum", "--config", str(cfg), "--output", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+            assert "Traceback" not in err
+        else:
+            assert err == ""
+            _, data = parse_csv(out.read_text(encoding="utf-8"))
+            assert data.ndim == 2 and data.shape[1] == 6 and np.isfinite(data).all()
+
+
+def test_large_squeezing_runs():
+    # u and v of a squeezed input are sums of positive terms: s = 7 does not
+    # cancel below the Heisenberg bound
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        code, err = run_main(["spectrum", "--squeeze", "7", "--points", "3",
+                              "--output", str(out)])
+        assert (code, err) == (0, "")
+        _, data = parse_csv(out.read_text(encoding="utf-8"))
+        assert data.shape == (3, 6) and np.isfinite(data).all()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test dependency only: the CLI imports and certifies without it
     script = (

@@ -268,8 +268,11 @@ def test_condition_number_against_numpy(variant):
     for k in range(8):
         config, omega = _oracle_draw(rng, variant, k)
         omegas = np.append(rng.uniform(0.01, 12.0, size=15), omega)
-        m, inv = linsys.inverted_system(build(config), omegas)
-        assert np.allclose(linsys._cond1(m, inv), np.linalg.cond(m, 1), rtol=1e-12, atol=0)
+        model = build(config)
+        inv = linsys.inverted_system(model, omegas)
+        m = model.drift.entries.T + 1j * omegas[:, None, None] * np.eye(model.drift.n)
+        cond = linsys._cond1(model.drift, omegas, inv)
+        assert np.allclose(cond, np.linalg.cond(m, 1), rtol=1e-12, atol=0)
 
 
 def _oracle_draw(rng, variant, k):

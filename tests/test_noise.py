@@ -54,6 +54,13 @@ class TestQuadratureSpectrum:
         spec = squeeze_spectrum(s, theta)
         assert spec.u * spec.v - spec.w**2 == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2])
+    def test_strong_squeezing_saturates_heisenberg(self, theta):
+        # u and v are sums of positive terms, so they do not cancel as s grows
+        for s in np.linspace(0.0, 10.0, 101):
+            spec = squeeze_spectrum(float(s), theta)
+            assert spec.u * spec.v - spec.w**2 == pytest.approx(0.25, abs=1e-15)
+
 
 class TestAddedNoise:
     def test_resonant_coefficients(self):
@@ -598,6 +605,27 @@ def test_sensitivity_against_50_digit_oracle(name):
     s_f = noise.sensitivity_spectrum(config, omegas).s_f
     oracle = [_mp_sensitivity(config, omega) for omega in omegas]
     np.testing.assert_allclose(s_f, oracle, rtol=1e-12, atol=0)
+
+
+
+@pytest.mark.parametrize("name", ["standard", "cqnc", "toy"])
+def test_refined_solve_near_an_undamped_resonance(name):
+    # Gamma from 1e-6 to 1e-12 and omega just above Omega: kappa_1 of the
+    # solve runs from 7e4 to 3e11.  Refining with an extended-precision
+    # residual holds standard and toy at 1e-13.  cqnc cancels its backaction
+    # and loses digits in proportion to kappa_1: one step gives at most
+    # 1.5e-23 kappa_1 here (3.3e-12 at kappa_1 = 2.9e11), two steps 1.1e-22
+    # kappa_1, and a 64-bit residual or no step at all 4e-17 kappa_1 or more
+    config = presets.fig2b_config() if name == "toy" else presets.fig2a_configs()[name]
+    for gamma_m in (1e-6, 1e-8, 1e-10, 1e-12):
+        config = replace(config, params=replace(config.params, Gamma=gamma_m))
+        omegas = config.params.Omega * (1.0 + np.array([1e-7, 1e-6, 1e-5, 1e-4, 1e-3]))
+        s_f = noise.sensitivity_spectrum(config, omegas).s_f
+        err = np.abs(s_f / [_mp_sensitivity(config, w) for w in omegas] - 1.0)
+        drift = build(config).drift
+        m = drift.entries.T + 1j * omegas[:, None, None] * np.eye(drift.n)
+        bound = 1e-21 * np.linalg.cond(m, 1) if name == "cqnc" else 1e-13
+        assert (err <= bound).all(), (gamma_m, err)
 
 
 def test_floor_is_relative_to_the_solved_response():
