@@ -22,7 +22,6 @@ from .linresp import (
     uncertainty_slack,
 )
 from .linsys import (
-    DriftMatrix,
     FrequencyResponse,
     LinearModel,
     NoiseChannel,

@@ -26,7 +26,7 @@ from numpy.typing import NDArray
 
 from . import bounds
 from .errors import DegenerateReadout, ZeroCoupling, ZeroFrequencyFeedback
-from .linsys import DriftMatrix, LinearModel, adjoint_response, channel_output
+from .linsys import LinearModel, adjoint_response, channel_output
 from .linsys import quadrature, readout_drive
 from .noise import noise_budget
 from .schemes import VARIANTS, DetectorParams, SchemeConfig, build, conjugate_drive
@@ -153,8 +153,7 @@ def _detector_model(config: SchemeConfig) -> LinearModel:
     model = build(config)
     x, f = VARIANTS[config.variant].couplings[0]
     q = x + config.coupling_mix * conjugate_drive(x)  # J x is p
-    drift = model.drift.entries - config.params.g * coupling_drift(q, f)
-    return replace(model, drift=DriftMatrix(drift))
+    return replace(model, drift=model.drift - config.params.g * coupling_drift(q, f))
 
 
 def extract_detector(

@@ -10,7 +10,7 @@ m y = -b, m = (A + i w I)^T, a block of frequencies at a time: one inverse, a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -26,34 +26,6 @@ STABILITY_TOL = 1e-12
 
 #: 1-norm condition number beyond which a solve is treated as singular
 _COND_LIMIT = 1e14
-
-
-@dataclass(frozen=True)
-class DriftMatrix:
-    """Real drift matrix of the state quadratures."""
-
-    entries: NDArray[np.float64]
-    #: set once per model: A^T in extended precision and each row's sum of |a_kj|, j != k
-    transposed_hi: NDArray[np.clongdouble] = field(init=False, repr=False, compare=False)
-    off_diagonal: NDArray[np.float64] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", entries)
-        n = entries.shape[0]
-        if entries.ndim != 2 or entries.shape != (n, n):
-            raise ValueError("drift matrix must be square")
-        if n == 0 or n % 2 != 0:
-            raise ValueError("state dimension must be a positive even number")
-        if not np.isfinite(entries).all():
-            raise ValueError("drift entries must be finite")
-        object.__setattr__(self, "transposed_hi", entries.T.astype(np.clongdouble))
-        object.__setattr__(self, "off_diagonal",
-                           np.abs(entries).sum(axis=1) - np.abs(entries.diagonal()))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -75,14 +47,22 @@ class NoiseChannel:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Drift matrix plus noise-channel wiring and readout for one scheme."""
+    """Real drift matrix plus noise-channel wiring and readout for one scheme."""
 
-    drift: DriftMatrix
+    drift: NDArray[np.float64]
     channels: tuple[NoiseChannel, ...]
     force_row: int
 
     def __post_init__(self):
-        n = self.drift.n
+        drift = np.asarray(self.drift, dtype=float)
+        object.__setattr__(self, "drift", drift)
+        n = drift.shape[0]
+        if drift.ndim != 2 or drift.shape != (n, n):
+            raise ValueError("drift matrix must be square")
+        if n == 0 or n % 2 != 0:
+            raise ValueError("state dimension must be a positive even number")
+        if not np.isfinite(drift).all():
+            raise ValueError("drift entries must be finite")
         if not 0 <= self.force_row < n:
             raise ValueError("force_row out of range")
         if sum(ch.is_readout for ch in self.channels) != 1:
@@ -107,17 +87,18 @@ class FrequencyResponse:
     readout_id: str
 
 
-def stability_check(drift: DriftMatrix) -> tuple[bool, NDArray[np.complex128]]:
+def stability_check(drift: NDArray[np.float64]) -> tuple[bool, NDArray[np.complex128]]:
     """Return (stable, eigenvalues); stable means all real parts <= tolerance."""
-    eigenvalues = np.linalg.eigvals(drift.entries)
+    eigenvalues = np.linalg.eigvals(drift)
     stable = bool(eigenvalues.real.max() <= STABILITY_TOL)
     return stable, eigenvalues
 
 
-def _cond1(drift: DriftMatrix, omegas, inv: NDArray[np.complex128]) -> NDArray[np.float64]:
+def _cond1(drift: NDArray[np.float64], omegas, inv: NDArray[np.complex128]) -> NDArray[np.float64]:
     """1-norm condition numbers of the stack m = (A + i w I)^T, given its inverse."""
-    diagonal = drift.entries.diagonal()[:, None]
-    norm = (drift.off_diagonal[:, None] + np.hypot(diagonal, omegas)).max(axis=0)
+    diagonal = drift.diagonal()
+    others = np.abs(drift).sum(axis=1) - np.abs(diagonal)  # sum_{j != k} |a_kj|
+    norm = (others[:, None] + np.hypot(diagonal[:, None], omegas)).max(axis=0)
     # |m^-1| copied to (i, j, w) order, so the sum and the max run along whole rows
     return norm * np.abs(inv).transpose(1, 2, 0).copy().sum(axis=0).max(axis=0)
 
@@ -131,8 +112,8 @@ def inverted_system(model: LinearModel, omegas: NDArray[np.float64]) -> NDArray[
     exactly singular m fails the batched inverse; the stack is then inverted
     point by point, and a failing matrix counts as infinitely ill-conditioned.
     """
-    n = model.drift.n
-    m = np.repeat(model.drift.entries.T[None].astype(complex), len(omegas), axis=0)
+    n = len(model.drift)
+    m = np.repeat(model.drift.T[None].astype(complex), len(omegas), axis=0)
     m.reshape(-1, n * n)[:, ::n + 1] += 1j * omegas[:, None]  # every diagonal
     try:
         inv = np.linalg.inv(m)
@@ -148,7 +129,7 @@ def inverted_system(model: LinearModel, omegas: NDArray[np.float64]) -> NDArray[
 
 
 def refined_solve(
-    drift: DriftMatrix, inv: NDArray[np.complex128],
+    drift: NDArray[np.float64], inv: NDArray[np.complex128],
     omegas: NDArray[np.float64], b: NDArray[np.float64],
 ) -> NDArray[np.complex128]:
     """Solve (A + i w I)^T y = -b at every w in omegas, given the inverse stack.
@@ -162,10 +143,10 @@ def refined_solve(
     internal paths exactly; that residual keeps the cancellation at working
     precision, and one step reaches the limit its precision sets.
     """
-    rhs = -np.reshape(b, (drift.n, -1))
+    rhs = -np.reshape(b, (len(drift), -1))
     y = inv @ rhs
     y_hi = y.astype(np.clongdouble)
-    residual = rhs - (drift.transposed_hi @ y_hi + 1j * omegas[:, None, None] * y_hi)
+    residual = rhs - (drift.T.astype(np.clongdouble) @ y_hi + 1j * omegas[:, None, None] * y_hi)
     y = y + inv @ residual.astype(np.complex128)
     SingularAtFrequency.at_first(
         omegas, ~np.isfinite(y).all(axis=(1, 2)), "non-finite transfer entries"
@@ -195,7 +176,7 @@ def readout_drive(model: LinearModel, d: NDArray[np.float64]) -> NDArray[np.floa
     It is sqrt(rate) d on the readout rows; a d of shape (2, k) gives k columns.
     """
     readout = model.readout
-    b = np.zeros((model.drift.n,) + np.shape(d)[1:])
+    b = np.zeros((len(model.drift),) + np.shape(d)[1:])
     b[list(readout.rows)] = math.sqrt(readout.rate) * np.asarray(d)
     return b
 
@@ -226,7 +207,7 @@ def transfer(model: LinearModel, omega: float | NDArray[np.float64]) -> Frequenc
     eye = np.eye(2)
     omegas = np.asarray(omega, dtype=float)
     y = adjoint_response(model, omegas.reshape(-1), readout_drive(model, eye))
-    y = np.swapaxes(y, -1, -2).reshape(omegas.shape + (2, model.drift.n))
+    y = np.swapaxes(y, -1, -2).reshape(omegas.shape + (2, len(model.drift)))
     blocks = {ch.id: channel_output(ch, y, eye) for ch in model.channels}
     readout = model.readout
     return FrequencyResponse(

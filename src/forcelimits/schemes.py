@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds
 from .errors import InvalidConfig, ParametricDivergence, UnstableModel
-from .linsys import DriftMatrix, LinearModel, NoiseChannel, stability_check
+from .linsys import LinearModel, NoiseChannel, stability_check
 from .spectra import QuadratureSpectrum, thermal, vacuum
 
 MECHANICAL = "mechanical"
@@ -160,18 +160,17 @@ def build(config: SchemeConfig) -> LinearModel:
     }
     pairs = [(c, *blocks[c]) for c in variant.channels]
     coefficients = [x for _, rate, frequency, _ in pairs for x in (rate, frequency)]
-    drift = DriftMatrix(entries=variant.basis @ (coefficients + [p.g, mix]))
     channels = tuple([
         NoiseChannel(c, rate, (2 * k, 2 * k + 1), spectrum, c == READOUT)
         for k, (c, rate, _, spectrum) in enumerate(pairs)
     ])
+    model = LinearModel(variant.basis @ (coefficients + [p.g, mix]), channels, force_row=1)
 
-    stable, eigenvalues = stability_check(drift)
+    stable, eigenvalues = stability_check(model.drift)
     if not stable:
         raise UnstableModel(f"{config.variant} drift has eigenvalue real part "
                             f"{eigenvalues.real.max():.3e} > 0")
-
-    return LinearModel(drift=drift, channels=channels, force_row=1)
+    return model
 
 
 def closed_form_transfer(

@@ -23,9 +23,12 @@ class QuadratureSpectrum:
     w: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.u, self.v, self.w))):
+            raise ValueError("spectrum elements must be finite")
         if not (self.u > 0.0 and self.v > 0.0):
             raise ValueError("diagonal spectrum elements must be positive")
-        if self.u * self.v - self.w * self.w < 0.25 - _HEISENBERG_SLOP:
+        # written so that a NaN, from u*v and w^2 both overflowing, fails too
+        if not self.u * self.v - self.w * self.w >= 0.25 - _HEISENBERG_SLOP:
             raise ValueError("spectrum violates u*v - w^2 >= 1/4")
 
     def form(self, a, b):

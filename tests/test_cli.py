@@ -46,6 +46,7 @@ class TestFmt12:
 
     def test_zero(self):
         assert fmt12(0.0) == "0"
+        assert fmt12(-0.0) == "0"
 
     @given(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
     def test_matches_decimal_oracle(self, value):
@@ -412,6 +413,9 @@ class TestNumericalFailureInProcess:
     (["--scheme", "toy", "--eta", "1e308"], "g * eta overflows (g = -10.0, eta = 1e+308)"),
     (["--squeeze", "1", "--squeeze-angle", "1e308"],
      "2 * squeeze_angle overflows (squeeze_angle = 1e+308)"),
+    # u*v and w^2 both overflow: their NaN difference fails the Heisenberg check
+    (["--squeeze", "200", "--squeeze-angle", "0.3"],
+     "squeeze = 200.0 gives no valid input state: spectrum violates u*v - w^2 >= 1/4"),
 ])
 def test_invalid_number_is_a_configuration_error(capsys, flags, message):
     code = cli.main(["spectrum", "--points", "3", *flags])

@@ -176,3 +176,50 @@ def test_hand_located_raise_detector():
         "if x:\n    raise Failure(w, 'singular')\n"
     )
     assert hand_located_raises(ast.parse(source)) == [1, 2]
+
+
+def extended_precision_uses(tree):
+    """(enclosing definition, line) of each reference to clongdouble."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where != "<module>" else node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "clongdouble"
+                or isinstance(node, ast.Name) and node.id == "clongdouble"
+                or isinstance(node, ast.alias) and node.name == "clongdouble"
+                or isinstance(node, ast.Constant) and node.value == "clongdouble"):
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_extended_precision_stays_in_the_refinement():
+    # the residual's precision is decided on one line of linsys.refined_solve,
+    # the line a platform fallback replaces; no type or module caches it
+    stray = [(p.name, where, line) for p in sorted(PACKAGE.glob("*.py"))
+             for where, line in extended_precision_uses(ast.parse(p.read_text(encoding="utf-8")))
+             if (p.name, where) != ("linsys.py", "refined_solve")]
+    assert stray == []
+
+
+def test_extended_precision_detector():
+    source = (
+        "import numpy as np\n"
+        "from numpy import clongdouble\n"
+        "HI = np.clongdouble\n"
+        "class D:\n"
+        "    def __post_init__(self):\n"
+        "        self.t = self.e.astype(np.clongdouble)\n"
+        "def refined_solve(y):\n"
+        "    return y.astype(np.clongdouble), y.astype('clongdouble')\n"
+        "def other(y):\n"
+        "    return y.astype(np.complex128)\n"
+    )
+    assert extended_precision_uses(ast.parse(source)) == [
+        ("<module>", 2), ("<module>", 3), ("D.__post_init__", 6),
+        ("refined_solve", 8), ("refined_solve", 8),
+    ]

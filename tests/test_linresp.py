@@ -9,7 +9,6 @@ from test_linsys import _mp_resolvent, _oracle_draw
 
 from forcelimits import bounds, linresp, noise, presets
 from forcelimits.errors import FailureAtFrequency, ZeroCoupling, ZeroFrequencyFeedback
-from forcelimits.linsys import DriftMatrix
 from forcelimits.schemes import ANCILLA, READOUT, DetectorParams, SchemeConfig, build
 from forcelimits.spectra import squeeze_spectrum, vacuum
 from forcelimits.verify import (
@@ -97,11 +96,11 @@ class TestSprimeF:
         for k in range(150):
             config, _ = _oracle_draw(rng, variant, k)
             uncoupled = build(replace(config, params=replace(config.params, g=0.0)))
-            drift = build(config).drift.entries
-            detector = linresp._detector_model(config).drift.entries
-            assert detector.tobytes() == uncoupled.drift.entries.tobytes()
+            drift = build(config).drift
+            detector = linresp._detector_model(config).drift
+            assert detector.tobytes() == uncoupled.drift.tobytes()
             linresp.extract_detector(config, 0.5)
-            assert build(config).drift.entries.tobytes() == drift.tobytes()
+            assert build(config).drift.tobytes() == drift.tobytes()
 
     def test_toy_detector_matches_pipeline(self):
         # the mixed-coupling scheme maps onto the generic layer with
@@ -144,14 +143,14 @@ def _mp_detector(config, omega, spectrum):
     to zero for the toy and cqnc couplings).
     """
     model = build(replace(config, input_spectrum=spectrum))
-    n = model.drift.n
+    n = len(model.drift)
     toy = config.variant == "toy"
     q, f = np.zeros(n), np.zeros(n)
     q[:2] = 1.0, config.eta if toy else 0.0
     f[2:4] = 1.0, 1.0 if toy else 0.0
     j = np.kron(np.eye(n // 2), [[0.0, -1.0], [1.0, 0.0]])
     coupling = np.outer(j @ q, f) + np.outer(j @ f, q)
-    bare = replace(model, drift=DriftMatrix(model.drift.entries - config.params.g * coupling))
+    bare = replace(model, drift=model.drift - config.params.g * coupling)
     readout = model.readout
     rows = readout.rows
     drive = j @ f

@@ -10,13 +10,9 @@ from forcelimits.schemes import DetectorParams, SchemeConfig, build, closed_form
 from forcelimits.spectra import vacuum
 
 
-def drift(entries):
-    return linsys.DriftMatrix(entries=np.asarray(entries, dtype=float))
-
-
 class TestStability:
     def test_diagonal_decay(self):
-        stable, eigenvalues = linsys.stability_check(drift(-np.eye(4)))
+        stable, eigenvalues = linsys.stability_check(-np.eye(4))
         assert stable
         assert np.allclose(eigenvalues, -1.0)
 
@@ -38,15 +34,22 @@ class TestStability:
             [0, 0, -gamma_c / 2, 0],
             [g, 0, 0, -gamma_c / 2],
         ]
-        stable, eigenvalues = linsys.stability_check(drift(entries))
+        stable, eigenvalues = linsys.stability_check(np.asarray(entries, dtype=float))
         assert not stable
         assert np.max(eigenvalues.real) > 0.1
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            drift(np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            drift(np.zeros((2, 4)))
+        # the model validates its drift first, each fault with its own message
+        channels = (linsys.NoiseChannel("a", 1.0, (0, 1), vacuum(), is_readout=True),)
+        for entries, message in [
+            (np.zeros((2, 4)), "drift matrix must be square"),
+            (np.zeros((3, 3)), "state dimension must be a positive even number"),
+            (np.zeros((0, 0)), "state dimension must be a positive even number"),
+            (np.diag([-1.0, np.nan]), "drift entries must be finite"),
+            (np.diag([-1.0, np.inf]), "drift entries must be finite"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                linsys.LinearModel(drift=entries, channels=channels, force_row=1)
 
 
 @pytest.fixture
@@ -57,7 +60,7 @@ def standard_model():
 
 def solve(model, omega, w):
     """The refined solve of (A + i w I) x = -w: adjoint_response of the transposed drift."""
-    transposed = replace(model, drift=drift(model.drift.entries.T))
+    transposed = replace(model, drift=model.drift.T)
     return linsys.adjoint_response(
         transposed, np.array([omega], dtype=float), np.asarray(w, dtype=complex)
     )[0]
@@ -66,7 +69,7 @@ def solve(model, omega, w):
 class TestSolveFrequency:
     def test_identity_drift(self):
         model = linsys.LinearModel(
-            drift=drift(-np.eye(4)),
+            drift=-np.eye(4),
             channels=(
                 linsys.NoiseChannel("a", 1.0, (0, 1), vacuum()),
                 linsys.NoiseChannel("b", 1.0, (2, 3), vacuum(), is_readout=True),
@@ -82,7 +85,7 @@ class TestSolveFrequency:
             omega = rng.uniform(1e-3, 10.0)
             w = rng.normal(size=4) + 1j * rng.normal(size=4)
             x = solve(standard_model, omega, w)
-            m = standard_model.drift.entries + 1j * omega * np.eye(4)
+            m = standard_model.drift + 1j * omega * np.eye(4)
             assert np.linalg.norm(m @ x + w) < 1e-12 * np.linalg.norm(w)
 
     def test_linearity(self, standard_model):
@@ -109,11 +112,11 @@ class TestSolveFrequency:
         cases.append((fig2b_config(), fig2b_grid()))
         for cfg, grid in cases:
             model = build(cfg)
-            n = model.drift.n
+            n = len(model.drift)
             for omega in grid[:: len(grid) // 16]:
                 w = rng.normal(size=n) + 1j * rng.normal(size=n)
                 x = solve(model, omega, w)
-                m = model.drift.entries + 1j * omega * np.eye(n)
+                m = model.drift + 1j * omega * np.eye(n)
                 assert np.linalg.norm(m @ x + w) < 1e-12 * np.linalg.norm(w)
 
 
@@ -169,7 +172,7 @@ class TestTransfer:
             linsys.NoiseChannel("b", 1.0, (2, 3), vacuum()),
         )
         with pytest.raises(ValueError):
-            linsys.LinearModel(drift=drift(-np.eye(4)), channels=channels, force_row=1)
+            linsys.LinearModel(drift=-np.eye(4), channels=channels, force_row=1)
         with pytest.raises(ValueError):
             linsys.NoiseChannel("a", 1.0, (2, 2), vacuum())
 
@@ -213,7 +216,7 @@ class TestReadoutAdjoint:
         for cfg in fig2a_configs().values():
             model = build(cfg)
             y = linsys.adjoint_response(model, omegas, linsys.readout_drive(model, d))
-            assert y.shape == (len(omegas), model.drift.n, 3)
+            assert y.shape == (len(omegas), len(model.drift), 3)
             for k in range(3):
                 single = linsys.adjoint_response(
                     model, omegas, linsys.readout_drive(model, d[:, k])
@@ -245,7 +248,7 @@ class TestFirstFailureOrder:
 
     @staticmethod
     def system(model, omega):
-        return model.drift.entries.T + 1j * omega * np.eye(model.drift.n)
+        return model.drift.T + 1j * omega * np.eye(len(model.drift))
 
     def test_ill_conditioned_before_exactly_singular(self, model):
         near = 1.0 + 1e-15
@@ -270,9 +273,22 @@ def test_condition_number_against_numpy(variant):
         omegas = np.append(rng.uniform(0.01, 12.0, size=15), omega)
         model = build(config)
         inv = linsys.inverted_system(model, omegas)
-        m = model.drift.entries.T + 1j * omegas[:, None, None] * np.eye(model.drift.n)
+        m = model.drift.T + 1j * omegas[:, None, None] * np.eye(len(model.drift))
         cond = linsys._cond1(model.drift, omegas, inv)
         assert np.allclose(cond, np.linalg.cond(m, 1), rtol=1e-12, atol=0)
+
+
+def test_condition_number_of_a_lopsided_drift():
+    # in the scheme drifts each row pair shares its diagonal, and its two rows'
+    # off-diagonal sums are its two columns', so ||m||_1 = ||m||_inf there; here
+    # the rows of A (||m||_1) and its columns (||m||_inf) give different norms
+    channels = (linsys.NoiseChannel("a", 1.0, (0, 1), vacuum(), is_readout=True),)
+    model = linsys.LinearModel(np.array([[-1.0, 50.0], [0.0, -3.0]]), channels, force_row=1)
+    omegas = np.array([0.0, 0.5, 2.0, 30.0])
+    inv = linsys.inverted_system(model, omegas)
+    m = model.drift.T + 1j * omegas[:, None, None] * np.eye(2)
+    cond = linsys._cond1(model.drift, omegas, inv)
+    assert np.allclose(cond, np.linalg.cond(m, 1), rtol=1e-12, atol=0)
 
 
 def _oracle_draw(rng, variant, k):
@@ -302,11 +318,11 @@ def _oracle_draw(rng, variant, k):
 
 def _mp_resolvent(model, omega):
     """-(A + i w I)^(-1) at mpmath's working precision, from the float64 drift."""
-    n = model.drift.n
+    n = len(model.drift)
     m = mpmath.matrix(n, n)
     for i in range(n):
         for j in range(n):
-            m[i, j] = mpmath.mpf(model.drift.entries[i, j])
+            m[i, j] = mpmath.mpf(model.drift[i, j])
         m[i, i] += mpmath.mpc(0, omega)
     return -mpmath.inverse(m)
 

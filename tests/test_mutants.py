@@ -1,0 +1,30 @@
+"""The mutation table in tools/mutants.py still matches the code and tests it
+names (running the mutants themselves is `python tools/mutants.py`)."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_table():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_old_text_occurs_once():
+    table = load_table()
+    assert [m.name for m in table.MUTANTS if table.stale(m)] == []
+
+
+def test_every_killer_names_a_test():
+    # file::[Class::]test[param]: the file exists and defines the test function
+    missing = []
+    for mutant in load_table().MUTANTS:
+        for test in mutant.killers:
+            path, *_, function = test.partition("[")[0].split("::")
+            if f"def {function}(" not in (ROOT / path).read_text(encoding="utf-8"):
+                missing.append(test)
+    assert missing == []

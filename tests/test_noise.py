@@ -33,6 +33,14 @@ class TestQuadratureSpectrum:
             QuadratureSpectrum(u=0.1, v=0.1, w=0.0)
         with pytest.raises(ValueError):
             QuadratureSpectrum(u=-0.5, v=1.0, w=0.0)
+        nan, inf = math.nan, math.inf
+        for uvw in [(nan, 0.5, 0.0), (0.5, nan, 0.0), (0.5, 0.5, nan),
+                    (inf, 0.5, 0.0), (0.5, inf, 0.0), (0.5, 0.5, inf), (inf, inf, inf)]:
+            with pytest.raises(ValueError):
+                QuadratureSpectrum(*uvw)
+        # at s = 200 both u*v and w^2 overflow; their difference is NaN, not >= 1/4
+        with pytest.raises(ValueError, match="violates"):
+            squeeze_spectrum(200.0, 0.3)
 
     def test_no_squeezing_is_vacuum(self):
         spec = squeeze_spectrum(0.0, 1.234)
@@ -582,7 +590,7 @@ def _mp_sensitivity(config, omega):
         response = _mp_resolvent(model, omega)
         y = [mpmath.sqrt(readout.rate) * sum(dj * response[r, k]
                                              for dj, r in zip(d, readout.rows))
-             for k in range(model.drift.n)]
+             for k in range(len(model.drift))]
         s_f = mpmath.mpf(0)
         budget = noise.noise_budget(config, model)
         for ch in (ch for ch in model.channels if ch.id in budget):
@@ -623,7 +631,7 @@ def test_refined_solve_near_an_undamped_resonance(name):
         s_f = noise.sensitivity_spectrum(config, omegas).s_f
         err = np.abs(s_f / [_mp_sensitivity(config, w) for w in omegas] - 1.0)
         drift = build(config).drift
-        m = drift.entries.T + 1j * omegas[:, None, None] * np.eye(drift.n)
+        m = drift.T + 1j * omegas[:, None, None] * np.eye(len(drift))
         bound = 1e-21 * np.linalg.cond(m, 1) if name == "cqnc" else 1e-13
         assert (err <= bound).all(), (gamma_m, err)
 

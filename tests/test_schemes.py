@@ -33,7 +33,7 @@ class TestBuild:
                     [p.g, 0.0, -p.Delta, -p.gamma / 2],
                 ]
             )
-            assert np.array_equal(model.drift.entries, expected)
+            assert np.array_equal(model.drift, expected)
             assert model.force_row == 1
 
     def test_toy_drift_symmetric_mix(self):
@@ -48,13 +48,13 @@ class TestBuild:
                 [g, g, 0.0, -50.0],
             ]
         )
-        assert np.array_equal(model.drift.entries, expected)
+        assert np.array_equal(model.drift, expected)
 
     def test_toy_drift_general_mix(self):
         p = DetectorParams(Omega=1.0, Gamma=1.0, gamma=100.0, g=5.0)
         eta = 0.6
         model = build(SchemeConfig("toy", p, eta=eta))
-        a = model.drift.entries
+        a = model.drift
         # x row sees the cavity through eta, the p row with full weight
         assert a[0, 2] == a[0, 3] == -p.g * eta
         assert a[1, 2] == a[1, 3] == p.g
@@ -75,11 +75,11 @@ class TestBuild:
                 [0, 0, p.g, 0, p.Omega, -p.Gamma / 2],
             ]
         )
-        assert np.array_equal(model.drift.entries, expected)
+        assert np.array_equal(model.drift, expected)
         # the cavity's amplitude quadrature drives both the oscillator momentum
         # and the ancilla, which is what cancels the backaction
-        assert model.drift.entries[1, 2] == p.g
-        assert model.drift.entries[5, 2] == p.g
+        assert model.drift[1, 2] == p.g
+        assert model.drift[5, 2] == p.g
         ancilla = [ch for ch in model.channels if ch.id == ANCILLA]
         assert len(ancilla) == 1 and ancilla[0].rate == p.Gamma
 

@@ -1,0 +1,180 @@
+"""Mutation table for the numerical guards.
+
+Each row of MUTANTS names a file, an exact text that must occur in it once,
+the text that replaces it and the test ids that the change must fail.  For
+each row the runner copies src/, tests/, perfbench/ (some tests read its
+recorded reference) and pyproject.toml to a temporary directory, applies the
+substitution there and runs each listed id in its own pytest process, one at
+a time.  A listed id that still passes is a survivor: a guard is missing,
+so add the test that kills it and keep the row.
+
+    python tools/mutants.py
+
+Before any mutant, the listed ids run once on an unmutated copy; they must
+pass there.  Exit status 0 when every listed id fails under its mutant, 1 on
+a survivor, a stale row (its old text not found exactly once), a listed id
+that fails unmutated or a pytest run that errors instead of failing.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    killers: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "residual-complex128", "src/forcelimits/linsys.py",
+        "    y_hi = y.astype(np.clongdouble)\n"
+        "    residual = rhs - (drift.T.astype(np.clongdouble) @ y_hi",
+        "    y_hi = y.astype(np.complex128)\n"
+        "    residual = rhs - (drift.T.astype(np.complex128) @ y_hi",
+        ("tests/test_linsys.py::TestTransfer::test_cqnc_backaction_block_vanishes",),
+    ),
+    Mutant(
+        "no-correction", "src/forcelimits/linsys.py",
+        "    y = y + inv @ residual.astype(np.complex128)\n",
+        "",
+        ("tests/test_linsys.py::TestTransfer::test_cqnc_backaction_block_vanishes",
+         "tests/test_linresp.py::test_sensitivity_is_scaled_added_noise_for_every_scheme"),
+    ),
+    Mutant(
+        "cond1-infinity-norm-of-inverse", "src/forcelimits/linsys.py",
+        ".copy().sum(axis=0).max(axis=0)",
+        ".copy().sum(axis=1).max(axis=0)",
+        ("tests/test_linsys.py::test_condition_number_against_numpy[toy]",),
+    ),
+    Mutant(
+        "cond1-infinity-norm-of-m", "src/forcelimits/linsys.py",
+        "np.abs(drift).sum(axis=1)",
+        "np.abs(drift).sum(axis=0)",
+        ("tests/test_linsys.py::test_condition_number_of_a_lopsided_drift",),
+    ),
+    Mutant(
+        "fallback-raises-at-exactly-singular", "src/forcelimits/linsys.py",
+        "            except np.linalg.LinAlgError:\n"
+        "                pass\n",
+        "            except np.linalg.LinAlgError:\n"
+        "                raise SingularAtFrequency(omegas[k]) from None\n",
+        ("tests/test_linsys.py::TestFirstFailureOrder"
+         "::test_ill_conditioned_before_exactly_singular",),
+    ),
+    Mutant(
+        "locator-ignores-mask", "src/forcelimits/errors.py",
+        "        if np.count_nonzero(bad):\n",
+        "        if False:\n",
+        ("tests/test_linsys.py::TestFirstFailureOrder::test_only_exactly_singular_point[omegas0]",
+         "tests/test_cli.py::TestNumericalFailureInProcess"
+         "::test_first_failing_frequency[0.5-system matrix singular at omega = 1.0]"),
+    ),
+    Mutant(
+        "budget-drops-ancilla", "src/forcelimits/noise.py",
+        "if ch.id != MECHANICAL}",
+        "if ch.id not in (MECHANICAL, 'ancilla')}",
+        ("tests/test_noise.py::test_sensitivity_obeys_the_generalized_uql[cqnc]",),
+    ),
+    Mutant(
+        "zero-as-%.0f", "src/forcelimits/cli.py",
+        '"%d"], dtype=object',
+        '"%.0f"], dtype=object',
+        ("tests/test_cli.py::TestFmt12::test_zero",
+         "tests/test_cli.py::TestFmt12::test_block_writer_matches_decimal_oracle"),
+    ),
+    Mutant(
+        "no-near-decade-fix-up", "src/forcelimits/cli.py",
+        "    for i in zip(*np.nonzero(near)):\n"
+        "        exponent[i] = int((\"%.11e\" % values[i]).partition(\"e\")[2])\n",
+        "",
+        ("tests/test_cli.py::TestFmt12::test_decade_carry",),
+    ),
+    Mutant(
+        "no-variant-case-fold", "src/forcelimits/cli.py",
+        'values["scheme"]["variant"].lower()',
+        'values["scheme"]["variant"]',
+        ("tests/test_cli.py::TestRunKeys::test_file_variant_recorded_in_lower_case",),
+    ),
+    Mutant(
+        "readout-rows-swapped", "src/forcelimits/linsys.py",
+        "b[list(readout.rows)] =",
+        "b[list(readout.rows)[::-1]] =",
+        ("tests/test_schemes.py::TestClosedFormTransfer::test_matches_numeric_solve",),
+    ),
+    Mutant(
+        "conjugate-drive-sign-flipped", "src/forcelimits/schemes.py",
+        "drive[1::2], drive[0::2] = f[0::2], -f[1::2]",
+        "drive[1::2], drive[0::2] = -f[0::2], f[1::2]",
+        ("tests/test_schemes.py::TestBuild::test_standard_drift_entries",
+         "tests/test_schemes.py::TestBuild::test_cqnc_drift_entries"),
+    ),
+)
+
+
+def stale(mutant: Mutant) -> bool:
+    """True when the row's old text does not occur exactly once in its file."""
+    return (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old) != 1
+
+
+def _copy(destination: Path) -> None:
+    for name in ("src", "tests", "perfbench"):
+        shutil.copytree(ROOT / name, destination / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", destination)
+
+
+def _pytest(workdir: Path, ids) -> int:
+    env = dict(os.environ, PYTHONPATH=str(workdir / "src"))
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *ids]
+    return subprocess.run(command, cwd=workdir, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    stale_rows = [m for m in MUTANTS if stale(m)]
+    for mutant in stale_rows:
+        print(f"STALE     {mutant.name}: old text not found exactly once in {mutant.path}")
+    if stale_rows:
+        return 1
+
+    killed = survived = errors = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        baseline = Path(tmp) / "baseline"
+        _copy(baseline)
+        if _pytest(baseline, dict.fromkeys(i for m in MUTANTS for i in m.killers)) != 0:
+            print("ERROR     the listed ids do not all pass unmutated")
+            return 1
+        for k, mutant in enumerate(MUTANTS):
+            workdir = Path(tmp) / f"mutant-{k}"
+            _copy(workdir)
+            target = workdir / mutant.path
+            target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
+                              encoding="utf-8")
+            for test in mutant.killers:
+                code = _pytest(workdir, [test])
+                verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
+                print(f"{verdict:<9} {mutant.name}: {test}", flush=True)
+                killed += code == 1
+                survived += code == 0
+                errors += code not in (0, 1)
+            shutil.rmtree(workdir)
+    print(f"{len(MUTANTS)} rows, {killed + survived + errors} runs: "
+          f"{killed} killed, {survived} survived, {errors} errors")
+    return 1 if survived or errors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
