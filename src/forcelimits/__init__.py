@@ -45,6 +45,6 @@ from .schemes import (
     build,
     closed_form_transfer,
 )
-from .spectra import QuadratureSpectrum, squeeze_spectrum, thermal, vacuum
+from .spectra import QuadratureSpectrum, squeeze_spectrum, vacuum
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import numpy as np
 from . import noise, presets, verify
 from .errors import InvalidConfig, NumericalFailure, UnstableModel
 from .schemes import VARIANTS, DetectorParams, SchemeConfig
-from .spectra import squeeze_spectrum, vacuum
+from .spectra import squeeze_spectrum
 
 MAX_POINTS = 10**7
 
@@ -177,7 +177,7 @@ def _scheme_config(values: Mapping[str, object]) -> SchemeConfig:
     if not math.isfinite(2.0 * angle):
         raise InvalidConfig(f"2 * squeeze_angle overflows (squeeze_angle = {angle!r})")
     try:
-        spectrum = squeeze_spectrum(s, angle) if s != 0.0 else vacuum()
+        spectrum = squeeze_spectrum(s, angle)
     except (ValueError, OverflowError) as exc:
         raise InvalidConfig(f"squeeze = {s} gives no valid input state: {exc}") from exc
     return SchemeConfig(

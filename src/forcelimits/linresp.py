@@ -28,7 +28,6 @@ from . import bounds
 from .errors import DegenerateReadout, ZeroCoupling, ZeroFrequencyFeedback
 from .linsys import LinearModel, adjoint_response, channel_output
 from .linsys import quadrature, readout_drive
-from .noise import noise_budget
 from .schemes import VARIANTS, DetectorParams, SchemeConfig, build, conjugate_drive
 from .schemes import coupling_drift
 from .spectra import QuadratureSpectrum
@@ -164,8 +163,8 @@ def extract_detector(
     """Map a concrete scheme onto a GenericDetector at one frequency.
 
     chi_FF, S_FF, S_ZZ and S_ZF come from the detector, the model less the
-    oscillator's coupling, with every channel of the noise budget driven by
-    its input state (the readout's replaced by `input_spectrum` if given);
+    oscillator's coupling, with each of its channels (the noise budget) driven
+    by its input state (the readout's replaced by `input_spectrum` if given);
     chi_qq and chi_qx are the analytic susceptibilities of the oscillator's
     coupling operator q.
     """
@@ -186,13 +185,11 @@ def extract_detector(
     )
 
     spectra = np.zeros(3, dtype=complex)  # S_FF, S_ZZ, S_ZF
-    budget = noise_budget(config, model)
     for ch in model.channels:
-        if ch.id in budget:
-            f_c = channel_output(ch, y_f)
-            z_c = channel_output(ch, y_z, d) / chi_zf_raw
-            form = budget[ch.id].form
-            spectra += [form(f_c, f_c), form(z_c, z_c), form(z_c, f_c)]
+        f_c = channel_output(ch, y_f)
+        z_c = channel_output(ch, y_z, d) / chi_zf_raw
+        form = ch.spectrum.form
+        spectra += [form(f_c, f_c), form(z_c, z_c), form(z_c, f_c)]
 
     q = bounds.coupling_susceptibilities(config.params, config.coupling_mix, omega)
     return GenericDetector(

@@ -45,16 +45,21 @@ class NoiseChannel:
             raise ValueError("channel rows must be distinct")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearModel:
-    """Real drift matrix plus noise-channel wiring and readout for one scheme."""
+    """Real drift matrix plus noise-channel wiring and readout for one scheme.
+
+    The channels are the inputs whose noise enters S_f.  The model keeps a
+    read-only copy of the drift; models compare and hash by identity.
+    """
 
     drift: NDArray[np.float64]
     channels: tuple[NoiseChannel, ...]
     force_row: int
 
     def __post_init__(self):
-        drift = np.asarray(self.drift, dtype=float)
+        drift = np.array(self.drift, dtype=float)
+        drift.flags.writeable = False
         object.__setattr__(self, "drift", drift)
         n = drift.shape[0]
         if drift.ndim != 2 or drift.shape != (n, n):

@@ -25,7 +25,7 @@ from .linsys import (
     readout_drive,
     refined_solve,
 )
-from .schemes import MECHANICAL, SchemeConfig, build
+from .schemes import SchemeConfig, build
 
 if TYPE_CHECKING:
     from .spectra import QuadratureSpectrum
@@ -73,9 +73,9 @@ def power_density(
 ) -> float | NDArray[np.float64]:
     """Added-noise power summed over the channels present in `spectra`.
 
-    Channels without an entry in `spectra` (the oscillator's own thermal
-    bath, by default) are left out of the budget.  Array-valued pairs give
-    the power at every frequency.
+    Channels without an entry in `spectra` are left out, so a subset of
+    channels gives its own share of the power.  Array-valued pairs give the
+    power at every frequency.
     """
     total = 0.0
     for cid, pair in coeffs.items():
@@ -88,10 +88,10 @@ def power_density(
 def noise_budget(
     config: SchemeConfig, model: LinearModel | None = None
 ) -> dict[str, QuadratureSpectrum]:
-    """Spectra of the channels entering S_f: all but the oscillator's own bath."""
+    """Spectra of the channels entering S_f: every channel of the model."""
     if model is None:
         model = build(config)
-    return {ch.id: ch.spectrum for ch in model.channels if ch.id != MECHANICAL}
+    return {ch.id: ch.spectrum for ch in model.channels}
 
 
 def _sensitivity(
@@ -113,7 +113,7 @@ def _sensitivity(
         inv = inverted_system(model, block)
         y = refined_solve(model.drift, inv, block, b)
         v = -channel_output(model.readout, inv[:, model.force_row])
-        coeffs = {ch.id: channel_output(ch, y, d) for ch in model.channels if ch.id in budget}
+        coeffs = {ch.id: channel_output(ch, y, d) for ch in model.channels}
         s_f[start:start + _BLOCK] = power_density(
             _per_force(coeffs, y[:, model.force_row], v, block), budget
         )

@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds
 from .errors import InvalidConfig, ParametricDivergence, UnstableModel
 from .linsys import LinearModel, NoiseChannel, stability_check
-from .spectra import QuadratureSpectrum, thermal, vacuum
+from .spectra import QuadratureSpectrum, vacuum
 
 MECHANICAL = "mechanical"
 READOUT = "readout"
@@ -54,8 +54,8 @@ def coupling_drift(q: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 class _Variant:
-    """One variant's facts: the channel whose block sits on each row pair
-    (0, 1), (2, 3), ...; (q, F) of each coupling -g q F, the oscillator's
+    """One variant's facts: the part (oscillator, readout or ancilla) whose
+    block sits on each row pair (0, 1), (2, 3), ...; (q, F) of each coupling -g q F, the oscillator's
     first; why it needs Delta = 0 ("" if it does not); and whether it is
     mixed, the oscillator coupling through q = x + eta*p rather than x."""
 
@@ -96,8 +96,8 @@ class DetectorParams:
     Delta : cavity detuning (any sign)
     g     : effective optomechanical coupling (any sign; the steady-state
             field amplitude is absorbed into it)
-    n_th  : thermal occupancy of the mechanical bath; carried on the model
-            but never summed into the detection noise
+    n_th  : thermal occupancy of the mechanical bath; validated and written
+            to the CSV metadata only, since the bath is no noise channel
     """
 
     Omega: float
@@ -153,8 +153,8 @@ def build(config: SchemeConfig) -> LinearModel:
     mix = p.g * config.coupling_mix
     if not math.isfinite(mix):
         raise InvalidConfig(f"g * eta overflows (g = {p.g!r}, eta = {config.eta!r})")
-    blocks = {  # each channel's rate, its block's rotation frequency and its input
-        MECHANICAL: (p.Gamma, p.Omega, thermal(p.n_th)),
+    blocks = {  # each pair's rate, its rotation frequency and, if S_f counts it, its input
+        MECHANICAL: (p.Gamma, p.Omega, None),  # the oscillator, whose bath S_f leaves out
         READOUT: (p.gamma, p.Delta, config.input_spectrum),
         ANCILLA: (p.Gamma, -p.Omega, _VACUUM),  # a negative-mass oscillator copy
     }
@@ -162,7 +162,7 @@ def build(config: SchemeConfig) -> LinearModel:
     coefficients = [x for _, rate, frequency, _ in pairs for x in (rate, frequency)]
     channels = tuple([
         NoiseChannel(c, rate, (2 * k, 2 * k + 1), spectrum, c == READOUT)
-        for k, (c, rate, _, spectrum) in enumerate(pairs)
+        for k, (c, rate, _, spectrum) in enumerate(pairs) if spectrum is not None
     ])
     model = LinearModel(variant.basis @ (coefficients + [p.g, mix]), channels, force_row=1)
 

@@ -46,11 +46,6 @@ def vacuum() -> QuadratureSpectrum:
     return QuadratureSpectrum(u=0.5, v=0.5, w=0.0)
 
 
-def thermal(n_th: float) -> QuadratureSpectrum:
-    """Thermal input with occupancy n_th (n_th = 0 is the vacuum)."""
-    return QuadratureSpectrum(u=n_th + 0.5, v=n_th + 0.5, w=0.0)
-
-
 def squeeze_spectrum(s: float, theta_sq: float) -> QuadratureSpectrum:
     """Pure squeezed input with squeezing factor s and angle theta_sq.
 

@@ -150,6 +150,42 @@ def test_variant_comparison_detector():
     assert variant_comparisons(ast.parse(source)) == [1, 3, 4]
 
 
+CHANNEL_IDS = {"MECHANICAL": "mechanical", "READOUT": "readout", "ANCILLA": "ancilla"}
+
+
+def channel_id_uses(tree):
+    """Lines that name a channel id, by its constant or by its string."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in CHANNEL_IDS
+        or isinstance(node, ast.Attribute) and node.attr in CHANNEL_IDS
+        or isinstance(node, ast.alias) and node.name in CHANNEL_IDS
+        or isinstance(node, ast.Constant) and node.value in CHANNEL_IDS.values()
+    )
+
+
+def test_channel_ids_stay_in_schemes():
+    # schemes.build decides which inputs are channels; the rest of the package
+    # reads the model's channels and never picks one out by its id
+    found = {p.name: channel_id_uses(ast.parse(p.read_text(encoding="utf-8")))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name not in ("schemes.py", "__init__.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    exported = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert {n.name for n in ast.walk(exported) if isinstance(n, ast.alias)} >= CHANNEL_IDS.keys()
+
+
+def test_channel_id_detector():
+    source = (
+        "from .schemes import MECHANICAL, SchemeConfig\n"
+        "budget = {c: s for c, s in spectra.items() if c != MECHANICAL}\n"
+        "row = schemes.READOUT\n"
+        "if ch.id == 'ancilla':\n    pass\n"
+        "note = 'the readout channel'\n"
+        "readout = model.readout\n"
+    )
+    assert channel_id_uses(ast.parse(source)) == [1, 2, 3, 4]
+
+
 def hand_located_raises(tree):
     """Lines of raise statements whose text spells out an `omega =` location."""
     return [

@@ -51,6 +51,24 @@ class TestStability:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 linsys.LinearModel(drift=entries, channels=channels, force_row=1)
 
+    def test_drift_is_a_read_only_copy(self):
+        # a validated model cannot be changed through its drift or the caller's array
+        entries = -np.eye(4)
+        channels = (linsys.NoiseChannel("a", 1.0, (0, 1), vacuum(), is_readout=True),)
+        model = linsys.LinearModel(drift=entries, channels=channels, force_row=1)
+        with pytest.raises(ValueError, match="read-only"):
+            model.drift[0, 0] = 1.0
+        entries[0, 0] = 1.0
+        assert entries.flags.writeable
+        assert model.drift[0, 0] == -1.0
+
+    def test_models_compare_and_hash_by_identity(self, standard_model):
+        config = SchemeConfig("standard", DetectorParams(Omega=0.01, Gamma=0.01, gamma=3.0, g=-10.0))
+        assert (build(config) == build(config)) is False
+        assert standard_model == standard_model
+        assert len({standard_model, build(config), standard_model}) == 2
+        assert replace(standard_model, drift=standard_model.drift.T).drift.flags.writeable is False
+
 
 @pytest.fixture
 def standard_model():

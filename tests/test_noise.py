@@ -16,7 +16,7 @@ from forcelimits.errors import (
     ZeroResponse,
 )
 from forcelimits.linsys import quadrature, transfer
-from forcelimits.schemes import DetectorParams, SchemeConfig, build
+from forcelimits.schemes import MECHANICAL, DetectorParams, SchemeConfig, build
 from forcelimits.spectra import QuadratureSpectrum, squeeze_spectrum, vacuum
 
 
@@ -45,6 +45,9 @@ class TestQuadratureSpectrum:
     def test_no_squeezing_is_vacuum(self):
         spec = squeeze_spectrum(0.0, 1.234)
         assert (spec.u, spec.v, spec.w) == (0.5, 0.5, 0.0)
+        # exactly, at any angle: s = 0 needs no special case
+        for theta in [0.0, 0.3, -1.0, math.pi / 4, 2.5, -7.77, 49.99, -50.0, 1e3, 1e15]:
+            assert squeeze_spectrum(0.0, theta) == vacuum()
 
     def test_frozen_squeezed_values(self):
         # cosh/sinh identities evaluated directly: u = e^(-2)/2, v = e^2/2
@@ -324,7 +327,17 @@ class TestSensitivitySpectrum:
             )
 
     def test_mechanical_bath_not_counted(self):
-        # the thermal occupancy is carried on the model but S_f is blind to it
+        # the oscillator's bath decays it through the drift but is no channel:
+        # the built channels are the budget, and the occupancy reaches neither
+        for config in (SchemeConfig("standard", FIG2A), presets.fig2a_configs()["cqnc"],
+                       presets.fig2b_config()):
+            model = build(config)
+            assert [ch.id for ch in model.channels] == list(noise.noise_budget(config))
+            assert MECHANICAL not in noise.noise_budget(config, model)
+            for n_th in (0.0, 1e6):
+                warm = build(replace(config, params=replace(config.params, n_th=n_th)))
+                assert warm.drift.tobytes() == model.drift.tobytes()
+                assert warm.channels == model.channels
         hot = replace(FIG2A, n_th=1e6)
         cold = FIG2A
         omega = 0.21

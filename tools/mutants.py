@@ -83,10 +83,17 @@ MUTANTS = (
          "::test_first_failing_frequency[0.5-system matrix singular at omega = 1.0]"),
     ),
     Mutant(
-        "budget-drops-ancilla", "src/forcelimits/noise.py",
-        "if ch.id != MECHANICAL}",
-        "if ch.id not in (MECHANICAL, 'ancilla')}",
+        "budget-drops-ancilla", "src/forcelimits/schemes.py",
+        "ANCILLA: (p.Gamma, -p.Omega, _VACUUM),",
+        "ANCILLA: (p.Gamma, -p.Omega, None),",
         ("tests/test_noise.py::test_sensitivity_obeys_the_generalized_uql[cqnc]",),
+    ),
+    Mutant(
+        "budget-counts-bath", "src/forcelimits/schemes.py",
+        "MECHANICAL: (p.Gamma, p.Omega, None),",
+        "MECHANICAL: (p.Gamma, p.Omega, _VACUUM),",
+        ("tests/test_noise.py::TestSensitivitySpectrum::test_mechanical_bath_not_counted",
+         "tests/test_noise.py::TestPowerDensity::test_resonant_phase_readout_closed_form"),
     ),
     Mutant(
         "zero-as-%.0f", "src/forcelimits/cli.py",
