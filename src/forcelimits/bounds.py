@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import MechanicalResonanceSingularity, ZeroResponseSusceptibility
+from .errors import FailureAtFrequency
 
 if TYPE_CHECKING:
     from .schemes import DetectorParams
@@ -33,7 +33,9 @@ def chi_mech(params: DetectorParams, omega: FloatOrArray):
     """Mechanical susceptibility Omega / ((Gamma/2 - i w)^2 + Omega^2)."""
     d = params.Gamma / 2.0 - 1j * omega
     denom = d * d + params.Omega * params.Omega
-    MechanicalResonanceSingularity.at_first(omega, abs(denom) < _TINY)
+    FailureAtFrequency.at_first(
+        omega, abs(denom) < _TINY, "undamped oscillator driven on resonance at"
+    )
     return params.Omega / denom
 
 
@@ -85,7 +87,7 @@ def coupling_susceptibilities(
 def generalized_uql(q: CouplingSusceptibilities):
     """Lower bound |Im chi_qq| / |chi_qx|^2 for a detector coupled through q."""
     mag = abs(q.chi_qx)
-    ZeroResponseSusceptibility.at_first(q.omega, mag < math.sqrt(_TINY))
+    FailureAtFrequency.at_first(q.omega, mag < math.sqrt(_TINY), "chi_qx vanished at")
     return abs(q.chi_qq.imag) / (mag * mag)
 
 

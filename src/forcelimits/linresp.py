@@ -25,7 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import bounds
-from .errors import DegenerateReadout, ZeroCoupling, ZeroFrequencyFeedback
+from .errors import FailureAtFrequency, NumericalFailure
 from .linsys import LinearModel, adjoint_response, channel_output
 from .linsys import quadrature, readout_drive
 from .schemes import VARIANTS, DetectorParams, SchemeConfig, build, conjugate_drive
@@ -53,7 +53,7 @@ def sprime_f(det: GenericDetector) -> float | NDArray[np.float64]:
     """Scaled added-noise power S'_f = S_f |chi_qx|^2 at the coupling(s) `det.g`."""
     g = det.g
     if np.any(g == 0.0):
-        raise ZeroCoupling("added noise is undefined at g = 0")
+        raise NumericalFailure("added noise is undefined at g = 0")
     # g_f = g chi_qq and g_z = 1/g - g chi_qq chi_FF = z_re + i z_im; only real
     # operations touch g, so an array g gives the scalar calls bit for bit
     qc = det.chi_qq * det.chi_FF
@@ -135,7 +135,7 @@ def combined_quantities(
     y = g * g * delta
     c = g * math.sqrt(gamma) * (r + xi * delta)
     c2 = abs(c) ** 2
-    DegenerateReadout.at_first(omega, c2 < _TINY)
+    FailureAtFrequency.at_first(omega, c2 < _TINY, "readout normalization C vanished at")
     u, v, w = uvw.u, uvw.v, uvw.w
     h = (d * e * u + e * x * w + d * y * w + x * y * v) / c2
     k = (e * e * u + 2.0 * e * y * w + y * y * v) / c2
@@ -180,8 +180,8 @@ def extract_detector(
     drive = conjugate_drive(f)
     chi_ff = complex(y_f @ drive)
     chi_zf_raw = complex(y_z @ drive)
-    DegenerateReadout.at_first(
-        omega, abs(chi_zf_raw) < _TINY, "output does not respond to the input operator"
+    FailureAtFrequency.at_first(
+        omega, abs(chi_zf_raw) < _TINY, "output does not respond to the input operator at"
     )
 
     spectra = np.zeros(3, dtype=complex)  # S_FF, S_ZZ, S_ZF
@@ -213,9 +213,9 @@ def feedback_added_noise(
     broadcast against each other into one stacked solve.
     """
     w = det.omega if omega is None else omega
-    ZeroFrequencyFeedback.at_first(w, w == 0.0)
+    FailureAtFrequency.at_first(w, w == 0.0, "feedback transform undefined at")
     if det.g == 0.0:
-        raise ZeroCoupling("added noise is undefined at g = 0")
+        raise NumericalFailure("added noise is undefined at g = 0")
 
     g = det.g
     # real division first: a scalar call rounds as with Python complex numbers
@@ -229,7 +229,7 @@ def feedback_added_noise(
     )
     z_f, z_f0, z_z0 = np.moveaxis(np.linalg.solve(system, drives)[..., 2, :], -1, 0)
     if np.any(abs(z_f) < _TINY):
-        raise ZeroCoupling("output carries no force signal")
+        raise NumericalFailure("output carries no force signal")
     c_f = z_f0 / z_f
     c_z = z_z0 / z_f
     return (

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import SingularAtFrequency
+from .errors import FailureAtFrequency
 
 if TYPE_CHECKING:
     from .spectra import QuadratureSpectrum
@@ -129,7 +129,9 @@ def inverted_system(model: LinearModel, omegas: NDArray[np.float64]) -> NDArray[
                 inv[k] = np.linalg.inv(mk)
             except np.linalg.LinAlgError:
                 pass
-    SingularAtFrequency.at_first(omegas, ~(_cond1(model.drift, omegas, inv) <= _COND_LIMIT))
+    FailureAtFrequency.at_first(
+        omegas, ~(_cond1(model.drift, omegas, inv) <= _COND_LIMIT), "system matrix singular at"
+    )
     return inv
 
 
@@ -153,8 +155,8 @@ def refined_solve(
     y_hi = y.astype(np.clongdouble)
     residual = rhs - (drift.T.astype(np.clongdouble) @ y_hi + 1j * omegas[:, None, None] * y_hi)
     y = y + inv @ residual.astype(np.complex128)
-    SingularAtFrequency.at_first(
-        omegas, ~np.isfinite(y).all(axis=(1, 2)), "non-finite transfer entries"
+    FailureAtFrequency.at_first(
+        omegas, ~np.isfinite(y).all(axis=(1, 2)), "non-finite transfer entries at"
     )
     return y if np.ndim(b) == 2 else y[..., 0]
 

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import bounds
-from .errors import FailureAtFrequency, ZeroResponse
+from .errors import FailureAtFrequency
 from .linsys import (
     FrequencyResponse,
     LinearModel,
@@ -50,10 +50,10 @@ def _per_force(coeffs, response, v, omega) -> dict[str, tuple]:
     """Each channel's (..., 2) coefficients as a pair per unit force response.
 
     `response` is v . d, `v` the force response of both output quadratures;
-    the first omega where |v . d| <= _RESPONSE_FLOOR max|v| raises ZeroResponse.
+    the first omega where |v . d| <= _RESPONSE_FLOOR max|v| is a FailureAtFrequency.
     """
     floor = _RESPONSE_FLOOR * np.abs(v).max(axis=-1)
-    ZeroResponse.at_first(omega, abs(response) <= floor)
+    FailureAtFrequency.at_first(omega, abs(response) <= floor, "force invisible at readout,")
     return {cid: tuple((c / response[..., None]).T) for cid, c in coeffs.items()}
 
 
@@ -172,7 +172,7 @@ def sensitivity_spectrum(
             bounds.optimal_uql(params, omegas),
         ]
         FailureAtFrequency.at_first(
-            omegas, ~np.isfinite(columns).all(axis=0), "non-finite S_f or bound value"
+            omegas, ~np.isfinite(columns).all(axis=0), "non-finite S_f or bound value at"
         )
     except FailureAtFrequency as failure:
         # grid order: a failure of any stage, the bound columns included, at a

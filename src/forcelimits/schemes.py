@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .errors import InvalidConfig, ParametricDivergence, UnstableModel
+from .errors import FailureAtFrequency, InvalidConfig, UnstableModel
 from .linsys import LinearModel, NoiseChannel, stability_check
 from .spectra import QuadratureSpectrum, vacuum
 
@@ -190,7 +190,7 @@ def closed_form_transfer(
     chi_a = bounds.chi_mech(params, omega)
 
     loop = 1.0 - g * g * chi_a * chi_d
-    ParametricDivergence.at_first(omega, abs(loop) < _DIVERGENCE_FLOOR)
+    FailureAtFrequency.at_first(omega, abs(loop) < _DIVERGENCE_FLOOR, "parametric divergence at")
 
     m_shot = -np.eye(2, dtype=complex) + gamma * np.array(
         [[chi_r, chi_d], [-chi_d, chi_r]]

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -16,8 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forcelimits import cli, errors, noise
+from forcelimits import bounds, cli, errors, linresp, linsys, noise, presets
 from forcelimits.cli import fmt12
+from forcelimits.schemes import DetectorParams, build, closed_form_transfer
+from forcelimits.spectra import vacuum
 
 
 #: SHA-256 of the default spectrum and the fig2a/fig2b CSVs, as the benchmark recorded
@@ -289,6 +292,85 @@ class TestRunKeys:
         assert captured.err.count("\n") == 1
 
 
+def _standard(**params):
+    """The fig2a standard scheme, `params` replacing its DetectorParams fields."""
+    config = presets.fig2a_configs()["standard"]
+    return replace(config, params=replace(config.params, **params))
+
+
+def _detector(**fields):
+    """A GenericDetector with generic susceptibilities, `fields` replacing any field."""
+    base = dict(omega=1.0, chi_FF=0.0, S_FF=0.5, S_ZZ=0.5, S_ZF=0.0,
+                chi_qq=0.3 + 0.4j, chi_qx=0.3 + 0.4j, g=1.0)
+    return linresp.GenericDetector(**{**base, **fields})
+
+
+def _divergent_loop():
+    # at omega = 0 every susceptibility is real, so 1 - g^2 chi_a chi_d is
+    # tuned to zero exactly
+    p = DetectorParams(Omega=1.0, Gamma=1.0, gamma=2.0, Delta=1.0)
+    chi_a0 = p.Omega / (p.Gamma**2 / 4 + p.Omega**2)
+    chi_d0 = p.Delta / (p.gamma**2 / 4 + p.Delta**2)
+    return closed_form_transfer(replace(p, g=1.0 / math.sqrt(chi_a0 * chi_d0)), 0.0)
+
+
+def _overflowing_solve():
+    # well conditioned, but the right-hand side overflows the solve
+    model = build(_standard())
+    b = 1e308 * linsys.readout_drive(model, np.array([0.0, 1.0]))
+    return linsys.adjoint_response(model, np.array([1.0, 2.0]), b)
+
+
+#: every raise site of a NumericalFailure, each reached through a public call:
+#: the call, its exact message and the omega it names (None: no frequency)
+FAILURE_SITES = [
+    pytest.param(
+        lambda: linsys.transfer(build(_standard(Omega=1.0, Gamma=0.0, g=0.5)),
+                                np.array([0.5, 1.0, 1.5])),
+        "system matrix singular at omega = 1.0", 1.0, id="linsys-singular"),
+    pytest.param(
+        _overflowing_solve, "non-finite transfer entries at omega = 1.0", 1.0,
+        id="linsys-non-finite"),
+    pytest.param(
+        lambda: noise.sensitivity_spectrum(_standard(g=0.0), np.array([0.2, 0.3])),
+        "force invisible at readout, omega = 0.2", 0.2, id="noise-force-invisible"),
+    pytest.param(
+        lambda: noise.sensitivity_spectrum(_standard(), np.array([1.0, 1e60])),
+        "non-finite S_f or bound value at omega = 1e+60", 1e60, id="noise-non-finite"),
+    pytest.param(
+        _divergent_loop, "parametric divergence at omega = 0.0", 0.0,
+        id="schemes-parametric-divergence"),
+    pytest.param(
+        lambda: bounds.chi_mech(_standard(Omega=1.0, Gamma=0.0).params, np.array([0.5, 1.0])),
+        "undamped oscillator driven on resonance at omega = 1.0", 1.0,
+        id="bounds-undamped-resonance"),
+    pytest.param(  # at omega = 0, eta = -2 Omega / Gamma decouples q from x
+        lambda: bounds.generalized_uql(
+            bounds.coupling_susceptibilities(_standard(Omega=1.0, Gamma=1.0).params, -2.0, 0.0)),
+        "chi_qx vanished at omega = 0.0", 0.0, id="bounds-chi-qx-vanished"),
+    pytest.param(
+        lambda: linresp.combined_quantities(_standard().params, 0.2, 0.0, vacuum(), 0.0),
+        "readout normalization C vanished at omega = 0.2", 0.2, id="linresp-C-vanished"),
+    pytest.param(  # the response underflows below the floor
+        lambda: linresp.extract_detector(_standard(), 1e305),
+        "output does not respond to the input operator at omega = 1e+305", 1e305,
+        id="linresp-unresponsive-output"),
+    pytest.param(
+        lambda: linresp.feedback_added_noise(_detector(), 1.0, omega=0.0),
+        "feedback transform undefined at omega = 0.0", 0.0,
+        id="linresp-zero-frequency-feedback"),
+    pytest.param(
+        lambda: linresp.sprime_f(_detector(g=0.0)),
+        "added noise is undefined at g = 0", None, id="linresp-sprime-zero-coupling"),
+    pytest.param(
+        lambda: linresp.feedback_added_noise(_detector(g=0.0), 1.0),
+        "added noise is undefined at g = 0", None, id="linresp-feedback-zero-coupling"),
+    pytest.param(
+        lambda: linresp.feedback_added_noise(_detector(chi_qx=0.0), 1.0),
+        "output carries no force signal", None, id="linresp-no-force-signal"),
+]
+
+
 class TestNumericalFailureInProcess:
     # the first failure in grid order is reported, with a plain float
     @pytest.mark.parametrize(
@@ -318,30 +400,27 @@ class TestNumericalFailureInProcess:
             "numerical failure: force invisible at readout, omega = 0.001\n"
         )
 
-    @pytest.mark.parametrize("error, default", [
-        (errors.SingularAtFrequency, "system matrix singular at omega = 0.25"),
-        (errors.ParametricDivergence, "parametric divergence at omega = 0.25"),
-        (errors.ZeroResponse, "force invisible at readout, omega = 0.25"),
-        (errors.MechanicalResonanceSingularity,
-         "undamped oscillator driven on resonance at omega = 0.25"),
-        (errors.ZeroResponseSusceptibility, "chi_qx vanished at omega = 0.25"),
-        (errors.DegenerateReadout, "readout normalization C vanished at omega = 0.25"),
-    ])
-    def test_message_names_the_frequency(self, error, default):
-        assert str(error(0.25)) == default
-        custom = error(np.float64(0.25), "non-finite transfer entries")
-        assert custom.omega == 0.25
-        assert str(custom) == "non-finite transfer entries at omega = 0.25"
+    @pytest.mark.parametrize("call, message, omega", FAILURE_SITES)
+    def test_message_is_stated_at_its_site(self, call, message, omega):
+        with np.errstate(all="ignore"), pytest.raises(errors.NumericalFailure) as info:
+            call()
+        assert str(info.value) == message
+        if omega is None:
+            assert type(info.value) is errors.NumericalFailure
+        else:
+            assert type(info.value) is errors.FailureAtFrequency
+            assert info.value.omega == omega
 
     def test_locator_raises_at_the_first_flagged_frequency(self):
-        errors.ZeroResponse.at_first(0.5, False)
-        errors.ZeroResponse.at_first(np.array([0.5, 1.0]), np.zeros(2, dtype=bool))
-        with pytest.raises(errors.ZeroResponse) as info:
-            errors.ZeroResponse.at_first(np.array([0.5, 1.0, 2.0]), np.array([False, True, True]))
+        locate = errors.FailureAtFrequency.at_first
+        locate(0.5, False, "custom at")
+        locate(np.array([0.5, 1.0]), np.zeros(2, dtype=bool), "custom at")
+        with pytest.raises(errors.FailureAtFrequency) as info:
+            locate(np.array([0.5, 1.0, 2.0]), np.array([False, True, True]), "custom at")
         assert info.value.omega == 1.0
         # a scalar frequency broadcasts against an array mask
-        with pytest.raises(errors.SingularAtFrequency, match=r"^custom at omega = 0\.25$"):
-            errors.SingularAtFrequency.at_first(0.25, np.array([False, True]), "custom")
+        with pytest.raises(errors.FailureAtFrequency, match=r"^custom at omega = 0\.25$"):
+            locate(0.25, np.array([False, True]), "custom at")
 
     @pytest.mark.parametrize("flags, message", [
         (["--omega-max", "1e60"], "non-finite S_f or bound value at omega = 1e+60"),
@@ -370,7 +449,7 @@ class TestNumericalFailureInProcess:
     def test_vanishing_cross_susceptibility(self, capsys, monkeypatch):
         # the S_f path fails first wherever chi_qx vanishes on a positive grid,
         # so the bound column's own error is raised by hand
-        error = errors.ZeroResponseSusceptibility(0.25)
+        error = errors.FailureAtFrequency(0.25, "chi_qx vanished at")
 
         def fail(config, grid):
             raise error
@@ -380,10 +459,10 @@ class TestNumericalFailureInProcess:
         assert capsys.readouterr().err == f"numerical failure: {error}\n"
 
     @pytest.mark.parametrize("error", [
-        errors.ZeroCoupling("output carries no force signal"),
-        errors.DegenerateReadout(0.25, "output does not respond to the input operator"),
-        errors.ZeroFrequencyFeedback(0.0),
-    ], ids=lambda e: type(e).__name__)
+        errors.NumericalFailure("output carries no force signal"),
+        errors.FailureAtFrequency(0.25, "output does not respond to the input operator at"),
+        errors.FailureAtFrequency(0.0, "feedback transform undefined at"),
+    ], ids=["no-force-signal", "unresponsive-output", "zero-frequency-feedback"])
     def test_linresp_failures_exit_4(self, capsys, monkeypatch, error):
         # each is a NumericalFailure, which main maps to exit 4
         def fail(config, grid):

@@ -214,6 +214,43 @@ def test_hand_located_raise_detector():
     assert hand_located_raises(ast.parse(source)) == [1, 2]
 
 
+
+#: the failure types: the base, one per CLI exit code (2, 3, 4) and the
+#: frequency-locating failure
+ERROR_TYPES = ("ForceLimitsError", "InvalidConfig", "UnstableModel", "NumericalFailure",
+               "FailureAtFrequency")
+
+
+def error_subclasses(tree):
+    """(class, line) of each class with one of ERROR_TYPES among its bases."""
+    return [
+        (node.name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        and any(isinstance(b, ast.Name) and b.id in ERROR_TYPES
+                or isinstance(b, ast.Attribute) and b.attr in ERROR_TYPES for b in node.bases)
+    ]
+
+
+def test_one_failure_type_per_exit_code():
+    # main picks the exit code by these types alone; what went wrong is the
+    # message, stated where the failure is raised, not a subclass
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    assert tuple(n.name for n in ast.walk(errors) if isinstance(n, ast.ClassDef)) == ERROR_TYPES
+    found = {p.name: error_subclasses(ast.parse(p.read_text(encoding="utf-8")))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "errors.py"}
+    assert {name: classes for name, classes in found.items() if classes} == {}
+
+
+def test_error_subclass_detector():
+    source = (
+        "class Singular(FailureAtFrequency):\n    pass\n"
+        "class Blind(errors.NumericalFailure):\n    pass\n"
+        "class Mixed(Base, InvalidConfig):\n    pass\n"
+        "class Plain(ValueError):\n    pass\n"
+        "raise NumericalFailure('output carries no force signal')\n"
+    )
+    assert error_subclasses(ast.parse(source)) == [("Singular", 1), ("Blind", 3), ("Mixed", 5)]
+
+
 def extended_precision_uses(tree):
     """(enclosing definition, line) of each reference to clongdouble."""
     found = []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from forcelimits import linsys, presets
-from forcelimits.errors import SingularAtFrequency, UnstableModel
+from forcelimits.errors import FailureAtFrequency, UnstableModel
 from forcelimits.schemes import DetectorParams, SchemeConfig, build, closed_form_transfer
 from forcelimits.spectra import vacuum
 
@@ -119,7 +119,7 @@ class TestSolveFrequency:
     def test_singular_at_undamped_resonance(self):
         params = DetectorParams(Omega=1.0, Gamma=0.0, gamma=3.0, g=0.0)
         model = build(SchemeConfig("standard", params))
-        with pytest.raises(SingularAtFrequency):
+        with pytest.raises(FailureAtFrequency, match=r"^system matrix singular at omega = "):
             solve(model, 1.0, np.ones(4, dtype=complex))
 
     def test_residual_bound_on_benchmark_grids(self):
@@ -220,7 +220,7 @@ class TestReadoutAdjoint:
     def test_first_singular_frequency_raises(self):
         params = DetectorParams(Omega=1.0, Gamma=0.0, gamma=3.0, g=0.5)
         model = build(SchemeConfig("standard", params))
-        with pytest.raises(SingularAtFrequency, match=r"omega = 1\.0$"):
+        with pytest.raises(FailureAtFrequency, match=r"^system matrix singular at omega = 1\.0$"):
             linsys.adjoint_response(
                 model, np.array([0.5, 1.0, 1.5, 1.0]),
                 linsys.readout_drive(model, np.array([0.0, 1.0])),
@@ -260,7 +260,8 @@ class TestFirstFailureOrder:
     @staticmethod
     def reported(model, omegas):
         b = linsys.readout_drive(model, np.array([0.0, 1.0]))
-        with pytest.raises(SingularAtFrequency) as err:
+        singular = r"^system matrix singular at omega = "
+        with pytest.raises(FailureAtFrequency, match=singular) as err:
             linsys.adjoint_response(model, np.array(omegas), b)
         return err.value.omega
 

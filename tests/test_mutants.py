@@ -28,3 +28,13 @@ def test_every_killer_names_a_test():
             if f"def {function}(" not in (ROOT / path).read_text(encoding="utf-8"):
                 missing.append(test)
     assert missing == []
+
+
+def test_a_mutant_that_breaks_the_code_is_no_kill():
+    # a NameError from a renamed type fails the killer without testing a guard
+    verdict = load_table()._verdict
+    assert verdict(1, "E   AssertionError: assert 1.0 == 1.0000000000000002") == "killed"
+    assert verdict(1, "E   NameError: name 'Singular' is not defined") == "ERROR"
+    assert verdict(1, "E   ImportError: cannot import name 'Singular'") == "ERROR"
+    assert verdict(0, "1 passed") == "SURVIVED"
+    assert verdict(4, "") == "ERROR 4"

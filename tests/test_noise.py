@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_linsys import _mp_resolvent
+from test_linsys import _mp_resolvent, _oracle_draw
 
 from forcelimits import bounds, noise, presets
 from forcelimits.errors import (
     FailureAtFrequency,
     ForceLimitsError,
     UnstableModel,
-    ZeroResponse,
 )
 from forcelimits.linsys import quadrature, transfer
 from forcelimits.schemes import MECHANICAL, DetectorParams, SchemeConfig, build
@@ -114,7 +113,7 @@ class TestAddedNoise:
 
     def test_uncoupled_force_is_invisible(self):
         model = build(SchemeConfig("standard", replace(FIG2A, g=0.0)))
-        with pytest.raises(ZeroResponse):
+        with pytest.raises(FailureAtFrequency, match=r"^force invisible at readout, omega = "):
             noise.added_noise(transfer(model, 0.2), 0.0)
 
     def test_quarter_turn_readout_is_legal(self):
@@ -122,7 +121,7 @@ class TestAddedNoise:
         # resonance the force is invisible on that quadrature, detuned it
         # is not
         resonant = build(SchemeConfig("standard", FIG2A))
-        with pytest.raises(ZeroResponse):
+        with pytest.raises(FailureAtFrequency, match=r"^force invisible at readout, omega = "):
             noise.added_noise(transfer(resonant, 0.2), math.pi / 2)
         detuned_cfg = SchemeConfig(
             "standard", replace(FIG2A, Delta=-7.0), readout_angle=math.pi / 2
@@ -467,7 +466,8 @@ class TestBlockedEngine:
             for cid, pair in stacked.items():
                 assert np.array_equal(np.transpose(pair), [p[cid] for p in points])
         resonant = build(SchemeConfig("standard", FIG2A))
-        with pytest.raises(ZeroResponse, match=r"omega = 0\.2$"):
+        with pytest.raises(FailureAtFrequency,
+                           match=r"^force invisible at readout, omega = 0\.2$"):
             noise.added_noise(transfer(resonant, np.array([0.2, 0.3])), math.pi / 2)
 
     def test_sensitivity_at_is_a_one_point_call(self):
@@ -627,6 +627,39 @@ def test_sensitivity_against_50_digit_oracle(name):
     oracle = [_mp_sensitivity(config, omega) for omega in omegas]
     np.testing.assert_allclose(s_f, oracle, rtol=1e-12, atol=0)
 
+
+
+def _cqnc_closed_form(params, omega):
+    """S_f of cqnc read at phi = 0 (Tsang & Caves, PRL 105, 123601, 2010).
+
+    The ancilla's floor Gamma (w^2 + Omega^2 + Gamma^2/4) / (2 Omega^2) plus
+    the shot noise the cancelled backaction leaves,
+    |1/chi_mech|^2 |gamma/2 - i w|^2 / (2 g^2 gamma).
+    """
+    p = params
+    floor = p.Gamma * (omega**2 + p.Omega**2 + p.Gamma**2 / 4) / (2 * p.Omega**2)
+    inverse_chi = ((p.Gamma / 2 - 1j * omega) ** 2 + p.Omega**2) / p.Omega
+    return floor + (abs(inverse_chi) * abs(p.gamma / 2 - 1j * omega)) ** 2 / (2 * p.g**2 * p.gamma)
+
+
+def test_cqnc_draws_against_the_closed_form():
+    # Gamma down to 1e-6, half the draws at Omega (1 +- 1e-3); the form holds
+    # at readout angle 0 only (at other angles it is off by up to a factor 13)
+    rng = np.random.default_rng(47)
+    for k in range(60):
+        config, omega = _oracle_draw(rng, "cqnc", k)
+        config = replace(config, readout_angle=0.0)
+        expected = _cqnc_closed_form(config.params, omega)
+        assert noise.sensitivity_at(config, omega) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("g", [-10.0, 3.7, 1e3])
+def test_cqnc_preset_against_the_closed_form(g):
+    config = presets.fig2a_configs()["cqnc"]
+    config = replace(config, params=replace(config.params, g=g))
+    grid = presets.fig2a_grid()
+    np.testing.assert_allclose(noise.sensitivity_spectrum(config, grid).s_f,
+                               _cqnc_closed_form(config.params, grid), rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("name", ["standard", "cqnc", "toy"])

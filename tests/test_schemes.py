@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from forcelimits import bounds, noise
-from forcelimits.errors import InvalidConfig, ParametricDivergence, UnstableModel
+from forcelimits.errors import FailureAtFrequency, InvalidConfig, UnstableModel
 from forcelimits.linsys import transfer
 from forcelimits.schemes import (
     ANCILLA,
@@ -162,7 +162,7 @@ class TestClosedFormTransfer:
         chi_a0 = p.Omega / (p.Gamma**2 / 4 + p.Omega**2)
         chi_d0 = p.Delta / (p.gamma**2 / 4 + p.Delta**2)
         g = 1.0 / math.sqrt(chi_a0 * chi_d0)
-        with pytest.raises(ParametricDivergence):
+        with pytest.raises(FailureAtFrequency, match=r"^parametric divergence at omega = "):
             closed_form_transfer(replace(p, g=g), 0.0)
 
 

@@ -13,7 +13,9 @@ so add the test that kills it and keep the row.
 Before any mutant, the listed ids run once on an unmutated copy; they must
 pass there.  Exit status 0 when every listed id fails under its mutant, 1 on
 a survivor, a stale row (its old text not found exactly once), a listed id
-that fails unmutated or a pytest run that errors instead of failing.
+that fails unmutated or a pytest run that errors instead of failing.  A
+failing run whose output shows a NameError, ImportError or SyntaxError is an
+error too: the mutant broke the code, not a guard.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ MUTANTS = (
         "            except np.linalg.LinAlgError:\n"
         "                pass\n",
         "            except np.linalg.LinAlgError:\n"
-        "                raise SingularAtFrequency(omegas[k]) from None\n",
+        "                raise FailureAtFrequency(omegas[k], \"system matrix singular at\")"
+        " from None\n",
         ("tests/test_linsys.py::TestFirstFailureOrder"
          "::test_ill_conditioned_before_exactly_singular",),
     ),
@@ -143,11 +146,23 @@ def _copy(destination: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", destination)
 
 
-def _pytest(workdir: Path, ids) -> int:
+#: a failing run whose output names one of these broke the mutated code
+#: itself, so it tests no guard
+BROKEN = ("NameError", "ImportError", "SyntaxError")
+
+
+def _pytest(workdir: Path, ids) -> tuple[int, str]:
+    """Exit status and combined output of one pytest run of `ids`."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"))
     command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *ids]
-    return subprocess.run(command, cwd=workdir, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    run = subprocess.run(command, cwd=workdir, env=env, capture_output=True, text=True)
+    return run.returncode, run.stdout + run.stderr
+
+
+def _verdict(code: int, output: str) -> str:
+    if code == 1 and any(name in output for name in BROKEN):
+        return "ERROR"
+    return {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
 
 
 def main() -> int:
@@ -161,7 +176,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         baseline = Path(tmp) / "baseline"
         _copy(baseline)
-        if _pytest(baseline, dict.fromkeys(i for m in MUTANTS for i in m.killers)) != 0:
+        if _pytest(baseline, dict.fromkeys(i for m in MUTANTS for i in m.killers))[0] != 0:
             print("ERROR     the listed ids do not all pass unmutated")
             return 1
         for k, mutant in enumerate(MUTANTS):
@@ -171,12 +186,11 @@ def main() -> int:
             target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
                               encoding="utf-8")
             for test in mutant.killers:
-                code = _pytest(workdir, [test])
-                verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
+                verdict = _verdict(*_pytest(workdir, [test]))
                 print(f"{verdict:<9} {mutant.name}: {test}", flush=True)
-                killed += code == 1
-                survived += code == 0
-                errors += code not in (0, 1)
+                killed += verdict == "killed"
+                survived += verdict == "SURVIVED"
+                errors += verdict.startswith("ERROR")
             shutil.rmtree(workdir)
     print(f"{len(MUTANTS)} rows, {killed + survived + errors} runs: "
           f"{killed} killed, {survived} survived, {errors} errors")
