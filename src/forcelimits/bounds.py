@@ -18,25 +18,34 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import FailureAtFrequency
+from .errors import ZERO, FailureAtFrequency
 
 if TYPE_CHECKING:
     from .schemes import DetectorParams
-
-_TINY = 1e-300
 
 #: a frequency or coupling mix: one value, or an array evaluated elementwise
 FloatOrArray = Union[float, NDArray[np.float64]]
 
 
+def _unit(params: DetectorParams) -> float:
+    """The power of two s with 1 <= Omega/s < 2.  A bound computed from Omega/s,
+    Gamma/s and w/s, scaled back by s, is bit for bit the one in any unit."""
+    return math.ldexp(1.0, math.frexp(params.Omega)[1] - 1)
+
+
 def chi_mech(params: DetectorParams, omega: FloatOrArray):
-    """Mechanical susceptibility Omega / ((Gamma/2 - i w)^2 + Omega^2)."""
-    d = params.Gamma / 2.0 - 1j * omega
-    denom = d * d + params.Omega * params.Omega
-    FailureAtFrequency.at_first(
-        omega, abs(denom) < _TINY, "undamped oscillator driven on resonance at"
-    )
-    return params.Omega / denom
+    """Mechanical susceptibility Omega / ((Gamma/2 - i w)^2 + Omega^2).
+
+    Its denominator counts as zero (resonance) when at most ZERO (Gamma^2/4 + w^2 + Omega^2).
+    """
+    s = _unit(params)
+    om, gm, w = params.Omega / s, params.Gamma / s, omega / s
+    d = gm / 2.0 - 1j * w
+    denom = d * d + om * om
+    size = gm * gm / 4.0 + om * om + w * w
+    on_resonance = abs(denom) / size <= ZERO  # an overflowed inf/inf is NaN, not zero
+    FailureAtFrequency.at_first(omega, on_resonance, "undamped oscillator driven on resonance at")
+    return om / s / denom
 
 
 def chi_cav(params: DetectorParams, omega: FloatOrArray):
@@ -57,7 +66,8 @@ def sql(params: DetectorParams, omega: FloatOrArray):
 
 def uql(params: DetectorParams, omega: FloatOrArray):
     """Dissipation-set quantum limit |Im(1/chi_mech)| = w*Gamma/Omega."""
-    return abs(omega) * params.Gamma / params.Omega
+    s = _unit(params)
+    return abs(omega) * (params.Gamma / s) / (params.Omega / s)  # |w| Gamma/s <= 2 uql
 
 
 @dataclass(frozen=True)
@@ -87,8 +97,9 @@ def coupling_susceptibilities(
 def generalized_uql(q: CouplingSusceptibilities):
     """Lower bound |Im chi_qq| / |chi_qx|^2 for a detector coupled through q."""
     mag = abs(q.chi_qx)
-    FailureAtFrequency.at_first(q.omega, mag < math.sqrt(_TINY), "chi_qx vanished at")
-    return abs(q.chi_qq.imag) / (mag * mag)
+    FailureAtFrequency.at_first(q.omega, mag == 0.0, "chi_qx vanished at")
+    m, e = np.frexp(mag)  # mag = m 2^e: m^2 cannot underflow, and 2^-2e is exact
+    return np.ldexp(abs(q.chi_qq.imag), -2 * e) / (m * m)
 
 
 def optimal_uql(params: DetectorParams, omega: FloatOrArray):
@@ -101,10 +112,12 @@ def optimal_uql(params: DetectorParams, omega: FloatOrArray):
     direct form for w >> Omega.  The denominator stays positive, so w = 0
     gives exactly 0.
     """
-    w2 = omega * omega
-    om2 = params.Omega * params.Omega
-    quarter_g2 = params.Gamma * params.Gamma / 4.0
+    s = _unit(params)
+    om, gm, w = params.Omega / s, params.Gamma / s, omega / s
+    w2 = w * w
+    om2 = om * om
+    quarter_g2 = gm * gm / 4.0
     a = quarter_g2 + w2 + om2
     b = quarter_g2 + w2 - om2
-    c = params.Gamma * params.Gamma * om2
-    return 2.0 * params.Gamma * params.Omega * abs(omega) / (a + np.sqrt(b * b + c))
+    c = gm * gm * om2
+    return 2.0 * gm * om * abs(w) / (a + np.sqrt(b * b + c)) * s

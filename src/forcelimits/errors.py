@@ -2,6 +2,9 @@
 
 import numpy as np
 
+#: the one zero rule: a quantity at most ZERO times the size of its terms is zero
+ZERO = 1e-14
+
 
 class ForceLimitsError(Exception):
     """Base class for all package-specific failures."""

@@ -25,14 +25,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import bounds
-from .errors import FailureAtFrequency, NumericalFailure
+from .errors import ZERO, FailureAtFrequency, NumericalFailure
 from .linsys import LinearModel, adjoint_response, channel_output
 from .linsys import quadrature, readout_drive
 from .schemes import VARIANTS, DetectorParams, SchemeConfig, build, conjugate_drive
 from .schemes import coupling_drift
 from .spectra import QuadratureSpectrum
-
-_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -134,8 +132,9 @@ def combined_quantities(
     x = r2 - delta * delta + xi * gamma * delta
     y = g * g * delta
     c = g * math.sqrt(gamma) * (r + xi * delta)
+    size = abs(g) * math.sqrt(gamma) * (abs(r) + abs(xi * delta))
+    FailureAtFrequency.at_first(omega, abs(c) <= ZERO * size, "readout normalization C vanished at")
     c2 = abs(c) ** 2
-    FailureAtFrequency.at_first(omega, c2 < _TINY, "readout normalization C vanished at")
     u, v, w = uvw.u, uvw.v, uvw.w
     h = (d * e * u + e * x * w + d * y * w + x * y * v) / c2
     k = (e * e * u + 2.0 * e * y * w + y * y * v) / c2
@@ -166,7 +165,8 @@ def extract_detector(
     oscillator's coupling, with each of its channels (the noise budget) driven
     by its input state (the readout's replaced by `input_spectrum` if given);
     chi_qq and chi_qx are the analytic susceptibilities of the oscillator's
-    coupling operator q.
+    coupling operator q.  The output's response to the input counts as zero when at
+    most ZERO times the larger of those of d . out and of its perpendicular quadrature.
     """
     if input_spectrum is not None:
         config = replace(config, input_spectrum=input_spectrum)
@@ -174,14 +174,15 @@ def extract_detector(
     f = VARIANTS[config.variant].couplings[0][1]
     d = quadrature(config.readout_angle)
 
-    # one adjoint solve for the state functionals of F = f . x and of d . out
-    b = np.stack([f, readout_drive(model, d)], axis=1)
-    y_f, y_z = adjoint_response(model, np.array([omega], dtype=float), b)[0].T
+    # one adjoint solve for the state functionals F = f . x, d . out and d_perp . out
+    b = np.column_stack([f, readout_drive(model, np.stack([d, [d[1], -d[0]]], axis=1))])
+    y_f, y_z, y_perp = adjoint_response(model, np.array([omega], dtype=float), b)[0].T
     drive = conjugate_drive(f)
     chi_ff = complex(y_f @ drive)
     chi_zf_raw = complex(y_z @ drive)
     FailureAtFrequency.at_first(
-        omega, abs(chi_zf_raw) < _TINY, "output does not respond to the input operator at"
+        omega, abs(chi_zf_raw) <= ZERO * max(abs(chi_zf_raw), abs(y_perp @ drive)),
+        "output does not respond to the input operator at",
     )
 
     spectra = np.zeros(3, dtype=complex)  # S_FF, S_ZZ, S_ZF
@@ -190,6 +191,8 @@ def extract_detector(
         z_c = channel_output(ch, y_z, d) / chi_zf_raw
         form = ch.spectrum.form
         spectra += [form(f_c, f_c), form(z_c, z_c), form(z_c, f_c)]
+    FailureAtFrequency.at_first(omega, not np.isfinite(spectra).all(),
+                                "non-finite detector spectra at")
 
     q = bounds.coupling_susceptibilities(config.params, config.coupling_mix, omega)
     return GenericDetector(
@@ -228,7 +231,7 @@ def feedback_added_noise(
         [[det.chi_qx, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex
     )
     z_f, z_f0, z_z0 = np.moveaxis(np.linalg.solve(system, drives)[..., 2, :], -1, 0)
-    if np.any(abs(z_f) < _TINY):
+    if np.any(abs(z_f) <= ZERO * np.maximum(abs(z_f0), abs(z_z0))):
         raise NumericalFailure("output carries no force signal")
     c_f = z_f0 / z_f
     c_z = z_z0 / z_f

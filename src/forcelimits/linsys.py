@@ -16,16 +16,10 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import FailureAtFrequency
+from .errors import ZERO, FailureAtFrequency
 
 if TYPE_CHECKING:
     from .spectra import QuadratureSpectrum
-
-#: eigenvalue real parts up to this value still count as (marginally) stable
-STABILITY_TOL = 1e-12
-
-#: 1-norm condition number beyond which a solve is treated as singular
-_COND_LIMIT = 1e14
 
 
 @dataclass(frozen=True)
@@ -93,9 +87,10 @@ class FrequencyResponse:
 
 
 def stability_check(drift: NDArray[np.float64]) -> tuple[bool, NDArray[np.complex128]]:
-    """Return (stable, eigenvalues); stable means all real parts <= tolerance."""
+    """Return (stable, eigenvalues); stable means no real part exceeds ZERO max|lambda|."""
     eigenvalues = np.linalg.eigvals(drift)
-    stable = bool(eigenvalues.real.max() <= STABILITY_TOL)
+    top = eigenvalues.real.max()
+    stable = bool(top <= 0.0 or top <= ZERO * abs(eigenvalues).max())
     return stable, eigenvalues
 
 
@@ -111,8 +106,8 @@ def _cond1(drift: NDArray[np.float64], omegas, inv: NDArray[np.complex128]) -> N
 def inverted_system(model: LinearModel, omegas: NDArray[np.float64]) -> NDArray[np.complex128]:
     """Stack of the inverses of m = (A + i w I)^T, one per frequency.
 
-    The first w whose 1-norm condition number ||m||_1 ||m^-1||_1 exceeds the
-    limit raises.  Column k of m is row k of A with a_kk + i w on the diagonal,
+    The first w whose 1-norm condition number ||m||_1 ||m^-1||_1 exceeds
+    1 / ZERO raises.  Column k of m is row k of A with a_kk + i w on the diagonal,
     so ||m||_1 = max_k (sum_{j != k} |a_kj| + hypot(a_kk, w)), O(n) per w.  An
     exactly singular m fails the batched inverse; the stack is then inverted
     point by point, and a failing matrix counts as infinitely ill-conditioned.
@@ -130,7 +125,7 @@ def inverted_system(model: LinearModel, omegas: NDArray[np.float64]) -> NDArray[
             except np.linalg.LinAlgError:
                 pass
     FailureAtFrequency.at_first(
-        omegas, ~(_cond1(model.drift, omegas, inv) <= _COND_LIMIT), "system matrix singular at"
+        omegas, ~(_cond1(model.drift, omegas, inv) <= 1.0 / ZERO), "system matrix singular at"
     )
     return inv
 

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import bounds
-from .errors import FailureAtFrequency
+from .errors import ZERO, FailureAtFrequency
 from .linsys import (
     FrequencyResponse,
     LinearModel,
@@ -39,9 +39,6 @@ __all__ = [
     "sensitivity_spectrum",
 ]
 
-#: a force response |v . d| at most this fraction of the largest |v| is zero
-_RESPONSE_FLOOR = 1e-14
-
 #: frequencies per stacked solve; keeps the solve's memory fixed for any grid size
 _BLOCK = 256
 
@@ -50,9 +47,9 @@ def _per_force(coeffs, response, v, omega) -> dict[str, tuple]:
     """Each channel's (..., 2) coefficients as a pair per unit force response.
 
     `response` is v . d, `v` the force response of both output quadratures;
-    the first omega where |v . d| <= _RESPONSE_FLOOR max|v| is a FailureAtFrequency.
+    the first omega where |v . d| <= ZERO max|v| is a FailureAtFrequency.
     """
-    floor = _RESPONSE_FLOOR * np.abs(v).max(axis=-1)
+    floor = ZERO * np.abs(v).max(axis=-1)
     FailureAtFrequency.at_first(omega, abs(response) <= floor, "force invisible at readout,")
     return {cid: tuple((c / response[..., None]).T) for cid, c in coeffs.items()}
 

@@ -19,15 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .errors import FailureAtFrequency, InvalidConfig, UnstableModel
+from .errors import ZERO, FailureAtFrequency, InvalidConfig, UnstableModel
 from .linsys import LinearModel, NoiseChannel, stability_check
 from .spectra import QuadratureSpectrum, vacuum
 
 MECHANICAL = "mechanical"
 READOUT = "readout"
 ANCILLA = "ancilla"
-
-_DIVERGENCE_FLOOR = 1e-14
 
 #: unit vectors of the state quadratures: oscillator x, p on rows (0, 1),
 #: cavity b1, b2 on (2, 3) and ancilla x_a on 4 (its p_a, row 5, couples to nothing)
@@ -189,8 +187,8 @@ def closed_form_transfer(
     chi_d = delta / denom_rd
     chi_a = bounds.chi_mech(params, omega)
 
-    loop = 1.0 - g * g * chi_a * chi_d
-    FailureAtFrequency.at_first(omega, abs(loop) < _DIVERGENCE_FLOOR, "parametric divergence at")
+    loop = 1.0 - g * g * chi_a * chi_d  # zero relative to its 1
+    FailureAtFrequency.at_first(omega, abs(loop) <= ZERO, "parametric divergence at")
 
     m_shot = -np.eye(2, dtype=complex) + gamma * np.array(
         [[chi_r, chi_d], [-chi_d, chi_r]]

@@ -38,6 +38,15 @@ class TestSusceptibilities:
                            match=r"^undamped oscillator driven on resonance at omega = "):
             bounds.chi_mech(p, 1.0)
 
+    def test_resonance_is_relative_to_the_terms(self):
+        # one ulp above an undamped resonance, |Omega^2 - w^2| is 4.4e-16, some
+        # 2e-16 of Omega^2 + w^2: zero by the rule; 1e-13 away it is not
+        p = params(Omega=1.0, Gamma=0.0)
+        with pytest.raises(FailureAtFrequency,
+                           match=r"^undamped oscillator driven on resonance at omega = "):
+            bounds.chi_mech(p, math.nextafter(1.0, 2.0))
+        assert abs(bounds.chi_mech(p, 1.0 + 1e-13)) == pytest.approx(5e12, rel=1e-3)
+
 
 class TestSqlUql:
     def test_sql_undamped_dc(self):

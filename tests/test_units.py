@@ -1,0 +1,136 @@
+"""Unit covariance: no verdict or column depends on the frequency unit.
+
+All rates and frequencies share one arbitrary unit (hbar = 1).  Scaling
+Omega, Gamma, gamma, Delta, g and the grid by lambda = 4^k multiplies every
+product and quotient by a power of two, which is exact, so every column of a
+spectrum scales by lambda bit for bit and every failure is the same failure
+at the scaled frequency (a metamorphic relation in the sense of Chen, Cheung
+& Yiu, HKUST-CS98-01, 1998).
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_cli import parse_csv
+
+from forcelimits import bounds, cli, linresp, noise, presets
+from forcelimits.errors import FailureAtFrequency, ForceLimitsError, UnstableModel
+from forcelimits.schemes import DetectorParams, SchemeConfig
+
+GRID = np.geomspace(1e-2, 1e1, 16)
+COLUMNS = ("omegas", "s_f", "sql", "uql", "guql", "opt_uql")
+
+
+def scaled(config: SchemeConfig, lam: float) -> SchemeConfig:
+    """The same scheme with every rate multiplied by lam."""
+    p = config.params
+    return replace(config, params=replace(
+        p, Omega=lam * p.Omega, Gamma=lam * p.Gamma, gamma=lam * p.gamma,
+        Delta=lam * p.Delta, g=lam * p.g,
+    ))
+
+
+def outcome(config: SchemeConfig, grid):
+    try:
+        return noise.sensitivity_spectrum(config, grid)
+    except ForceLimitsError as error:
+        return error
+
+
+@st.composite
+def draws(draw):
+    """A config drawn as perfbench's param-scan draws them, stable or not,
+    with Gamma = 0 about one time in five."""
+    variant = draw(st.sampled_from(["standard", "cqnc", "toy"]))
+    params = DetectorParams(
+        Omega=draw(st.floats(0.05, 3.0)),
+        Gamma=draw(st.floats(0.01, 1.0)) if draw(st.integers(0, 4)) else 0.0,
+        gamma=draw(st.floats(0.3, 6.0)),
+        Delta=draw(st.floats(-4.0, 4.0)) if variant == "standard" else 0.0,
+        g=draw(st.floats(0.2, 4.0)) * draw(st.sampled_from([-1.0, 1.0])),
+    )
+    return SchemeConfig(variant, params, readout_angle=draw(st.floats(-1.3, 1.3)),
+                        eta=draw(st.floats(-2.0, 2.0)))
+
+
+@given(config=draws(), k=st.integers(-400, 400))
+@example(config=presets.fig2a_configs()["cqnc"], k=-400)
+@example(config=presets.fig2b_config(), k=400)
+@example(config=SchemeConfig(  # unstable at every scale: Re lambda = 0.052
+    "standard", DetectorParams(Omega=1.0, Gamma=0.1, gamma=1.0, Delta=-1.0, g=0.5)), k=-400)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_spectrum_is_unit_covariant(config, k):
+    lam = 4.0**k
+    base = outcome(config, GRID)
+    with np.errstate(all="ignore"):
+        moved = outcome(scaled(config, lam), lam * GRID)
+    assert type(moved) is type(base), (base, moved)
+    if isinstance(base, noise.SensitivitySpectrum):
+        for name in COLUMNS:
+            np.testing.assert_array_equal(
+                getattr(moved, name), lam * getattr(base, name), err_msg=name
+            )
+    elif isinstance(base, FailureAtFrequency):
+        message = str(base).rpartition(" omega = ")[0]
+        assert str(moved) == str(FailureAtFrequency(lam * base.omega, message))
+    elif not isinstance(base, UnstableModel):  # its message prints an eigenvalue
+        assert str(moved) == str(base)
+
+
+def run_csv(tmp_path, args):
+    """Exit code and CSV columns by name of one in-process spectrum run."""
+    path = tmp_path / "out.csv"
+    code = cli.main(["spectrum", *args, "--output", str(path)])
+    if code != 0:
+        return code, None
+    header, data = parse_csv(path.read_text())
+    return code, dict(zip(header, data.T))
+
+
+def test_toy_run_is_stable_in_its_own_unit(tmp_path):
+    # the largest real part is 1.046e-11, some 5e-16 of the largest |lambda|;
+    # the same model in a unit 1e4 larger was stable under an absolute test
+    args = ["--scheme", "toy", "--Omega", "2e4", "--Gamma", "0", "--gamma", "7e3",
+            "--g=-1.8e4", "--eta", "0.5", "--omega-min", "1", "--omega-max", "10",
+            "--points", "3"]
+    assert run_csv(tmp_path, args)[0] == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["--Omega", "3.87e-123", "--Gamma", "3.87e-123", "--gamma", "1.16e-120",
+     "--g=-3.87e-120", "--omega-min", "3.87e-124", "--omega-max", "3.87e-120",
+     "--points", "3"],
+    ["--Omega", "1e118", "--Gamma", "1e118", "--gamma", "3e120", "--g=-1e121",
+     "--omega-min", "1e117", "--omega-max", "1e121"],
+], ids=["lambda-4^-200", "lambda-4^200"])
+def test_bounds_at_the_ends_of_the_unit_range(tmp_path, args):
+    # 2 Gamma Omega omega once under- and overflowed in optimal_uql
+    code, table = run_csv(tmp_path, args)
+    assert code == 0
+    assert (table["opt_uql"] > 0.0).all()
+    assert np.isfinite(table["s_f"]).all()
+
+
+def test_chi_mech_in_a_tiny_unit():
+    # the denominator (4^-400)^2 once fell below an absolute floor of 1e-300
+    p = DetectorParams(Omega=1.3, Gamma=0.2, gamma=1.0)
+    lam = 4.0**-400
+    small = DetectorParams(Omega=lam * p.Omega, Gamma=lam * p.Gamma, gamma=lam * p.gamma)
+    assert bounds.chi_mech(small, lam * 0.9) == bounds.chi_mech(p, 0.9) / lam
+
+
+@pytest.mark.parametrize("k", [-200, 200])
+def test_blind_quadrature_in_any_unit(k):
+    # the amplitude quadrature at Delta = 0: cos(pi/2) = 6.1e-17 leaves its
+    # response some 6e-17 of the perpendicular quadrature's
+    lam = 4.0**k
+    config = replace(presets.fig2a_configs()["standard"], readout_angle=math.pi / 2)
+    with pytest.raises(FailureAtFrequency) as info:
+        linresp.extract_detector(scaled(config, lam), lam * 0.2)
+    assert str(info.value) == str(
+        FailureAtFrequency(lam * 0.2, "output does not respond to the input operator at")
+    )

@@ -131,6 +131,28 @@ MUTANTS = (
         ("tests/test_schemes.py::TestBuild::test_standard_drift_entries",
          "tests/test_schemes.py::TestBuild::test_cqnc_drift_entries"),
     ),
+    Mutant(
+        "chi-mech-absolute-floor", "src/forcelimits/bounds.py",
+        "abs(denom) / size <= ZERO",
+        "abs(denom) * s * s < 1e-300",
+        ("tests/test_units.py::test_chi_mech_in_a_tiny_unit",
+         "tests/test_bounds.py::TestSusceptibilities::test_resonance_is_relative_to_the_terms"),
+    ),
+    Mutant(
+        "stability-absolute", "src/forcelimits/linsys.py",
+        "top <= 0.0 or top <= ZERO * abs(eigenvalues).max()",
+        "top <= 1e-12",
+        ("tests/test_units.py::test_toy_run_is_stable_in_its_own_unit",
+         "tests/test_units.py::test_spectrum_is_unit_covariant"),
+    ),
+    Mutant(
+        "response-absolute-floor", "src/forcelimits/linresp.py",
+        "abs(chi_zf_raw) <= ZERO * max(abs(chi_zf_raw), abs(y_perp @ drive))",
+        "abs(chi_zf_raw) < 1e-300",
+        ("tests/test_units.py::test_blind_quadrature_in_any_unit[-200]",
+         "tests/test_cli.py::TestNumericalFailureInProcess"
+         "::test_message_is_stated_at_its_site[linresp-unresponsive-output]"),
+    ),
 )
 
 
