@@ -60,8 +60,8 @@ def inverse_chi_mech(params: DetectorParams, omega: FloatOrArray):
 
 
 def sql(params: DetectorParams, omega: FloatOrArray):
-    """Standard quantum limit 1/|chi_mech|: the optimal shot/backaction tradeoff."""
-    return 1.0 / abs(chi_mech(params, omega))
+    """Standard quantum limit 1/|chi_mech|: the shot/backaction optimum (inf where chi is 0)."""
+    return np.divide(1.0, abs(chi_mech(params, omega)))  # Python's abs for a Python complex
 
 
 def uql(params: DetectorParams, omega: FloatOrArray):
@@ -110,9 +110,11 @@ def optimal_uql(params: DetectorParams, omega: FloatOrArray):
     in the rationalized form 2 Gamma Omega w / (a + sqrt(b^2 + c)), which is
     algebraically identical but avoids the cancellation that destroys the
     direct form for w >> Omega.  The denominator stays positive, so w = 0
-    gives exactly 0.
+    gives exactly 0.  It is computed per frequency in the power-of-two unit s
+    of max(Omega, Gamma, |w|), as 2 (Gamma/s) Omega |w/s| / (a + sqrt(b^2 + c)),
+    so that no term overflows at any finite w.
     """
-    s = _unit(params)
+    s = np.ldexp(1.0, np.frexp(np.maximum(max(params.Omega, params.Gamma), abs(omega)))[1] - 1)
     om, gm, w = params.Omega / s, params.Gamma / s, omega / s
     w2 = w * w
     om2 = om * om
@@ -120,4 +122,4 @@ def optimal_uql(params: DetectorParams, omega: FloatOrArray):
     a = quarter_g2 + w2 + om2
     b = quarter_g2 + w2 - om2
     c = gm * gm * om2
-    return 2.0 * gm * om * abs(w) / (a + np.sqrt(b * b + c)) * s
+    return 2.0 * gm * params.Omega * abs(w) / (a + np.sqrt(b * b + c))

@@ -43,15 +43,15 @@ __all__ = [
 _BLOCK = 256
 
 
-def _per_force(coeffs, response, v, omega) -> dict[str, tuple]:
-    """Each channel's (..., 2) coefficients as a pair per unit force response.
+def _per_force(coeffs, response, v, omega) -> list[tuple]:
+    """Each of the (..., 2) coefficient arrays as a pair per unit force response.
 
     `response` is v . d, `v` the force response of both output quadratures;
     the first omega where |v . d| <= ZERO max|v| is a FailureAtFrequency.
     """
     floor = ZERO * np.abs(v).max(axis=-1)
     FailureAtFrequency.at_first(omega, abs(response) <= floor, "force invisible at readout,")
-    return {cid: tuple((c / response[..., None]).T) for cid, c in coeffs.items()}
+    return [tuple((c / response[..., None]).T) for c in coeffs]
 
 
 def added_noise(resp: FrequencyResponse, phi: float) -> dict[str, tuple]:
@@ -61,8 +61,8 @@ def added_noise(resp: FrequencyResponse, phi: float) -> dict[str, tuple]:
     """
     d = quadrature(phi)
     blocks = {resp.readout_id: resp.M, **resp.cross}
-    coeffs = {k: d @ m for k, m in blocks.items()}
-    return _per_force(coeffs, resp.v @ d, resp.v, resp.omega)
+    pairs = _per_force([d @ m for m in blocks.values()], resp.v @ d, resp.v, resp.omega)
+    return dict(zip(blocks, pairs))
 
 
 def power_density(
@@ -91,18 +91,15 @@ def noise_budget(
     return {ch.id: ch.spectrum for ch in model.channels}
 
 
-def _sensitivity(
-    config: SchemeConfig, model: LinearModel, omegas: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """S_f over `omegas`, one stacked adjoint solve per block of frequencies.
+def _sensitivity(model: LinearModel, phi: float, omegas: NDArray[np.float64]) -> NDArray[np.float64]:
+    """S_f of any model read out in the phi quadrature, one stacked adjoint solve per block.
 
     The refined solve gives the readout quadrature's response y to every
-    state row, from which channel_output assembles each budget channel's
-    coefficients.  Row force_row of the inverse, w, gives the force response
-    to a drive b as -w . b, so v is minus the readout's channel_output of w.
+    state row, from which channel_output assembles each channel's coefficients
+    to pair with its spectrum.  Row force_row of the inverse, w, gives the force
+    response to a drive b as -w . b, so v is minus the readout's channel_output of w.
     """
-    budget = noise_budget(config, model)
-    d = quadrature(config.readout_angle)
+    d = quadrature(phi)
     b = readout_drive(model, d)
     s_f = np.empty_like(omegas)
     for start in range(0, len(omegas), _BLOCK):
@@ -110,17 +107,16 @@ def _sensitivity(
         inv = inverted_system(model, block)
         y = refined_solve(model.drift, inv, block, b)
         v = -channel_output(model.readout, inv[:, model.force_row])
-        coeffs = {ch.id: channel_output(ch, y, d) for ch in model.channels}
-        s_f[start:start + _BLOCK] = power_density(
-            _per_force(coeffs, y[:, model.force_row], v, block), budget
-        )
+        coeffs = [channel_output(ch, y, d) for ch in model.channels]
+        pairs = _per_force(coeffs, y[:, model.force_row], v, block)
+        s_f[start:start + _BLOCK] = sum(
+            (ch.spectrum.form(c, c).real for ch, c in zip(model.channels, pairs)), 0.0)
     return s_f
 
 
 def sensitivity_at(config: SchemeConfig, omega: float) -> float:
-    """S_f of the configured scheme at a single frequency."""
-    omegas = np.array([omega], dtype=float)
-    return float(_sensitivity(config, build(config), omegas)[0])
+    """S_f of the configured scheme at one frequency: a one-point sensitivity_spectrum."""
+    return float(sensitivity_spectrum(config, np.array([omega], dtype=float)).s_f[0])
 
 
 @dataclass(frozen=True)
@@ -160,7 +156,7 @@ def sensitivity_spectrum(
     params = config.params
     try:
         columns = [  # after omegas, in SensitivitySpectrum's field order
-            _sensitivity(config, build(config), omegas),
+            _sensitivity(build(config), config.readout_angle, omegas),
             bounds.sql(params, omegas),
             bounds.uql(params, omegas),
             bounds.generalized_uql(

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import optimize
@@ -62,6 +63,23 @@ class TestSqlUql:
             p = params(Omega=rng.uniform(0.1, 4), Gamma=rng.uniform(0.01, 2))
             w = rng.uniform(0.01, 8)
             assert bounds.sql(p, w) * abs(bounds.chi_mech(p, w)) == pytest.approx(1.0)
+
+    def test_float_call_past_underflow_is_inf(self):
+        # chi_mech underflows to 0 far above Omega: a float ends in inf, as an array does
+        p = params(Omega=1.0, Gamma=1.0, gamma=1.0)
+        with np.errstate(all="ignore"):
+            assert bounds.sql(p, 1e160) == math.inf
+            assert bounds.sql(p, np.array([1e160]))[0] == math.inf
+
+    def test_float_call_is_one_over_python_abs(self):
+        # bit for bit 1/abs(chi) with Python's abs, which numpy's complex abs is not
+        rng = np.random.default_rng(31)
+        with np.errstate(all="ignore"):
+            for _ in range(3000):
+                p = params(Omega=10.0 ** rng.uniform(-3, 3), Gamma=10.0 ** rng.uniform(-3, 3))
+                w = 10.0 ** rng.uniform(-5.0, 200.0)
+                chi = bounds.chi_mech(p, w)
+                assert bounds.sql(p, w) == (1.0 / abs(chi) if chi != 0.0 else math.inf)
 
     def test_sql_is_coupling_optimum(self):
         # oracle: minimize the shot/backaction tradeoff over the coupling
@@ -196,6 +214,27 @@ class TestOptimalBound:
 
     def test_zero_frequency_limit(self):
         assert bounds.optimal_uql(params(), 0.0) == 0.0
+
+    def test_extreme_rates_against_60_digit_arithmetic(self):
+        # in a unit of Omega alone, (Gamma/Omega)^2 or (w/Omega)^4 overflows to a bound of 0
+        def exact(p, w):
+            Omega, Gamma, w = map(mpmath.mpf, (p.Omega, p.Gamma, w))
+            a = Gamma**2 / 4 + w**2 + Omega**2
+            b = Gamma**2 / 4 + w**2 - Omega**2
+            return 2 * Gamma * Omega * w / (a + mpmath.sqrt(b**2 + Gamma**2 * Omega**2))
+
+        rng = np.random.default_rng(37)
+        with mpmath.workdps(60):
+            for _ in range(400):
+                Omega, Gamma = 10.0 ** rng.uniform(-100, 100, 2)
+                p = params(Omega=float(Omega), Gamma=float(Gamma))
+                ws = p.Omega * 10.0 ** rng.uniform(-60.0, 60.0, 5)
+                values = bounds.optimal_uql(p, ws)
+                for w, value in zip(ws, values):
+                    assert bounds.optimal_uql(p, float(w)) == value
+                    expected = exact(p, w)  # below 2.2e-308 only to a subnormal's spacing
+                    assert abs(value - expected) <= 1e-15 * expected + 5e-324
+        assert bounds.optimal_uql(params(), 1e200) == pytest.approx(1e-200, rel=1e-15)
 
 
 def test_bounds_scale_linearly_with_frequency_unit():

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import mpmath
@@ -475,6 +476,16 @@ class TestBlockedEngine:
             spec = noise.sensitivity_spectrum(cfg, grid)
             for k in (0, 137, len(grid) - 1):
                 assert noise.sensitivity_at(cfg, grid[k]) == spec.s_f[k]
+
+    @pytest.mark.parametrize("omega", [1e55, 1e60, 1e80])
+    def test_sensitivity_at_fails_where_the_spectrum_fails(self, omega):
+        # S_f overflows to inf (1e55, 1e60) or NaN (1e80) on the fig2a standard curve
+        config = presets.fig2a_configs()["standard"]
+        message = re.escape(f"non-finite S_f or bound value at omega = {omega!r}")
+        with np.errstate(all="ignore"), pytest.raises(FailureAtFrequency, match=f"^{message}$"):
+            noise.sensitivity_spectrum(config, np.array([omega]))
+        with np.errstate(all="ignore"), pytest.raises(FailureAtFrequency, match=f"^{message}$"):
+            noise.sensitivity_at(config, omega)
 
     @pytest.mark.parametrize(
         "cfg, grid",

@@ -132,6 +132,31 @@ MUTANTS = (
          "tests/test_schemes.py::TestBuild::test_cqnc_drift_entries"),
     ),
     Mutant(
+        "channel-output-sign", "src/forcelimits/linsys.py",
+        "return c - d if",
+        "return c + d if",
+        ("tests/test_linear_detectors.py::test_sensitivity_obeys_the_theorem[1]",
+         "tests/test_linear_detectors.py::test_preset_output_field_is_free[standard]"),
+    ),
+    Mutant(
+        "engine-drops-a-channel", "src/forcelimits/noise.py",
+        "for ch, c in zip(model.channels, pairs)",
+        "for ch, c in zip((model.readout,), pairs)",
+        ("tests/test_linear_detectors.py::test_sensitivity_obeys_the_theorem[2]",),
+    ),
+    Mutant(
+        "optimal-uql-omega-unit", "src/forcelimits/bounds.py",
+        "np.frexp(np.maximum(max(params.Omega, params.Gamma), abs(omega)))",
+        "np.frexp(params.Omega)",
+        ("tests/test_bounds.py::TestOptimalBound::test_extreme_rates_against_60_digit_arithmetic",),
+    ),
+    Mutant(
+        "sql-numpy-abs", "src/forcelimits/bounds.py",
+        "np.divide(1.0, abs(chi_mech(params, omega)))",
+        "np.divide(1.0, np.abs(chi_mech(params, omega)))",
+        ("tests/test_bounds.py::TestSqlUql::test_float_call_is_one_over_python_abs",),
+    ),
+    Mutant(
         "chi-mech-absolute-floor", "src/forcelimits/bounds.py",
         "abs(denom) / size <= ZERO",
         "abs(denom) * s * s < 1e-300",
