@@ -17,7 +17,6 @@ from .linresp import (
     extract_detector,
     feedback_added_noise,
     g_optimized_bound,
-    sensitivity,
     sprime_f,
     uncertainty_slack,
 )

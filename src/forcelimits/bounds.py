@@ -111,8 +111,9 @@ def optimal_uql(params: DetectorParams, omega: FloatOrArray):
     algebraically identical but avoids the cancellation that destroys the
     direct form for w >> Omega.  The denominator stays positive, so w = 0
     gives exactly 0.  It is computed per frequency in the power-of-two unit s
-    of max(Omega, Gamma, |w|), as 2 (Gamma/s) Omega |w/s| / (a + sqrt(b^2 + c)),
-    so that no term overflows at any finite w.
+    of max(Omega, Gamma, |w|), as 2 (Omega/s) Gamma |w/s| / (a + sqrt(b^2 + c)),
+    so that no term overflows at any finite w and a Gamma far below s, whose
+    Gamma/s underflows, still enters the numerator.
     """
     s = np.ldexp(1.0, np.frexp(np.maximum(max(params.Omega, params.Gamma), abs(omega)))[1] - 1)
     om, gm, w = params.Omega / s, params.Gamma / s, omega / s
@@ -122,4 +123,4 @@ def optimal_uql(params: DetectorParams, omega: FloatOrArray):
     a = quarter_g2 + w2 + om2
     b = quarter_g2 + w2 - om2
     c = gm * gm * om2
-    return 2.0 * gm * params.Omega * abs(w) / (a + np.sqrt(b * b + c))
+    return 2.0 * om * params.Gamma * abs(w) / (a + np.sqrt(b * b + c))

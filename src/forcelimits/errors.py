@@ -10,8 +10,8 @@ class ForceLimitsError(Exception):
     """Base class for all package-specific failures."""
 
 
-class InvalidConfig(ForceLimitsError):
-    """A scheme or grid configuration violates its invariants."""
+class InvalidConfig(ForceLimitsError, ValueError):
+    """Rejected input (CLI exit code 2), raised where it is checked; a ValueError too."""
 
 
 class UnstableModel(ForceLimitsError):

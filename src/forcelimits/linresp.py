@@ -64,11 +64,6 @@ def sprime_f(det: GenericDetector) -> float | NDArray[np.float64]:
     )
 
 
-def sensitivity(det: GenericDetector) -> float:
-    """Force-referred added noise S_f = S'_f / |chi_qx|^2."""
-    return sprime_f(det) / abs(det.chi_qx) ** 2
-
-
 def g_optimized_bound(det: GenericDetector) -> float:
     """Exact minimum of S'_f over the coupling strength.
 

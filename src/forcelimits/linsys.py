@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ZERO, FailureAtFrequency
+from .errors import ZERO, FailureAtFrequency, InvalidConfig
 
 if TYPE_CHECKING:
     from .spectra import QuadratureSpectrum
@@ -34,9 +34,9 @@ class NoiseChannel:
 
     def __post_init__(self):
         if self.rate < 0.0:
-            raise ValueError("channel rate must be nonnegative")
+            raise InvalidConfig("channel rate must be nonnegative")
         if self.rows[0] == self.rows[1]:
-            raise ValueError("channel rows must be distinct")
+            raise InvalidConfig("channel rows must be distinct")
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,20 +55,20 @@ class LinearModel:
         drift = np.array(self.drift, dtype=float)
         drift.flags.writeable = False
         object.__setattr__(self, "drift", drift)
-        n = drift.shape[0]
-        if drift.ndim != 2 or drift.shape != (n, n):
-            raise ValueError("drift matrix must be square")
+        if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
+            raise InvalidConfig("drift matrix must be square")
+        n = len(drift)
         if n == 0 or n % 2 != 0:
-            raise ValueError("state dimension must be a positive even number")
+            raise InvalidConfig("state dimension must be a positive even number")
         if not np.isfinite(drift).all():
-            raise ValueError("drift entries must be finite")
+            raise InvalidConfig("drift entries must be finite")
         if not 0 <= self.force_row < n:
-            raise ValueError("force_row out of range")
+            raise InvalidConfig("force_row out of range")
         if sum(ch.is_readout for ch in self.channels) != 1:
-            raise ValueError("exactly one channel must be the readout")
+            raise InvalidConfig("exactly one channel must be the readout")
         for ch in self.channels:
             if not all(0 <= r < n for r in ch.rows):
-                raise ValueError(f"channel {ch.id!r} rows out of range")
+                raise InvalidConfig(f"channel {ch.id!r} rows out of range")
 
     @property
     def readout(self) -> NoiseChannel:

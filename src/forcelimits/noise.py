@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import bounds
-from .errors import ZERO, FailureAtFrequency
+from .errors import ZERO, FailureAtFrequency, InvalidConfig
 from .linsys import (
     FrequencyResponse,
     LinearModel,
@@ -135,7 +135,7 @@ class SensitivitySpectrum:
     def __post_init__(self):
         cols = (self.omegas, self.s_f, self.sql, self.uql, self.guql, self.opt_uql)
         if len({len(c) for c in cols}) != 1:
-            raise ValueError("all spectrum columns must have the same length")
+            raise InvalidConfig("all spectrum columns must have the same length")
 
 
 def sensitivity_spectrum(
@@ -143,15 +143,21 @@ def sensitivity_spectrum(
 ) -> SensitivitySpectrum:
     """Evaluate S_f and the bound columns of a scheme over a frequency grid.
 
-    The generalized bound column uses `config.coupling_mix`.  A non-finite
+    The generalized bound column uses `config.coupling_mix`.  A grid that is not
+    finite, positive and strictly increasing is InvalidConfig; a non-finite
     value is a FailureAtFrequency at the first frequency where it occurs.
     """
     omegas = np.asarray(grid, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
-        raise ValueError("grid must be a nonempty 1-d array")
-    if not (np.isfinite(omegas).all() and (omegas > 0.0).all()
-            and (np.diff(omegas) > 0.0).all()):
-        raise ValueError("grid must be finite, strictly increasing and positive")
+        raise InvalidConfig("grid must be a nonempty 1-d array")
+    # the first point that is not finite and positive, or not above the one before it
+    invalid = ~(np.isfinite(omegas) & (omegas > 0.0))
+    bad = invalid | np.append(False, ~(omegas[1:] > omegas[:-1]))
+    if bad.any():
+        k = int(bad.argmax())
+        shown = omegas[k:k + 1] if invalid[k] else omegas[k - 1:k + 1]
+        raise InvalidConfig("grid must be finite, strictly increasing and positive, got "
+                            + " then ".join(map(repr, shown.tolist())))
 
     params = config.params
     try:

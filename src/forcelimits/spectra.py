@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidConfig
+
 _HEISENBERG_SLOP = 1e-12
 
 
@@ -24,12 +26,12 @@ class QuadratureSpectrum:
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.u, self.v, self.w))):
-            raise ValueError("spectrum elements must be finite")
+            raise InvalidConfig("spectrum elements must be finite")
         if not (self.u > 0.0 and self.v > 0.0):
-            raise ValueError("diagonal spectrum elements must be positive")
+            raise InvalidConfig("diagonal spectrum elements must be positive")
         # written so that a NaN, from u*v and w^2 both overflowing, fails too
         if not self.u * self.v - self.w * self.w >= 0.25 - _HEISENBERG_SLOP:
-            raise ValueError("spectrum violates u*v - w^2 >= 1/4")
+            raise InvalidConfig("spectrum violates u*v - w^2 >= 1/4")
 
     def form(self, a, b):
         """Hermitian form a S b^dagger of two coefficient pairs, S = [[u, w], [w, v]].
@@ -51,12 +53,20 @@ def squeeze_spectrum(s: float, theta_sq: float) -> QuadratureSpectrum:
 
     u = (e^(2s) sin^2 theta + e^(-2s) cos^2 theta)/2 and v (sin, cos swapped)
     add positive terms, so they do not cancel at large s; u*v - w^2 = 1/4.
+    An s whose state overflows or breaks that relation is InvalidConfig.
     """
-    grow, shrink = math.exp(2.0 * s), math.exp(-2.0 * s)
-    sin2 = math.sin(theta_sq) ** 2
-    cos2 = 1.0 - sin2  # sin2 + cos2 is exactly 1: s = 0 gives the vacuum
-    return QuadratureSpectrum(
-        u=(grow * sin2 + shrink * cos2) / 2.0,
-        v=(grow * cos2 + shrink * sin2) / 2.0,
-        w=-math.sinh(2.0 * s) * math.sin(2.0 * theta_sq) / 2.0,
-    )
+    if not math.isfinite(theta_sq):
+        raise InvalidConfig("squeeze_angle must be finite")
+    if not math.isfinite(2.0 * theta_sq):
+        raise InvalidConfig(f"2 * squeeze_angle overflows (squeeze_angle = {theta_sq!r})")
+    try:
+        grow, shrink = math.exp(2.0 * s), math.exp(-2.0 * s)
+        sin2 = math.sin(theta_sq) ** 2
+        cos2 = 1.0 - sin2  # sin2 + cos2 is exactly 1: s = 0 gives the vacuum
+        return QuadratureSpectrum(
+            u=(grow * sin2 + shrink * cos2) / 2.0,
+            v=(grow * cos2 + shrink * sin2) / 2.0,
+            w=-math.sinh(2.0 * s) * math.sin(2.0 * theta_sq) / 2.0,
+        )
+    except (InvalidConfig, OverflowError) as exc:
+        raise InvalidConfig(f"squeeze = {s} gives no valid input state: {exc}") from exc

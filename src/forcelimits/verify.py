@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import bounds, linresp, noise, presets
-from .errors import UnstableModel
+from .errors import InvalidConfig, NumericalFailure, UnstableModel
 from .linsys import transfer
 from .schemes import DetectorParams, SchemeConfig, build, closed_form_transfer
 from .spectra import squeeze_spectrum, vacuum
@@ -94,7 +94,7 @@ def sql_balance_frequency(params: DetectorParams) -> float:
     def first_sign_flip(values):
         flips = np.flatnonzero(np.diff(np.sign(values)))
         if flips.size == 0:
-            raise ValueError("no shot/backaction balance point in the scanned range")
+            raise NumericalFailure("no shot/backaction balance point in the scanned range")
         return flips[0]
 
     return float(_zoom(mismatch, np.geomspace(1e-4, 1e2, 4001), first_sign_flip)[0])
@@ -459,5 +459,5 @@ def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
     if name == "all":
         return [r for suite in SUITES for r in run_suite(suite, seed)]
     if name not in _SUITE_FUNCTIONS:
-        raise KeyError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
+        raise InvalidConfig(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
     return _SUITE_FUNCTIONS[name](partial(CheckResult, name), seed)

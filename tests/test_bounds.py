@@ -234,7 +234,12 @@ class TestOptimalBound:
                     assert bounds.optimal_uql(p, float(w)) == value
                     expected = exact(p, w)  # below 2.2e-308 only to a subnormal's spacing
                     assert abs(value - expected) <= 1e-15 * expected + 5e-324
-        assert bounds.optimal_uql(params(), 1e200) == pytest.approx(1e-200, rel=1e-15)
+            # Gamma/s underflows in the unit s of Omega and w; Gamma itself does not
+            far = params(Omega=1e300, Gamma=1e-300)
+            expected = exact(far, 1e300)
+            assert abs(bounds.optimal_uql(far, 1e300) - expected) <= 1e-15 * expected
+        # approx's default absolute tolerance of 1e-12 would accept 0.0 here
+        assert bounds.optimal_uql(params(), 1e200) == pytest.approx(1e-200, rel=1e-15, abs=0)
 
 
 def test_bounds_scale_linearly_with_frequency_unit():

@@ -488,11 +488,12 @@ class TestNumericalFailureInProcess:
     (["--squeeze", "400"], "squeeze = 400.0 gives no valid input state"),
     (["--squeeze", "1", "--squeeze-angle", "inf"], "squeeze_angle must be finite"),
     (["--n-th", "nan"], "n_th must be finite"),
+    # the grid generated from valid bounds is checked where every grid is
     (["--omega-min", "1", "--omega-max", "1.0000000000000002", "--points", "10"],
-     "10 log points over [1.0, 1.0000000000000002] are not strictly increasing"),
+     "grid must be finite, strictly increasing and positive, got 1.0 then 1.0"),
     (["--omega-min", "1", "--omega-max", "1.0000000000000002", "--points", "10",
       "--spacing", "linear"],
-     "10 linear points over [1.0, 1.0000000000000002] are not strictly increasing"),
+     "grid must be finite, strictly increasing and positive, got 1.0 then 1.0"),
     (["--scheme", "toy", "--eta", "1e308"], "g * eta overflows (g = -10.0, eta = 1e+308)"),
     (["--squeeze", "1", "--squeeze-angle", "1e308"],
      "2 * squeeze_angle overflows (squeeze_angle = 1e+308)"),

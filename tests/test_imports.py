@@ -2,6 +2,7 @@
 installed)."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,40 @@ def test_hand_located_raise_detector():
         "if x:\n    raise Failure(w, 'singular')\n"
     )
     assert hand_located_raises(ast.parse(source)) == [1, 2]
+
+
+BUILTIN_EXCEPTIONS = {name for name, value in vars(builtins).items()
+                      if isinstance(value, type) and issubclass(value, BaseException)}
+
+
+def builtin_raises(tree):
+    """Lines of raise statements whose exception is a builtin class (ValueError, ...)."""
+    return [
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)
+        and isinstance(exc := getattr(node.exc, "func", node.exc), ast.Name)
+        and exc.id in BUILTIN_EXCEPTIONS
+    ]
+
+
+def test_failures_are_package_types():
+    # rejected input is InvalidConfig where it is checked, a breakdown a
+    # NumericalFailure: a builtin exception would escape main's exit codes
+    found = {p.name: builtin_raises(ast.parse(p.read_text(encoding="utf-8")))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_builtin_raise_detector():
+    source = (
+        "raise ValueError('grid must be positive')\n"
+        "raise KeyError\n"
+        "raise InvalidConfig('unknown suite')\n"
+        "raise argparse.ArgumentTypeError('bad seed')\n"
+        "try:\n    pass\nexcept OverflowError as exc:\n    raise\n"
+        "if x:\n    raise OverflowError('range') from exc\n"
+        "raise exc\n"
+    )
+    assert builtin_raises(ast.parse(source)) == [1, 2, 10]
 
 
 

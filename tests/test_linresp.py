@@ -76,7 +76,7 @@ class TestSprimeF:
             phi = float(rng.uniform(-1.2, 1.2))
             cfg = SchemeConfig("standard", params, readout_angle=phi)
             det = linresp.extract_detector(cfg, omega)
-            assert linresp.sensitivity(det) == pytest.approx(
+            assert linresp.sprime_f(det) / abs(det.chi_qx) ** 2 == pytest.approx(
                 noise.sensitivity_at(cfg, omega), rel=1e-9
             )
 
@@ -117,7 +117,7 @@ class TestSprimeF:
             cfg = SchemeConfig("toy", p, eta=eta)
             omega = float(rng.uniform(0.05, 10.0))
             det = linresp.extract_detector(cfg, omega)
-            assert linresp.sensitivity(det) == pytest.approx(
+            assert linresp.sprime_f(det) / abs(det.chi_qx) ** 2 == pytest.approx(
                 noise.sensitivity_at(cfg, omega), rel=1e-9
             )
 
@@ -410,7 +410,7 @@ class TestFeedback:
         for _ in range(30):
             det = random_detector(rng)
             assert linresp.feedback_added_noise(det, 0.0) == pytest.approx(
-                linresp.sensitivity(det), rel=1e-12
+                linresp.sprime_f(det) / abs(det.chi_qx) ** 2, rel=1e-12
             )
 
     def test_gain_invariance(self):

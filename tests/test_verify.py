@@ -3,6 +3,7 @@ root search behind uql-dominance/sql-attained, and the recorded verdicts."""
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from scipy import optimize
 
 from forcelimits import bounds, presets
+from forcelimits.errors import NumericalFailure
 from forcelimits.verify import CheckResult, run_suite, sql_balance_frequency
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "reference.json"
@@ -51,6 +53,13 @@ def test_sql_balance_frequency_matches_brentq():
     k = np.flatnonzero(np.diff(np.sign(mismatch(grid))))[0]
     root = optimize.brentq(mismatch, grid[k], grid[k + 1], xtol=1e-15, rtol=1e-15)
     assert sql_balance_frequency(params) == pytest.approx(root, rel=1e-14)
+
+
+def test_no_balance_point_is_a_numerical_failure():
+    # at g = 0 there is no backaction to balance the shot noise
+    message = "^no shot/backaction balance point in the scanned range$"
+    with pytest.raises(NumericalFailure, match=message):
+        sql_balance_frequency(replace(presets.FIG2A_PARAMS, g=0.0))
 
 
 # seed 13 is the one where identities/gram-identity fails as well

@@ -178,6 +178,30 @@ MUTANTS = (
          "tests/test_cli.py::TestNumericalFailureInProcess"
          "::test_message_is_stated_at_its_site[linresp-unresponsive-output]"),
     ),
+    Mutant(
+        "invalid-config-not-a-value-error", "src/forcelimits/errors.py",
+        "class InvalidConfig(ForceLimitsError, ValueError):",
+        "class InvalidConfig(ForceLimitsError):",
+        ("tests/test_invalid_input.py::test_rejected_input_is_invalid_config[grid-order]",
+         "tests/test_linsys.py::TestStability::test_shape_validation"),
+    ),
+    Mutant(
+        "optimal-uql-gamma-in-the-unit", "src/forcelimits/bounds.py",
+        "2.0 * om * params.Gamma * abs(w)",
+        "2.0 * gm * params.Omega * abs(w)",
+        ("tests/test_bounds.py::TestOptimalBound::test_extreme_rates_against_60_digit_arithmetic",),
+    ),
+    Mutant(
+        "squeeze-without-angle-check", "src/forcelimits/spectra.py",
+        "    if not math.isfinite(theta_sq):\n"
+        "        raise InvalidConfig(\"squeeze_angle must be finite\")\n"
+        "    if not math.isfinite(2.0 * theta_sq):\n"
+        "        raise InvalidConfig(f\"2 * squeeze_angle overflows (squeeze_angle = {theta_sq!r})\")\n",
+        "",
+        ("tests/test_invalid_input.py::test_rejected_input_is_invalid_config[squeeze-angle]",
+         "tests/test_cli.py::test_invalid_number_is_a_configuration_error"
+         "[flags13-2 * squeeze_angle overflows (squeeze_angle = 1e+308)]"),
+    ),
 )
 
 
