@@ -27,10 +27,24 @@ if TYPE_CHECKING:
 FloatOrArray = Union[float, NDArray[np.float64]]
 
 
-def _unit(params: DetectorParams) -> float:
-    """The power of two s with 1 <= Omega/s < 2.  A bound computed from Omega/s,
-    Gamma/s and w/s, scaled back by s, is bit for bit the one in any unit."""
-    return math.ldexp(1.0, math.frexp(params.Omega)[1] - 1)
+def _unit(scale: float) -> float:
+    """The power of four s with 1 <= scale/s < 4, scale a positive rate.  A
+    quantity computed from rates and frequencies divided by s, scaled back by
+    its power of s, is bit for bit the one in any unit; a power of four keeps
+    sqrt(s) exact as well."""
+    return math.ldexp(1.0, (math.frexp(scale)[1] - 1) & ~1)
+
+
+def _mechanical(params: DetectorParams, omega: FloatOrArray):
+    """chi_mech, and the d = Gamma/2 - i w and Omega it is made of, in the unit s of Omega."""
+    s = _unit(params.Omega)
+    om, gm, w = params.Omega / s, params.Gamma / s, omega / s
+    d = gm / 2.0 - 1j * w
+    denom = d * d + om * om
+    size = gm * gm / 4.0 + om * om + w * w
+    on_resonance = abs(denom) / size <= ZERO  # an overflowed inf/inf is NaN, not zero
+    FailureAtFrequency.at_first(omega, on_resonance, "undamped oscillator driven on resonance at")
+    return om / s / denom, d, om
 
 
 def chi_mech(params: DetectorParams, omega: FloatOrArray):
@@ -38,14 +52,7 @@ def chi_mech(params: DetectorParams, omega: FloatOrArray):
 
     Its denominator counts as zero (resonance) when at most ZERO (Gamma^2/4 + w^2 + Omega^2).
     """
-    s = _unit(params)
-    om, gm, w = params.Omega / s, params.Gamma / s, omega / s
-    d = gm / 2.0 - 1j * w
-    denom = d * d + om * om
-    size = gm * gm / 4.0 + om * om + w * w
-    on_resonance = abs(denom) / size <= ZERO  # an overflowed inf/inf is NaN, not zero
-    FailureAtFrequency.at_first(omega, on_resonance, "undamped oscillator driven on resonance at")
-    return om / s / denom
+    return _mechanical(params, omega)[0]
 
 
 def chi_cav(params: DetectorParams, omega: FloatOrArray):
@@ -54,29 +61,40 @@ def chi_cav(params: DetectorParams, omega: FloatOrArray):
 
 
 def inverse_chi_mech(params: DetectorParams, omega: FloatOrArray):
-    """1/chi_mech, whose imaginary part -w*Gamma/Omega sets the dissipation bound."""
-    d = params.Gamma / 2.0 - 1j * omega
-    return (d * d + params.Omega * params.Omega) / params.Omega
+    """1/chi_mech, whose imaginary part -w*Gamma/Omega sets the dissipation bound.
+
+    It is computed in the unit s of max(Omega, Gamma) and scaled back by s."""
+    s = _unit(max(params.Omega, params.Gamma))
+    om = params.Omega / s
+    d = params.Gamma / s / 2.0 - 1j * (omega / s)
+    return (d * d + om * om) / om * s
 
 
 def sql(params: DetectorParams, omega: FloatOrArray):
     """Standard quantum limit 1/|chi_mech|: the shot/backaction optimum (inf where chi is 0)."""
-    return np.divide(1.0, abs(chi_mech(params, omega)))  # Python's abs for a Python complex
+    return coupling_susceptibilities(params, 0.0, omega).sql
 
 
 def uql(params: DetectorParams, omega: FloatOrArray):
     """Dissipation-set quantum limit |Im(1/chi_mech)| = w*Gamma/Omega."""
-    s = _unit(params)
+    s = _unit(params.Omega)
     return abs(omega) * (params.Gamma / s) / (params.Omega / s)  # |w| Gamma/s <= 2 uql
 
 
 @dataclass(frozen=True)
 class CouplingSusceptibilities:
-    """Self- and cross-susceptibility of the coupling operator q = x + eta*p."""
+    """Self- and cross-susceptibility of the coupling operator q = x + eta*p,
+    with the oscillator's chi_mech that both scale."""
 
     omega: FloatOrArray
+    chi_mech: complex | NDArray[np.complex128]
     chi_qq: complex | NDArray[np.complex128]
     chi_qx: complex | NDArray[np.complex128]
+
+    @property
+    def sql(self):
+        """Standard quantum limit 1/|chi_mech| (inf where chi_mech is 0)."""
+        return np.divide(1.0, abs(self.chi_mech))  # Python's abs for a Python complex
 
 
 def coupling_susceptibilities(
@@ -87,11 +105,10 @@ def coupling_susceptibilities(
     chi_qq is the response of q to a drive conjugate to q itself, chi_qx the
     response of q to a force on x.  At eta = 0 both reduce to chi_mech.
     """
-    ca = chi_mech(params, omega)
-    d = params.Gamma / 2.0 - 1j * omega
+    ca, d, om = _mechanical(params, omega)
     chi_qq = (1.0 + eta * eta) * ca
-    chi_qx = (1.0 + eta * d / params.Omega) * ca
-    return CouplingSusceptibilities(omega=omega, chi_qq=chi_qq, chi_qx=chi_qx)
+    chi_qx = (1.0 + eta * d / om) * ca  # d/om is (Gamma/2 - i w)/Omega
+    return CouplingSusceptibilities(omega=omega, chi_mech=ca, chi_qq=chi_qq, chi_qx=chi_qx)
 
 
 def generalized_uql(q: CouplingSusceptibilities):
@@ -117,10 +134,10 @@ def optimal_uql(params: DetectorParams, omega: FloatOrArray):
     """
     s = np.ldexp(1.0, np.frexp(np.maximum(max(params.Omega, params.Gamma), abs(omega)))[1] - 1)
     om, gm, w = params.Omega / s, params.Gamma / s, omega / s
-    w2 = w * w
     om2 = om * om
-    quarter_g2 = gm * gm / 4.0
-    a = quarter_g2 + w2 + om2
-    b = quarter_g2 + w2 - om2
-    c = gm * gm * om2
+    g2 = gm * gm
+    t = g2 / 4.0 + w * w  # Gamma^2/4 + w^2, in a and in b
+    a = t + om2
+    b = t - om2
+    c = g2 * om2
     return 2.0 * om * params.Gamma * abs(w) / (a + np.sqrt(b * b + c))

@@ -118,23 +118,31 @@ def combined_quantities(
     They satisfy E*X - D*Y = |C|^2 and K*L - H^2 = u*v - w^2, from which
     S_f = 2 Re(1/chi_mech) H + K + |1/chi_mech|^2 L dominates the
     dissipation bound for any readout angle, squeezing and detuning.
+
+    They are computed from gamma, Delta, omega and g divided by the power of
+    four s of the largest of them, so no intermediate leaves the double range
+    in any unit, and scaled back: D and X by s^2, E and Y by s^3, C by s^2.5,
+    K by s and L by 1/s (H is unitless).
     """
-    gamma, delta = params.gamma, params.Delta
-    r = gamma / 2.0 - 1j * omega
-    r2 = gamma * gamma / 4.0 + omega * omega  # |r|^2
+    s = bounds._unit(max(params.gamma, abs(params.Delta), abs(omega), abs(g)))
+    gamma, delta, omega_s, g_s = params.gamma / s, params.Delta / s, omega / s, g / s
+    r = gamma / 2.0 - 1j * omega_s
+    r2 = gamma * gamma / 4.0 + omega_s * omega_s  # |r|^2
     d = xi * (r2 - delta * delta) - gamma * delta
-    e = g * g * (gamma + xi * delta)
+    e = g_s * g_s * (gamma + xi * delta)
     x = r2 - delta * delta + xi * gamma * delta
-    y = g * g * delta
-    c = g * math.sqrt(gamma) * (r + xi * delta)
-    size = abs(g) * math.sqrt(gamma) * (abs(r) + abs(xi * delta))
+    y = g_s * g_s * delta
+    c = g_s * math.sqrt(gamma) * (r + xi * delta)
+    size = abs(g_s) * math.sqrt(gamma) * (abs(r) + abs(xi * delta))
     FailureAtFrequency.at_first(omega, abs(c) <= ZERO * size, "readout normalization C vanished at")
-    c2 = abs(c) ** 2
+    c2 = abs(c) * abs(c)
     u, v, w = uvw.u, uvw.v, uvw.w
     h = (d * e * u + e * x * w + d * y * w + x * y * v) / c2
     k = (e * e * u + 2.0 * e * y * w + y * y * v) / c2
     ell = (d * d * u + 2.0 * d * x * w + x * x * v) / c2
-    return CombinedProofQuantities(D=d, E=e, X=x, Y=y, C=c, H=h, K=k, L=ell)
+    s2 = s * s
+    return CombinedProofQuantities(D=d * s2, E=e * s2 * s, X=x * s2, Y=y * s2 * s,
+                                   C=c * (s2 * math.sqrt(s)), H=h, K=k * s, L=ell / s)
 
 
 def _detector_model(config: SchemeConfig) -> LinearModel:

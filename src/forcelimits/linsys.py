@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -70,7 +71,7 @@ class LinearModel:
             if not all(0 <= r < n for r in ch.rows):
                 raise InvalidConfig(f"channel {ch.id!r} rows out of range")
 
-    @property
+    @cached_property
     def readout(self) -> NoiseChannel:
         return next(ch for ch in self.channels if ch.is_readout)
 
@@ -113,7 +114,8 @@ def inverted_system(model: LinearModel, omegas: NDArray[np.float64]) -> NDArray[
     point by point, and a failing matrix counts as infinitely ill-conditioned.
     """
     n = len(model.drift)
-    m = np.repeat(model.drift.T[None].astype(complex), len(omegas), axis=0)
+    m = np.empty((len(omegas), n, n), dtype=complex)
+    m[:] = model.drift.T
     m.reshape(-1, n * n)[:, ::n + 1] += 1j * omegas[:, None]  # every diagonal
     try:
         inv = np.linalg.inv(m)
@@ -178,8 +180,8 @@ def readout_drive(model: LinearModel, d: NDArray[np.float64]) -> NDArray[np.floa
     It is sqrt(rate) d on the readout rows; a d of shape (2, k) gives k columns.
     """
     readout = model.readout
-    b = np.zeros((len(model.drift),) + np.shape(d)[1:])
-    b[list(readout.rows)] = math.sqrt(readout.rate) * np.asarray(d)
+    b = np.zeros((len(model.drift),) + d.shape[1:])
+    b[list(readout.rows)] = math.sqrt(readout.rate) * d
     return b
 
 

@@ -43,15 +43,17 @@ __all__ = [
 _BLOCK = 256
 
 
-def _per_force(coeffs, response, v, omega) -> list[tuple]:
-    """Each of the (..., 2) coefficient arrays as a pair per unit force response.
+def _visible(response, v, omega):
+    """Check that the force shows in the read quadrature; return its response
+    v . d on a trailing axis, to divide the coefficients by.
 
-    `response` is v . d, `v` the force response of both output quadratures;
-    the first omega where |v . d| <= ZERO max|v| is a FailureAtFrequency.
+    `v` is the force response of both output quadratures; the first omega
+    where |v . d| <= ZERO max|v| is a FailureAtFrequency.
     """
-    floor = ZERO * np.abs(v).max(axis=-1)
+    magnitude = np.abs(v)
+    floor = ZERO * np.maximum(magnitude[..., 0], magnitude[..., 1])
     FailureAtFrequency.at_first(omega, abs(response) <= floor, "force invisible at readout,")
-    return [tuple((c / response[..., None]).T) for c in coeffs]
+    return response[..., None]
 
 
 def added_noise(resp: FrequencyResponse, phi: float) -> dict[str, tuple]:
@@ -60,9 +62,9 @@ def added_noise(resp: FrequencyResponse, phi: float) -> dict[str, tuple]:
     A response at an array of frequencies gives pairs of arrays.
     """
     d = quadrature(phi)
+    response = _visible(resp.v @ d, resp.v, resp.omega)
     blocks = {resp.readout_id: resp.M, **resp.cross}
-    pairs = _per_force([d @ m for m in blocks.values()], resp.v @ d, resp.v, resp.omega)
-    return dict(zip(blocks, pairs))
+    return {cid: tuple((d @ m / response).T) for cid, m in blocks.items()}
 
 
 def power_density(
@@ -97,7 +99,8 @@ def _sensitivity(model: LinearModel, phi: float, omegas: NDArray[np.float64]) ->
     The refined solve gives the readout quadrature's response y to every
     state row, from which channel_output assembles each channel's coefficients
     to pair with its spectrum.  Row force_row of the inverse, w, gives the force
-    response to a drive b as -w . b, so v is minus the readout's channel_output of w.
+    response to a drive b as -w . b, so v is minus the readout's channel_output
+    of w; the visibility floor takes only its magnitude.
     """
     d = quadrature(phi)
     b = readout_drive(model, d)
@@ -106,11 +109,13 @@ def _sensitivity(model: LinearModel, phi: float, omegas: NDArray[np.float64]) ->
         block = omegas[start:start + _BLOCK]
         inv = inverted_system(model, block)
         y = refined_solve(model.drift, inv, block, b)
-        v = -channel_output(model.readout, inv[:, model.force_row])
-        coeffs = [channel_output(ch, y, d) for ch in model.channels]
-        pairs = _per_force(coeffs, y[:, model.force_row], v, block)
-        s_f[start:start + _BLOCK] = sum(
-            (ch.spectrum.form(c, c).real for ch, c in zip(model.channels, pairs)), 0.0)
+        minus_v = channel_output(model.readout, inv[:, model.force_row])
+        response = _visible(y[:, model.force_row], minus_v, block)
+        power = 0.0
+        for ch in model.channels:
+            pair = (channel_output(ch, y, d) / response).T
+            power = power + ch.spectrum.form(pair, pair).real
+        s_f[start:start + _BLOCK] = power
     return s_f
 
 
@@ -138,6 +143,27 @@ class SensitivitySpectrum:
             raise InvalidConfig("all spectrum columns must have the same length")
 
 
+def _checked_grid(grid) -> NDArray[np.float64]:
+    """The grid as a float array; InvalidConfig unless it is a nonempty 1-d array,
+    finite, positive and strictly increasing.
+
+    The message ends with the first point that is not finite and positive,
+    or the first pair out of order.
+    """
+    omegas = np.asarray(grid, dtype=float)
+    if omegas.ndim != 1 or omegas.size == 0:
+        raise InvalidConfig("grid must be a nonempty 1-d array")
+    # strictly increasing from a positive first point to a finite last one, a
+    # grid is finite and positive throughout; the full mask only words the message
+    if not (omegas[0] > 0.0 and omegas[-1] < np.inf and (omegas[1:] > omegas[:-1]).all()):
+        invalid = ~(np.isfinite(omegas) & (omegas > 0.0))
+        k = int((invalid | np.append(False, ~(omegas[1:] > omegas[:-1]))).argmax())
+        shown = omegas[k:k + 1] if invalid[k] else omegas[k - 1:k + 1]
+        raise InvalidConfig("grid must be finite, strictly increasing and positive, got "
+                            + " then ".join(map(repr, shown.tolist())))
+    return omegas
+
+
 def sensitivity_spectrum(
     config: SchemeConfig, grid: NDArray[np.float64]
 ) -> SensitivitySpectrum:
@@ -147,29 +173,16 @@ def sensitivity_spectrum(
     finite, positive and strictly increasing is InvalidConfig; a non-finite
     value is a FailureAtFrequency at the first frequency where it occurs.
     """
-    omegas = np.asarray(grid, dtype=float)
-    if omegas.ndim != 1 or omegas.size == 0:
-        raise InvalidConfig("grid must be a nonempty 1-d array")
-    # the first point that is not finite and positive, or not above the one before it
-    invalid = ~(np.isfinite(omegas) & (omegas > 0.0))
-    bad = invalid | np.append(False, ~(omegas[1:] > omegas[:-1]))
-    if bad.any():
-        k = int(bad.argmax())
-        shown = omegas[k:k + 1] if invalid[k] else omegas[k - 1:k + 1]
-        raise InvalidConfig("grid must be finite, strictly increasing and positive, got "
-                            + " then ".join(map(repr, shown.tolist())))
-
+    omegas = _checked_grid(grid)
     params = config.params
     try:
-        columns = [  # after omegas, in SensitivitySpectrum's field order
-            _sensitivity(build(config), config.readout_angle, omegas),
-            bounds.sql(params, omegas),
-            bounds.uql(params, omegas),
-            bounds.generalized_uql(
-                bounds.coupling_susceptibilities(params, config.coupling_mix, omegas)
-            ),
-            bounds.optimal_uql(params, omegas),
-        ]
+        columns = np.empty((5, len(omegas)))  # after omegas, in SensitivitySpectrum's field order
+        columns[0] = _sensitivity(build(config), config.readout_angle, omegas)
+        q = bounds.coupling_susceptibilities(params, config.coupling_mix, omegas)
+        columns[1] = q.sql
+        columns[2] = bounds.uql(params, omegas)
+        columns[3] = bounds.generalized_uql(q)
+        columns[4] = bounds.optimal_uql(params, omegas)
         FailureAtFrequency.at_first(
             omegas, ~np.isfinite(columns).all(axis=0), "non-finite S_f or bound value at"
         )

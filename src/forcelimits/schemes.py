@@ -14,7 +14,7 @@ Three scheme families are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,7 +126,7 @@ class SchemeConfig:
     variant: str
     params: DetectorParams
     readout_angle: float = 0.0
-    input_spectrum: QuadratureSpectrum = field(default_factory=vacuum)
+    input_spectrum: QuadratureSpectrum = _VACUUM
     eta: float = 1.0  # toy coupling mix q = x + eta*p
 
     def __post_init__(self):
@@ -156,13 +156,14 @@ def build(config: SchemeConfig) -> LinearModel:
         READOUT: (p.gamma, p.Delta, config.input_spectrum),
         ANCILLA: (p.Gamma, -p.Omega, _VACUUM),  # a negative-mass oscillator copy
     }
-    pairs = [(c, *blocks[c]) for c in variant.channels]
-    coefficients = [x for _, rate, frequency, _ in pairs for x in (rate, frequency)]
-    channels = tuple([
-        NoiseChannel(c, rate, (2 * k, 2 * k + 1), spectrum, c == READOUT)
-        for k, (c, rate, _, spectrum) in enumerate(pairs) if spectrum is not None
-    ])
-    model = LinearModel(variant.basis @ (coefficients + [p.g, mix]), channels, force_row=1)
+    coefficients, channels = [], []
+    for k, c in enumerate(variant.channels):
+        rate, frequency, spectrum = blocks[c]
+        coefficients += rate, frequency
+        if spectrum is not None:
+            channels.append(NoiseChannel(c, rate, (2 * k, 2 * k + 1), spectrum, c == READOUT))
+    coefficients += p.g, mix
+    model = LinearModel(variant.basis @ coefficients, tuple(channels), force_row=1)
 
     stable, eigenvalues = stability_check(model.drift)
     if not stable:

@@ -39,7 +39,7 @@ class QuadratureSpectrum:
         With a = b it is the noise power of the input combination a, else
         the cross spectrum of a and b; pairs of arrays give arrays.
         """
-        (a1, a2), (b1, b2) = a, np.conjugate(b)
+        (a1, a2), (b1, b2) = a, map(np.conjugate, b)
         return a1 * b1 * self.u + a2 * b2 * self.v + (a1 * b2 + a2 * b1) * self.w
 
 

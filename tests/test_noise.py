@@ -13,6 +13,7 @@ from forcelimits import bounds, noise, presets
 from forcelimits.errors import (
     FailureAtFrequency,
     ForceLimitsError,
+    InvalidConfig,
     UnstableModel,
 )
 from forcelimits.linsys import quadrature, transfer
@@ -458,6 +459,24 @@ class TestBlockedEngine:
                 joined = np.concatenate([getattr(p, column) for p in parts])
                 assert np.array_equal(getattr(whole, column), joined), column
 
+    def test_bound_columns_are_the_public_array_calls(self):
+        # the spectrum evaluates chi_mech once for its SQL and gUQL columns;
+        # every bound column stays bit for bit the one bounds computes alone
+        grid = np.geomspace(0.01, 12.0, 24)
+        cases = list(preset_cases().values()) + [
+            (cfg, grid) for variant in ("standard", "cqnc", "toy")
+            for cfg in random_stable_configs(variant, 16, seed=67)
+        ]
+        for cfg, omegas in cases:
+            spec = noise.sensitivity_spectrum(cfg, omegas)
+            p = cfg.params
+            q = bounds.coupling_susceptibilities(p, cfg.coupling_mix, omegas)
+            expected = {"sql": bounds.sql(p, omegas), "uql": bounds.uql(p, omegas),
+                        "guql": bounds.generalized_uql(q),
+                        "opt_uql": bounds.optimal_uql(p, omegas)}
+            for name, column in expected.items():
+                assert getattr(spec, name).tobytes() == column.tobytes(), (cfg, name)
+
     def test_added_noise_of_a_stacked_response(self):
         for cfg, grid in preset_cases().values():
             model = build(cfg)
@@ -558,6 +577,56 @@ def test_failure_is_the_first_in_grid_order(case):
                 noise.sensitivity_spectrum(config, grid[grid < failure.omega])
     else:
         assert all(np.isfinite(getattr(spec, c)).all() for c in ("s_f", "guql"))
+
+
+def full_mask_rule(grid):
+    """The grid rule as a mask over every point: None for a valid grid, else
+    the message naming the first point that is not finite and positive, or
+    the first pair out of order."""
+    invalid = ~(np.isfinite(grid) & (grid > 0.0))
+    bad = invalid | np.append(False, ~(grid[1:] > grid[:-1]))
+    if not bad.any():
+        return None
+    k = int(bad.argmax())
+    shown = grid[k:k + 1] if invalid[k] else grid[k - 1:k + 1]
+    return ("grid must be finite, strictly increasing and positive, got "
+            + " then ".join(map(repr, shown.tolist())))
+
+
+@st.composite
+def edited_grids(draw):
+    """An increasing positive grid with a few points replaced by NaN, +-inf, +-0
+    or a negative value, repeated, or swapped with their successor."""
+    points = sorted(set(draw(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=8))))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(points) - 1))
+        edit = draw(st.sampled_from(["special", "negative", "repeat", "swap"]))
+        if edit == "special":
+            points[k] = draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]))
+        elif edit == "negative":
+            points[k] = -points[k]
+        elif edit == "repeat":
+            points.insert(k, points[k])
+        elif k + 1 < len(points):
+            points[k], points[k + 1] = points[k + 1], points[k]
+    return np.array(points)
+
+
+@given(edited_grids())
+@example(np.array([math.inf]))
+@example(np.array([0.5, math.inf]))
+@example(np.array([0.5, math.nan, 2.0]))
+@example(np.array([2.0, 1.0, math.nan]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_grid_chain_is_the_full_mask_rule(grid):
+    # the grid check tests a chain, first point > 0, last < inf, each above
+    # the one before; it accepts and rejects what the full mask does, with its message
+    try:
+        noise._checked_grid(grid)
+    except InvalidConfig as error:
+        assert str(error) == full_mask_rule(grid)
+    else:
+        assert full_mask_rule(grid) is None
 
 
 @st.composite

@@ -5,7 +5,8 @@ spectrum (transfer, added_noise, power_density, the bound columns) and a
 draw's build and stability check, and its probe runs every verify suite
 and draws extraction inputs from `verify.random_stable_standard`.  Running
 those calls here, the decompositions on 3-point grids, makes an API change
-that would break a traced run fail the test suite instead.
+that would break a traced run fail the test suite instead.  One round each
+of sweep-dense and param-scan holds the outputs to their recorded references.
 """
 
 import sys
@@ -70,4 +71,18 @@ def test_sweep_dense_round(perfbench):
     finally:
         workload.close()
     assert result.attempted == len(workload.curves) == 5
+    assert result.failed == 0, result.problems[:3]
+
+
+def test_param_scan_round(perfbench):
+    # the recorded pool of draws of all three variants: each draw's verdict,
+    # S_f on the scan grid and optimal bound against the recorded values
+    workloads, tracer, _ = perfbench
+    workload = workloads.ParamScan(seed=0)
+    try:
+        workload.setup()
+        result = workload.round(tracer)
+    finally:
+        workload.close()
+    assert result.attempted == len(workload.draws) == workloads.SCAN_POOL_DRAWS
     assert result.failed == 0, result.problems[:3]

@@ -20,18 +20,21 @@ from test_cli import parse_csv
 from forcelimits import bounds, cli, linresp, noise, presets
 from forcelimits.errors import FailureAtFrequency, ForceLimitsError, UnstableModel
 from forcelimits.schemes import DetectorParams, SchemeConfig
+from forcelimits.spectra import squeeze_spectrum, vacuum
 
 GRID = np.geomspace(1e-2, 1e1, 16)
 COLUMNS = ("omegas", "s_f", "sql", "uql", "guql", "opt_uql")
 
 
+def scaled_params(p: DetectorParams, lam: float) -> DetectorParams:
+    """The same parameters with every rate multiplied by lam."""
+    return replace(p, Omega=lam * p.Omega, Gamma=lam * p.Gamma, gamma=lam * p.gamma,
+                   Delta=lam * p.Delta, g=lam * p.g)
+
+
 def scaled(config: SchemeConfig, lam: float) -> SchemeConfig:
     """The same scheme with every rate multiplied by lam."""
-    p = config.params
-    return replace(config, params=replace(
-        p, Omega=lam * p.Omega, Gamma=lam * p.Gamma, gamma=lam * p.gamma,
-        Delta=lam * p.Delta, g=lam * p.g,
-    ))
+    return replace(config, params=scaled_params(config.params, lam))
 
 
 def outcome(config: SchemeConfig, grid):
@@ -121,6 +124,66 @@ def test_chi_mech_in_a_tiny_unit():
     lam = 4.0**-400
     small = DetectorParams(Omega=lam * p.Omega, Gamma=lam * p.Gamma, gamma=lam * p.gamma)
     assert bounds.chi_mech(small, lam * 0.9) == bounds.chi_mech(p, 0.9) / lam
+
+
+@pytest.mark.parametrize("k", [-300, 300])
+def test_inverse_chi_mech_in_any_unit(k):
+    # (Gamma/2 - i w)^2 once underflowed at 4^-300 and overflowed at 4^300
+    p = DetectorParams(Omega=1.3, Gamma=0.2, gamma=1.0)
+    lam = 4.0**k
+    for omega in (0.0, 0.9, 1e3):
+        moved = bounds.inverse_chi_mech(scaled_params(p, lam), lam * omega)
+        assert moved == lam * bounds.inverse_chi_mech(p, omega)
+
+
+#: the power of the unit in each closed-form quantity of the combined bound
+COMBINED_POWERS = {"D": 2, "E": 3, "X": 2, "Y": 3, "C": 2.5, "H": 0, "K": 1, "L": -1}
+
+
+#: the fig2b parameters detuned by 0.3, at omega = 0.7 and xi = 0.4
+FIG2B_DETUNED = (replace(presets.fig2b_config().params, Delta=0.3), 0.7, 0.4,
+                 squeeze_spectrum(0.5, 0.3))
+
+
+@st.composite
+def combined_draws(draw):
+    """Parameters, omega, xi and input state as the identities suite draws them."""
+    params = DetectorParams(
+        Omega=draw(st.floats(0.05, 3.0)), Gamma=draw(st.floats(0.01, 1.0)),
+        gamma=draw(st.floats(0.3, 6.0)), Delta=draw(st.floats(-4.0, 4.0)),
+        g=draw(st.floats(0.2, 4.0)) * draw(st.sampled_from([-1.0, 1.0])),
+    )
+    uvw = squeeze_spectrum(draw(st.floats(0.0, 1.5)), draw(st.floats(-math.pi, math.pi)))
+    return params, draw(st.floats(0.01, 12.0)), draw(st.floats(-20.0, 20.0)), uvw
+
+
+# d*e*u multiplies five rates and |C|^2 squared a Python float: on FIG2B_DETUNED
+# K was nan at 4^100 and 0 at 4^-100, and the call raised OverflowError at
+# 4^130 and ZeroDivisionError at 4^-200
+@given(case=combined_draws(), k=st.integers(-150, 150))
+@example(case=FIG2B_DETUNED, k=-200)
+@example(case=FIG2B_DETUNED, k=-100)
+@example(case=FIG2B_DETUNED, k=100)
+@example(case=FIG2B_DETUNED, k=130)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_combined_quantities_in_any_unit(case, k):
+    p, omega, xi, uvw = case
+    base = linresp.combined_quantities(p, omega, xi, uvw, p.g)
+    moved = linresp.combined_quantities(scaled_params(p, 4.0**k), 4.0**k * omega, xi, uvw,
+                                        4.0**k * p.g)
+    for name, power in COMBINED_POWERS.items():
+        factor = math.ldexp(1.0, round(2 * k * power))  # (4^k)^power
+        assert getattr(moved, name) == getattr(base, name) * factor, name
+
+
+def test_combined_normalization_keeps_its_bits():
+    # the unit s is a power of four, so sqrt(gamma/s) is sqrt(gamma)/sqrt(s)
+    # exactly and C has the bits of g sqrt(gamma) (r + xi Delta) in any unit
+    for gamma in (50.0, 100.0, 200.0, 300.0):  # s = 16, 64, 64, 256
+        p = DetectorParams(Omega=1.0, Gamma=1.0, gamma=gamma, Delta=0.3, g=5.0)
+        for omega in (0.1, 0.7, 3.0):
+            c = linresp.combined_quantities(p, omega, 0.4, vacuum(), p.g).C
+            assert c == p.g * math.sqrt(p.gamma) * (p.gamma / 2.0 - 1j * omega + 0.4 * p.Delta)
 
 
 @pytest.mark.parametrize("k", [-200, 200])

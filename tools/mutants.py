@@ -140,8 +140,8 @@ MUTANTS = (
     ),
     Mutant(
         "engine-drops-a-channel", "src/forcelimits/noise.py",
-        "for ch, c in zip(model.channels, pairs)",
-        "for ch, c in zip((model.readout,), pairs)",
+        "        for ch in model.channels:\n",
+        "        for ch in (model.readout,):\n",
         ("tests/test_linear_detectors.py::test_sensitivity_obeys_the_theorem[2]",),
     ),
     Mutant(
@@ -152,9 +152,40 @@ MUTANTS = (
     ),
     Mutant(
         "sql-numpy-abs", "src/forcelimits/bounds.py",
-        "np.divide(1.0, abs(chi_mech(params, omega)))",
-        "np.divide(1.0, np.abs(chi_mech(params, omega)))",
+        "np.divide(1.0, abs(self.chi_mech))",
+        "np.divide(1.0, np.abs(self.chi_mech))",
         ("tests/test_bounds.py::TestSqlUql::test_float_call_is_one_over_python_abs",),
+    ),
+    Mutant(
+        "sql-from-chi-qq", "src/forcelimits/bounds.py",
+        "np.divide(1.0, abs(self.chi_mech))",
+        "np.divide(1.0, abs(self.chi_qq))",
+        ("tests/test_noise.py::TestBlockedEngine::test_bound_columns_are_the_public_array_calls",),
+    ),
+    Mutant(
+        "grid-chain-without-finite-last-point", "src/forcelimits/noise.py",
+        "omegas[0] > 0.0 and omegas[-1] < np.inf and ",
+        "omegas[0] > 0.0 and ",
+        ("tests/test_noise.py::test_grid_chain_is_the_full_mask_rule",
+         "tests/test_noise.py::TestSensitivitySpectrum::test_grid_validation"),
+    ),
+    Mutant(
+        "grid-chain-without-positive-first-point", "src/forcelimits/noise.py",
+        "omegas[0] > 0.0 and omegas[-1] < np.inf and ",
+        "omegas[-1] < np.inf and ",
+        ("tests/test_noise.py::test_grid_chain_is_the_full_mask_rule",),
+    ),
+    Mutant(
+        "combined-k-not-scaled-back", "src/forcelimits/linresp.py",
+        "K=k * s,",
+        "K=k,",
+        ("tests/test_units.py::test_combined_quantities_in_any_unit",),
+    ),
+    Mutant(
+        "unit-a-power-of-two", "src/forcelimits/bounds.py",
+        "(math.frexp(scale)[1] - 1) & ~1",
+        "math.frexp(scale)[1] - 1",
+        ("tests/test_units.py::test_combined_normalization_keeps_its_bits",),
     ),
     Mutant(
         "chi-mech-absolute-floor", "src/forcelimits/bounds.py",
