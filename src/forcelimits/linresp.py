@@ -119,12 +119,10 @@ def combined_quantities(
     S_f = 2 Re(1/chi_mech) H + K + |1/chi_mech|^2 L dominates the
     dissipation bound for any readout angle, squeezing and detuning.
 
-    They are computed from gamma, Delta, omega and g divided by the power of
-    four s of the largest of them, so no intermediate leaves the double range
-    in any unit, and scaled back: D and X by s^2, E and Y by s^3, C by s^2.5,
-    K by s and L by 1/s (H is unitless).
+    They are computed in the unit s = bounds._unit(gamma, Delta, omega, g) and
+    scaled back: D and X by s^2, E and Y by s^3, C by s^2.5, K by s, L by 1/s.
     """
-    s = bounds._unit(max(params.gamma, abs(params.Delta), abs(omega), abs(g)))
+    s = bounds._unit(params.gamma, params.Delta, omega, g)
     gamma, delta, omega_s, g_s = params.gamma / s, params.Delta / s, omega / s, g / s
     r = gamma / 2.0 - 1j * omega_s
     r2 = gamma * gamma / 4.0 + omega_s * omega_s  # |r|^2

@@ -174,15 +174,10 @@ def sensitivity_spectrum(
     value is a FailureAtFrequency at the first frequency where it occurs.
     """
     omegas = _checked_grid(grid)
-    params = config.params
     try:
         columns = np.empty((5, len(omegas)))  # after omegas, in SensitivitySpectrum's field order
         columns[0] = _sensitivity(build(config), config.readout_angle, omegas)
-        q = bounds.coupling_susceptibilities(params, config.coupling_mix, omegas)
-        columns[1] = q.sql
-        columns[2] = bounds.uql(params, omegas)
-        columns[3] = bounds.generalized_uql(q)
-        columns[4] = bounds.optimal_uql(params, omegas)
+        columns[1:] = bounds._bound_columns(config.params, config.coupling_mix, omegas)
         FailureAtFrequency.at_first(
             omegas, ~np.isfinite(columns).all(axis=0), "non-finite S_f or bound value at"
         )

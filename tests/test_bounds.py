@@ -65,7 +65,8 @@ class TestSqlUql:
             assert bounds.sql(p, w) * abs(bounds.chi_mech(p, w)) == pytest.approx(1.0)
 
     def test_float_call_past_underflow_is_inf(self):
-        # chi_mech underflows to 0 far above Omega: a float ends in inf, as an array does
+        # far above Omega chi_mech (1e-320 here) is below 1/DBL_MAX: a float ends in inf,
+        # as an array does
         p = params(Omega=1.0, Gamma=1.0, gamma=1.0)
         with np.errstate(all="ignore"):
             assert bounds.sql(p, 1e160) == math.inf
@@ -240,6 +241,62 @@ class TestOptimalBound:
             assert abs(bounds.optimal_uql(far, 1e300) - expected) <= 1e-15 * expected
         # approx's default absolute tolerance of 1e-12 would accept 0.0 here
         assert bounds.optimal_uql(params(), 1e200) == pytest.approx(1e-200, rel=1e-15, abs=0)
+
+
+class TestUnitRule:
+    # Gamma/Omega = 1.8e174 and w/Omega = 3.8: in the unit of Omega alone
+    # (Gamma/s)^2 overflowed, chi_mech was 0, sql inf and gUQL raised
+    FAR = params(Omega=2.6e-81, Gamma=4.7e93)
+    OMEGA = 1e-80
+
+    @staticmethod
+    def exact(p, w, eta):
+        """40-digit chi_mech, inverse_chi_mech, sql, uql, gUQL at eta and the optimal bound."""
+        Omega, Gamma, w, eta = map(mpmath.mpf, (p.Omega, p.Gamma, w, eta))
+        d = Gamma / 2 - 1j * w
+        chi = Omega / (d**2 + Omega**2)
+        a = Gamma**2 / 4 + w**2 + Omega**2
+        b = Gamma**2 / 4 + w**2 - Omega**2
+        return {
+            "chi_mech": chi, "inverse_chi_mech": 1 / chi, "sql": 1 / abs(chi),
+            "uql": w * Gamma / Omega,
+            "generalized_uql": abs(((1 + eta**2) * chi).imag) / abs((1 + eta * d / Omega) * chi)**2,
+            "optimal_uql": 2 * Gamma * Omega * w / (a + mpmath.sqrt(b**2 + Gamma**2 * Omega**2)),
+        }
+
+    @staticmethod
+    def computed(p, w, eta):
+        return {
+            "chi_mech": bounds.chi_mech(p, w), "inverse_chi_mech": bounds.inverse_chi_mech(p, w),
+            "sql": bounds.sql(p, w), "uql": bounds.uql(p, w),
+            "generalized_uql": bounds.generalized_uql(bounds.coupling_susceptibilities(p, eta, w)),
+            "optimal_uql": bounds.optimal_uql(p, w),
+        }
+
+    @pytest.mark.parametrize("eta", [0.0, 0.7])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["float", "array"])
+    def test_far_rates_against_40_digit_arithmetic(self, eta, as_array):
+        w = np.array([self.OMEGA]) if as_array else self.OMEGA
+        with mpmath.workdps(40):
+            expected = self.exact(self.FAR, self.OMEGA, eta)
+            for name, value in self.computed(self.FAR, w, eta).items():
+                value = complex(value[0] if as_array else value)
+                error = abs(mpmath.mpc(value) - expected[name]) / abs(expected[name])
+                assert error <= 1e-15, (name, value, expected[name])
+
+    def test_generalized_bound_at_position_coupling_is_uql(self):
+        for w in (self.OMEGA, np.array([self.OMEGA, 0.3, 1e90])):
+            q = bounds.coupling_susceptibilities(self.FAR, 0.0, w)
+            np.testing.assert_array_equal(bounds.generalized_uql(q), bounds.uql(self.FAR, w))
+
+    def test_inverse_far_above_the_rates(self):
+        # the real part -w^2/Omega overflows, the imaginary part -w Gamma/Omega does not;
+        # (Gamma/2 - i w)^2 in the unit of max(Omega, Gamma) made both NaN
+        p = params(Omega=1.0, Gamma=1.0)
+        with np.errstate(over="ignore"):
+            for value in (bounds.inverse_chi_mech(p, 1e160),
+                          bounds.inverse_chi_mech(p, np.array([1e160]))[0]):
+                assert value.real == -math.inf and value.imag == -1e160
 
 
 def test_bounds_scale_linearly_with_frequency_unit():

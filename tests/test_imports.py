@@ -286,17 +286,17 @@ def test_error_subclass_detector():
     assert error_subclasses(ast.parse(source)) == [("Singular", 1), ("Blind", 3), ("Mixed", 5)]
 
 
-def extended_precision_uses(tree):
-    """(enclosing definition, line) of each reference to clongdouble."""
+def name_uses(tree, names=("clongdouble",)):
+    """(enclosing definition, line) of each reference to one of `names`."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}" if where != "<module>" else node.name
-        if (isinstance(node, ast.Attribute) and node.attr == "clongdouble"
-                or isinstance(node, ast.Name) and node.id == "clongdouble"
-                or isinstance(node, ast.alias) and node.name == "clongdouble"
-                or isinstance(node, ast.Constant) and node.value == "clongdouble"):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                or isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.alias) and node.name in names
+                or isinstance(node, ast.Constant) and node.value in names):
             found.append((where, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -309,7 +309,7 @@ def test_extended_precision_stays_in_the_refinement():
     # the residual's precision is decided on one line of linsys.refined_solve,
     # the line a platform fallback replaces; no type or module caches it
     stray = [(p.name, where, line) for p in sorted(PACKAGE.glob("*.py"))
-             for where, line in extended_precision_uses(ast.parse(p.read_text(encoding="utf-8")))
+             for where, line in name_uses(ast.parse(p.read_text(encoding="utf-8")))
              if (p.name, where) != ("linsys.py", "refined_solve")]
     assert stray == []
 
@@ -327,7 +327,35 @@ def test_extended_precision_detector():
         "def other(y):\n"
         "    return y.astype(np.complex128)\n"
     )
-    assert extended_precision_uses(ast.parse(source)) == [
+    assert name_uses(ast.parse(source)) == [
         ("<module>", 2), ("<module>", 3), ("D.__post_init__", 6),
         ("refined_solve", 8), ("refined_solve", 8),
+    ]
+
+
+def test_units_are_chosen_in_one_place():
+    # frexp and ldexp pick a power-of-four unit; any other use of them is a
+    # second unit rule next to bounds._unit
+    stray = [(p.name, where, line) for p in sorted(PACKAGE.glob("*.py"))
+             for where, line in name_uses(ast.parse(p.read_text(encoding="utf-8")),
+                                          ("frexp", "ldexp"))
+             if (p.name, where) != ("bounds.py", "_unit")]
+    assert stray == []
+
+
+def test_unit_detector():
+    source = (
+        "import math\n"
+        "from numpy import frexp\n"
+        "def _unit(*rates):\n"
+        "    return math.ldexp(1.0, math.frexp(max(rates))[1])\n"
+        "def generalized_uql(mag):\n"
+        "    m, e = np.frexp(mag)\n"
+        "    return np.ldexp(1.0, -2 * e) / (m * m), getattr(np, 'ldexp')\n"
+        "def other(x):\n"
+        "    return x.frexp_like, math.sqrt(x)\n"
+    )
+    assert name_uses(ast.parse(source), ("frexp", "ldexp")) == [
+        ("<module>", 2), ("_unit", 4), ("_unit", 4), ("generalized_uql", 6),
+        ("generalized_uql", 7), ("generalized_uql", 7),
     ]

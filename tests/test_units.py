@@ -37,9 +37,10 @@ def scaled(config: SchemeConfig, lam: float) -> SchemeConfig:
     return replace(config, params=scaled_params(config.params, lam))
 
 
-def outcome(config: SchemeConfig, grid):
+def outcome_of(call, *args):
+    """The call's result, or the package failure it raised."""
     try:
-        return noise.sensitivity_spectrum(config, grid)
+        return call(*args)
     except ForceLimitsError as error:
         return error
 
@@ -68,9 +69,9 @@ def draws(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_spectrum_is_unit_covariant(config, k):
     lam = 4.0**k
-    base = outcome(config, GRID)
+    base = outcome_of(noise.sensitivity_spectrum, config, GRID)
     with np.errstate(all="ignore"):
-        moved = outcome(scaled(config, lam), lam * GRID)
+        moved = outcome_of(noise.sensitivity_spectrum, scaled(config, lam), lam * GRID)
     assert type(moved) is type(base), (base, moved)
     if isinstance(base, noise.SensitivitySpectrum):
         for name in COLUMNS:
@@ -134,6 +135,71 @@ def test_inverse_chi_mech_in_any_unit(k):
     for omega in (0.0, 0.9, 1e3):
         moved = bounds.inverse_chi_mech(scaled_params(p, lam), lam * omega)
         assert moved == lam * bounds.inverse_chi_mech(p, omega)
+
+
+@st.composite
+def far_rates(draw):
+    """Parameters, eta, three frequencies and k: Gamma/Omega and w/Omega span
+    1e+-200, and every rate stays within 1e+-300 when scaled by 4^k."""
+    ratios = [10.0 ** draw(st.floats(-200.0, 200.0)) for _ in range(4)]
+    low, high = math.log10(min(1.0, *ratios)), math.log10(max(1.0, *ratios))
+    reach = int((600.0 - (high - low)) / math.log10(4.0))
+    k = draw(st.integers(max(-400, -reach), min(400, reach)))
+    shift = k * math.log10(4.0)
+    Omega = 10.0 ** draw(st.floats(-300.0 - low - min(0.0, shift), 300.0 - high - max(0.0, shift)))
+    eta = draw(st.sampled_from([0.0, 1.0])) * draw(st.floats(-3.0, 3.0))
+    return (DetectorParams(Omega=Omega, Gamma=Omega * ratios[0], gamma=1.0), eta,
+            [Omega * r for r in ratios[1:]], k)
+
+
+#: each public bound and susceptibility of (params, eta, omega), with its power of the unit
+BOUNDS = {
+    "chi_mech": (-1, lambda p, eta, w: bounds.chi_mech(p, w)),
+    "chi_qq": (-1, lambda p, eta, w: bounds.coupling_susceptibilities(p, eta, w).chi_qq),
+    "chi_qx": (-1, lambda p, eta, w: bounds.coupling_susceptibilities(p, eta, w).chi_qx),
+    "inverse_chi_mech": (1, lambda p, eta, w: bounds.inverse_chi_mech(p, w)),
+    "sql": (1, lambda p, eta, w: bounds.sql(p, w)),
+    "uql": (1, lambda p, eta, w: bounds.uql(p, w)),
+    "generalized_uql": (
+        1, lambda p, eta, w: bounds.generalized_uql(bounds.coupling_susceptibilities(p, eta, w))),
+    "optimal_uql": (1, lambda p, eta, w: bounds.optimal_uql(p, w)),
+}
+
+
+def normal(x):
+    return np.finfo(float).tiny <= abs(x) < math.inf
+
+
+@given(case=far_rates())
+@example(case=(DetectorParams(Omega=2.6e-81, Gamma=4.7e93, gamma=1.0), 0.7, [1e-80], 100))
+@example(case=(DetectorParams(Omega=2.6e-81, Gamma=4.7e93, gamma=1.0), 0.7, [1e-80], -100))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_bounds_are_unit_covariant(case):
+    # each part that is a normal double in both units scales by lambda^power
+    # bit for bit (where it leaves that range only its rounding differs), and
+    # a failure is the same failure at the scaled frequency
+    p, eta, omegas, k = case
+    lam = 4.0**k
+    for name, (power, call) in BOUNDS.items():
+        for w in (*omegas, np.array(omegas)):
+            with np.errstate(all="ignore"):
+                value = outcome_of(call, p, eta, w)
+                moved = outcome_of(call, scaled_params(p, lam), eta, lam * w)
+            assert type(moved) is type(value), (name, value, moved)
+            if isinstance(value, FailureAtFrequency):
+                message = str(value).rpartition(" omega = ")[0]
+                assert str(moved) == str(FailureAtFrequency(lam * value.omega, message))
+                continue
+            if not isinstance(w, np.ndarray):  # a float call returns a scalar, not an array
+                assert isinstance(value, complex if power < 0 or "inverse" in name else float)
+            for b, m in zip(np.ravel(value), np.ravel(moved)):
+                for part in ("real", "imag"):
+                    expected = float(getattr(b, part)) * lam**power
+                    # sql is 1/|chi_mech|: it keeps its bits where each part of
+                    # chi_mech is normal or negligible, |chi_mech| >= 2^53 tiny
+                    if normal(getattr(b, part)) and normal(expected) and (
+                            name != "sql" or normal(0.5**53 / b) and normal(0.5**53 / expected)):
+                        assert getattr(m, part) == expected, (name, part)
 
 
 #: the power of the unit in each closed-form quantity of the combined bound

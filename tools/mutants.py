@@ -146,9 +146,23 @@ MUTANTS = (
     ),
     Mutant(
         "optimal-uql-omega-unit", "src/forcelimits/bounds.py",
-        "np.frexp(np.maximum(max(params.Omega, params.Gamma), abs(omega)))",
-        "np.frexp(params.Omega)",
+        "_unit(omega, params.Omega, params.Gamma)",
+        "_unit(params.Omega, params.Gamma)",
         ("tests/test_bounds.py::TestOptimalBound::test_extreme_rates_against_60_digit_arithmetic",),
+    ),
+    Mutant(
+        "chi-mech-unit-from-omega", "src/forcelimits/bounds.py",
+        "_unit(omega, params.Omega, params.Gamma)",
+        "_unit(params.Omega)",
+        ("tests/test_bounds.py::TestUnitRule::test_far_rates_against_40_digit_arithmetic[float-0.0]",
+         "tests/test_bounds.py::TestUnitRule::test_far_rates_against_40_digit_arithmetic[array-0.7]"),
+    ),
+    Mutant(
+        "guql-from-im-chi-qq", "src/forcelimits/bounds.py",
+        "return (1.0 + q._eta * q._eta) / mag * q._in_unit[3] * (q._uql / mag)",
+        "return abs(q.chi_qq.imag) / abs(q.chi_qx) / abs(q.chi_qx)",
+        ("tests/test_bounds.py::TestUnitRule::test_far_rates_against_40_digit_arithmetic[float-0.7]",
+         "tests/test_bounds.py::TestUnitRule::test_far_rates_against_40_digit_arithmetic[array-0.7]"),
     ),
     Mutant(
         "sql-numpy-abs", "src/forcelimits/bounds.py",
@@ -183,13 +197,13 @@ MUTANTS = (
     ),
     Mutant(
         "unit-a-power-of-two", "src/forcelimits/bounds.py",
-        "(math.frexp(scale)[1] - 1) & ~1",
-        "math.frexp(scale)[1] - 1",
+        "(lib.frexp(scale)[1] - 1) & ~1",
+        "lib.frexp(scale)[1] - 1",
         ("tests/test_units.py::test_combined_normalization_keeps_its_bits",),
     ),
     Mutant(
         "chi-mech-absolute-floor", "src/forcelimits/bounds.py",
-        "abs(denom) / size <= ZERO",
+        "abs(denom) / (abs(dd) + om2) <= ZERO",
         "abs(denom) * s * s < 1e-300",
         ("tests/test_units.py::test_chi_mech_in_a_tiny_unit",
          "tests/test_bounds.py::TestSusceptibilities::test_resonance_is_relative_to_the_terms"),
