@@ -64,7 +64,8 @@ _SPECS = np.array(
 
 
 def _specs(values: np.ndarray) -> np.ndarray:
-    """Each value's printf spec for 12 significant digits (see fmt12)."""
+    """Each value's printf spec for 12 significant digits, scientific once the exponent
+    after rounding reaches 6 in magnitude: 999999.9999999 prints as 1.00000000000e+06."""
     magnitude = np.abs(values)
     with np.errstate(divide="ignore", invalid="ignore"):
         log = np.log10(magnitude)
@@ -79,15 +80,6 @@ def _specs(values: np.ndarray) -> np.ndarray:
     index = np.where(abs(exponent) < 6, exponent + 6, 0).astype(int)
     index[magnitude == 0.0] = -1
     return _SPECS[index]
-
-
-def fmt12(value: float) -> str:
-    """12 significant digits; scientific notation once |exponent| reaches 6.
-
-    The exponent is the one after rounding to 12 digits, so 999999.9999999
-    prints as 1.00000000000e+06.  The CSV writer formats every value this way.
-    """
-    return _specs(np.array([value], dtype=float))[0] % value
 
 
 def _frequencies(

@@ -81,10 +81,14 @@ class FrequencyResponse:
     """Transfer blocks from every input to the readout output, frequency axis first."""
 
     omega: float | NDArray[np.float64]
-    M: NDArray[np.complex128]          # readout channel in -> readout out, 2x2
+    blocks: Mapping[str, NDArray[np.complex128]]  # by channel id: its in -> readout out, 2x2
     v: NDArray[np.complex128]          # classical force -> readout out, 2-vector
-    cross: Mapping[str, NDArray[np.complex128]]  # other channel in -> readout out
     readout_id: str
+
+    @property
+    def M(self) -> NDArray[np.complex128]:
+        """The readout channel's own block."""
+        return self.blocks[self.readout_id]
 
 
 def stability_check(drift: NDArray[np.float64]) -> tuple[bool, NDArray[np.complex128]]:
@@ -212,9 +216,7 @@ def transfer(model: LinearModel, omega: float | NDArray[np.float64]) -> Frequenc
     omegas = np.asarray(omega, dtype=float)
     y = adjoint_response(model, omegas.reshape(-1), readout_drive(model, eye))
     y = np.swapaxes(y, -1, -2).reshape(omegas.shape + (2, len(model.drift)))
-    blocks = {ch.id: channel_output(ch, y, eye) for ch in model.channels}
-    readout = model.readout
     return FrequencyResponse(
-        omega=omega, M=blocks.pop(readout.id), v=y[..., model.force_row],
-        cross=blocks, readout_id=readout.id,
+        omega=omega, blocks={ch.id: channel_output(ch, y, eye) for ch in model.channels},
+        v=y[..., model.force_row], readout_id=model.readout.id,
     )

@@ -18,7 +18,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forcelimits import bounds, cli, errors, linresp, linsys, noise, presets
-from forcelimits.cli import fmt12
 from forcelimits.schemes import DetectorParams, build, closed_form_transfer
 from forcelimits.spectra import vacuum
 
@@ -27,43 +26,60 @@ from forcelimits.spectra import vacuum
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "reference.json"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args):
+    """`python -m forcelimits args` in a fresh interpreter."""
     return subprocess.run(
-        [sys.executable, "-m", "forcelimits", *args],
-        capture_output=True, text=True, cwd=cwd,
+        [sys.executable, "-m", "forcelimits", *args], capture_output=True, text=True,
     )
 
 
+def main_in_process(capsys, *args):
+    """cli.main(args) in this interpreter, with its exit code and output as run_cli gives them."""
+    capsys.readouterr()
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, out, err)
+
+
+def written(*values):
+    """Each value as the CSV writer prints it: one row per value, the value in every column."""
+    column = np.array(values, dtype=float)
+    buffer = io.StringIO()
+    cli.write_spectrum_csv(noise.SensitivitySpectrum(*[column] * 6), buffer, {})
+    rows = [line.split(",") for line in buffer.getvalue().splitlines()[1:]]
+    assert all(row == row[:1] * 6 for row in rows)
+    return [row[0] for row in rows]
+
+
 class TestFmt12:
+    # the 12-digit rule, through the CSV writer
     def test_twelve_significant_digits(self):
-        assert fmt12(3.14159265358979) == "3.14159265359"
-        assert fmt12(0.001234567890123) == "0.00123456789012"
-        assert fmt12(99999.1234567) == "99999.1234567"
+        assert written(3.14159265358979, 0.001234567890123, 99999.1234567) == [
+            "3.14159265359", "0.00123456789012", "99999.1234567"]
 
     def test_scientific_threshold(self):
-        assert "e" not in fmt12(999999.0)
-        assert fmt12(1234567.0) == "1.23456700000e+06"
-        assert "e" not in fmt12(1.234e-5)
-        assert fmt12(1.234e-6) == "1.23400000000e-06"
-        assert fmt12(-2.5e8) == "-2.50000000000e+08"
+        assert "e" not in written(999999.0)[0]
+        assert written(1234567.0) == ["1.23456700000e+06"]
+        assert "e" not in written(1.234e-5)[0]
+        assert written(1.234e-6) == ["1.23400000000e-06"]
+        assert written(-2.5e8) == ["-2.50000000000e+08"]
 
     def test_zero(self):
-        assert fmt12(0.0) == "0"
-        assert fmt12(-0.0) == "0"
+        assert written(0.0, -0.0) == ["0", "0"]
 
     @given(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
     def test_matches_decimal_oracle(self, value):
-        assert fmt12(value) == fmt12_oracle(value)
+        assert written(value) == [twelve_digits(value)]
 
     def test_decade_carry(self):
-        assert fmt12(999999.9999999) == "1.00000000000e+06"
-        assert fmt12(0.99999999999995) == "1.00000000000"
+        assert written(999999.9999999, 0.99999999999995) == ["1.00000000000e+06", "1.00000000000"]
+        values = []
         for decade in range(-320, 308):
             # below this point 12 digits round down within the decade, from it up
             carry = float(Decimal(10) ** (decade + 1) * (1 - Decimal("5e-13")))
-            for value in (carry, *neighbours(carry, 3)):
-                for signed in (value, -value):
-                    assert fmt12(signed) == fmt12_oracle(signed), signed
+            values += [signed for value in (carry, *neighbours(carry, 3))
+                       for signed in (value, -value)]
+        assert written(*values) == [twelve_digits(v) for v in values]
 
     def test_block_writer_matches_decimal_oracle(self):
         # 600 rows cross the writer's block edges at 256 and 512; every
@@ -88,12 +104,12 @@ class TestFmt12:
         assert len(lines) == rows + 1
         table = np.column_stack([spectrum.omegas, values.reshape(5, rows).T])
         for line, row in zip(lines[1:], table):
-            expected = [fmt12_oracle(v) if v != 0.0 else "0" for v in row.tolist()]
+            expected = [twelve_digits(v) if v != 0.0 else "0" for v in row.tolist()]
             assert line.split(",") == expected
 
 
-def fmt12_oracle(value):
-    """fmt12 from exact decimal arithmetic, rounding half to even."""
+def twelve_digits(value):
+    """The 12-digit rule from exact decimal arithmetic, rounding half to even."""
     exact = Decimal(value)
     mantissa, _, exponent = f"{exact:.11e}".partition("e")
     if abs(int(exponent)) >= 6:
@@ -134,19 +150,19 @@ class TestSpectrumCommand:
         # spot-check the dominance ordering the data should show
         assert np.all(data[:, 1] >= data[:, 3] * (1 - 1e-9))
 
-    def test_deterministic_output(self, tmp_path):
+    def test_deterministic_output(self, capsys):
         args = (
             "spectrum", "--scheme", "toy", "--eta", "1", "--Omega", "1",
             "--Gamma", "1", "--gamma", "100", "--g", "5", "--phi", "0",
             "--points", "50",
         )
-        first = run_cli(*args)
-        second = run_cli(*args)
+        first = main_in_process(capsys, *args)
+        second = main_in_process(capsys, *args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
-    def test_single_point_grid_rejected(self):
-        result = run_cli("spectrum", "--points", "1")
+    def test_single_point_grid_rejected(self, capsys):
+        result = main_in_process(capsys, "spectrum", "--points", "1")
         assert result.returncode == 2
 
     def test_unstable_model_exit_code(self):
@@ -156,10 +172,12 @@ class TestSpectrumCommand:
         )
         assert result.returncode == 3
         assert "unstable" in result.stderr.lower()
+        assert "Traceback" not in result.stderr
 
-    def test_numerical_failure_exit_code(self):
+    def test_numerical_failure_exit_code(self, capsys):
         # zero coupling makes the force invisible at the readout
-        result = run_cli(
+        result = main_in_process(
+            capsys,
             "spectrum", "--scheme", "standard", "--Omega", "1", "--Gamma", "0",
             "--g", "0", "--omega-min", "0.5", "--omega-max", "2", "--points", "4",
             "--spacing", "linear",
@@ -167,41 +185,44 @@ class TestSpectrumCommand:
         assert result.returncode == 4
         assert "omega" in result.stderr
 
-    def test_config_round_trip(self, tmp_path):
+    def test_config_round_trip(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        result = run_cli(
+        result = main_in_process(
+            capsys,
             "spectrum", "--scheme", "standard", "--Omega", "0.02", "--gamma", "2.5",
             "--g", "-3", "--phi", "0.2", "--points", "40",
             "--dump-config", str(cfg), "--output", str(first),
         )
         assert result.returncode == 0, result.stderr
         assert cfg.exists()
-        result = run_cli("spectrum", "--config", str(cfg), "--output", str(second))
+        result = main_in_process(capsys, "spectrum", "--config", str(cfg),
+                                 "--output", str(second))
         assert result.returncode == 0, result.stderr
         assert first.read_bytes() == second.read_bytes()
 
-    def test_flags_override_config(self, tmp_path):
+    def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "[scheme]\nvariant = standard\nOmega = 0.02\ngamma = 2.5\ng = -3\n"
             "[grid]\npoints = 40\n"
         )
-        base = run_cli("spectrum", "--config", str(cfg))
-        override = run_cli("spectrum", "--config", str(cfg), "--points", "25")
+        base = main_in_process(capsys, "spectrum", "--config", str(cfg))
+        override = main_in_process(capsys, "spectrum", "--config", str(cfg), "--points", "25")
         assert base.returncode == override.returncode == 0
         assert len(parse_csv(base.stdout)[1]) == 40
         assert len(parse_csv(override.stdout)[1]) == 25
 
-    def test_bad_config_file(self, tmp_path):
+    def test_bad_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "broken.cfg"
         cfg.write_text("[scheme]\nOmega = not-a-number\n")
-        assert run_cli("spectrum", "--config", str(cfg)).returncode == 2
-        assert run_cli("spectrum", "--config", str(tmp_path / "nope.cfg")).returncode == 2
+        assert main_in_process(capsys, "spectrum", "--config", str(cfg)).returncode == 2
+        missing = tmp_path / "nope.cfg"
+        assert main_in_process(capsys, "spectrum", "--config", str(missing)).returncode == 2
 
-    def test_metadata_comment_lines(self):
-        result = run_cli("spectrum", "--points", "10")
+    def test_metadata_comment_lines(self, capsys):
+        result = main_in_process(capsys, "spectrum", "--points", "10")
         assert result.returncode == 0
         comments = [ln for ln in result.stdout.splitlines() if ln.startswith("# ")]
         assert any(ln.startswith("# variant = ") for ln in comments)
@@ -702,8 +723,8 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 class TestPresetCommands:
-    def test_fig2a_emits_one_csv_per_curve(self, tmp_path):
-        result = run_cli("fig2a", "--outdir", str(tmp_path))
+    def test_fig2a_emits_one_csv_per_curve(self, capsys, tmp_path):
+        result = main_in_process(capsys, "fig2a", "--outdir", str(tmp_path))
         assert result.returncode == 0, result.stderr
         names = sorted(p.name for p in tmp_path.glob("*.csv"))
         assert names == [
@@ -715,8 +736,8 @@ class TestPresetCommands:
             # every benchmark curve sits above the dissipation bound
             assert np.all(data[:, 1] >= data[:, 3] * (1 - 1e-9))
 
-    def test_fig2b_columns(self, tmp_path):
-        result = run_cli("fig2b", "--outdir", str(tmp_path))
+    def test_fig2b_columns(self, capsys, tmp_path):
+        result = main_in_process(capsys, "fig2b", "--outdir", str(tmp_path))
         assert result.returncode == 0, result.stderr
         header, data = parse_csv((tmp_path / "fig2b_toy.csv").read_text())
         s_f, sql, uql, guql = data[:, 1], data[:, 2], data[:, 3], data[:, 4]
@@ -725,13 +746,15 @@ class TestPresetCommands:
 
 
 class TestVerifyCommand:
-    def test_feedback_suite_passes(self):
-        result = run_cli("verify", "feedback", "--seed", "3")
+    def test_feedback_suite_passes(self, capsys):
+        result = main_in_process(capsys, "verify", "feedback", "--seed", "3")
         assert result.returncode == 0, result.stdout + result.stderr
         assert "[PASS]" in result.stdout
 
     def test_unknown_suite_rejected(self):
-        assert run_cli("verify", "bogus").returncode == 2
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["verify", "bogus"])
+        assert exit_.value.code == 2
 
     @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
     def test_bad_seed_is_a_usage_error(self, capsys, seed):

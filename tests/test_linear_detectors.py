@@ -111,7 +111,7 @@ def with_bath(model, Gamma):
 def commutator_error(model, omegas):
     """|sum_c B_c C B_c^H - C| over max |B|^2, per omega, B over the transfer blocks."""
     resp = transfer(model, omegas)
-    blocks = np.stack([resp.M, *resp.cross.values()])
+    blocks = np.stack(list(resp.blocks.values()))
     total = (blocks @ COMMUTATOR @ np.conj(blocks).swapaxes(-1, -2)).sum(axis=0)
     scale = (np.abs(blocks) ** 2).max(axis=(0, 2, 3))
     return np.abs(total - COMMUTATOR).max(axis=(1, 2)) / scale

@@ -208,14 +208,13 @@ class TestReadoutAdjoint:
             y = linsys.adjoint_response(model, omegas, linsys.readout_drive(model, d))
             for omega, row in zip(omegas, y):
                 resp = linsys.transfer(model, omega)
-                blocks = {resp.readout_id: resp.M, **resp.cross}
                 scale = np.max(np.abs(row))
                 assert abs(row[model.force_row] - d @ resp.v) < 1e-12 * scale
                 for ch in model.channels:
                     adjoint = np.sqrt(ch.rate) * row[list(ch.rows)]
                     if ch.is_readout:
                         adjoint = adjoint - d
-                    assert np.max(np.abs(adjoint - d @ blocks[ch.id])) < 1e-12 * scale
+                    assert np.max(np.abs(adjoint - d @ resp.blocks[ch.id])) < 1e-12 * scale
 
     def test_first_singular_frequency_raises(self):
         params = DetectorParams(Omega=1.0, Gamma=0.0, gamma=3.0, g=0.5)
@@ -382,6 +381,6 @@ def test_array_transfer_equals_pointwise_calls(variant):
     assert stacked.M.shape == (20, len(grid) // 20, 2, 2)
     assert np.array_equal(stacked.M.reshape(-1, 2, 2), [p.M for p in points])
     assert np.array_equal(stacked.v.reshape(-1, 2), [p.v for p in points])
-    assert stacked.cross.keys() == points[0].cross.keys()
-    for cid, block in stacked.cross.items():
-        assert np.array_equal(block.reshape(-1, 2, 2), [p.cross[cid] for p in points])
+    assert stacked.blocks.keys() == points[0].blocks.keys()
+    for cid, block in stacked.blocks.items():
+        assert np.array_equal(block.reshape(-1, 2, 2), [p.blocks[cid] for p in points])

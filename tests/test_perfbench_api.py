@@ -4,9 +4,10 @@
 spectrum (transfer, added_noise, power_density, the bound columns) and a
 draw's build and stability check, and its probe runs every verify suite
 and draws extraction inputs from `verify.random_stable_standard`.  Running
-those calls here, the decompositions on 3-point grids, makes an API change
-that would break a traced run fail the test suite instead.  One round each
-of sweep-dense and param-scan holds the outputs to their recorded references.
+those calls here, the decompositions on 3-point grids and the import probe,
+makes an API change that would break a traced run fail the test suite
+instead.  One round each of sweep-dense and param-scan holds the outputs to
+their recorded references.
 """
 
 import sys
@@ -58,6 +59,16 @@ def test_probe_verify_calls(perfbench):
         assert results and all(type(r.passed) is bool for r in results)
     params, omega = verify.random_stable_standard(np.random.default_rng(0))
     assert isinstance(params, forcelimits.DetectorParams) and omega > 0.0
+
+
+def test_import_probe_times_each_module(perfbench, tmp_path):
+    # the traced run reads each module's cumulative time out of
+    # `python -X importtime -c "import forcelimits.cli"`, so importing
+    # forcelimits.cli must import each of them
+    *_, layers = perfbench
+    times = layers.import_times(tmp_path)
+    assert set(times) == {"cli", "verify", "noise"}
+    assert all(t > 0.0 for t in times.values())
 
 
 def test_sweep_dense_round(perfbench):

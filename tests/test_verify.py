@@ -1,5 +1,6 @@
 """A verify check's verdict and printed line, derived from its record, the
-root search behind uql-dominance/sql-attained, and the recorded verdicts."""
+root search behind uql-dominance/sql-attained, the identities suite's draws
+and the recorded verdicts."""
 
 import json
 import math
@@ -12,7 +13,13 @@ from scipy import optimize
 
 from forcelimits import bounds, presets
 from forcelimits.errors import NumericalFailure
-from forcelimits.verify import CheckResult, run_suite, sql_balance_frequency
+from forcelimits.schemes import DetectorParams, SchemeConfig, build
+from forcelimits.verify import (
+    CheckResult,
+    random_stable_standard,
+    run_suite,
+    sql_balance_frequency,
+)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "reference.json"
 
@@ -60,6 +67,36 @@ def test_no_balance_point_is_a_numerical_failure():
     message = "^no shot/backaction balance point in the scanned range$"
     with pytest.raises(NumericalFailure, match=message):
         sql_balance_frequency(replace(presets.FIG2A_PARAMS, g=0.0))
+
+
+class ScriptedDraws:
+    """A generator stand-in that returns its script: uniform gives the next
+    value, choice the next sign."""
+
+    def __init__(self, values, signs):
+        self.values, self.signs = iter(values), iter(signs)
+
+    def uniform(self, low, high):
+        value = next(self.values)
+        assert low <= value <= high
+        return value
+
+    def choice(self, options):
+        return next(self.signs)
+
+
+def test_draw_near_parametric_divergence_is_redrawn():
+    # Omega, Gamma, gamma, Delta, |g| and omega of each draw
+    near = (1.32, 0.69, 1.19, -0.91, 1.0912, 1.2697)
+    second = (1.0, 0.5, 2.0, 0.5, 1.0, 0.7)
+    params = DetectorParams(*near[:5])
+    build(SchemeConfig("standard", params))  # stable
+    r = params.gamma / 2.0 - 1j * near[5]
+    loop = 1.0 - params.g**2 * bounds.chi_mech(params, near[5]) * params.Delta / (
+        r * r + params.Delta**2)
+    assert abs(loop) < 1e-3
+    drawn = random_stable_standard(ScriptedDraws(near + second, [1.0, 1.0]))
+    assert drawn == (DetectorParams(*second[:5]), second[5])
 
 
 # seed 13 is the one where identities/gram-identity fails as well

@@ -247,6 +247,13 @@ MUTANTS = (
          "tests/test_cli.py::test_invalid_number_is_a_configuration_error"
          "[flags13-2 * squeeze_angle overflows (squeeze_angle = 1e+308)]"),
     ),
+    Mutant(
+        "no-near-divergence-redraw", "src/forcelimits/verify.py",
+        "        if abs(1.0 - params.g**2 * ca * chi_d) < 1e-3:\n"
+        "            continue\n",
+        "",
+        ("tests/test_verify.py::test_draw_near_parametric_divergence_is_redrawn",),
+    ),
 )
 
 
