@@ -56,30 +56,83 @@ _DEFAULTS: dict[str, dict[str, object]] = {
 #: rows per printf call; keeps the template's memory fixed for any grid size
 _CSV_BLOCK = 256
 
-#: printf specs: entry e + 6 for a decimal exponent -6 < e < 6, entry 0
-#: (scientific) for any other, and the last, which prints ±0 as "0"
+#: the integer path takes decimal exponents e with |e| <= _E_MAX
+_E_MAX = 99
+_EXPONENTS = range(-_E_MAX, _E_MAX + 1)
+
+
+def _form(e: int) -> tuple[str, int]:
+    """The printf spec of a value with exponent e, and the power of ten whose
+    quotient and remainder of the value's 12 digits it prints (1: the digits)."""
+    if 0 <= e < 6:
+        return f"%d.%0{11 - e}d", 10 ** (11 - e)
+    if -6 < e < 0:
+        return f"0.{'0' * (-e - 1)}%d", 1
+    return f"%d.%011de{e:+03d}", 10**11
+
+
+#: entry e + _E_MAX: 10**(11 - e) correctly rounded, and _form's divisor
+_SCALE = np.array([float(10 ** (11 - e)) if e <= 11 else 1 / 10 ** (e - 11) for e in _EXPONENTS])
+_SPLIT = np.array([_form(e)[1] for e in _EXPONENTS], dtype=np.int64)
+#: entry 4 (e + _E_MAX) + 2 (value < 0) + (value ends its row), then the two
+#: specs that print a _scalar text
 _SPECS = np.array(
-    ["%.11e", *(f"%.{11 - e}f" for e in range(-5, 6)), "%d"], dtype=object
+    [sign + _form(e)[0] + end for e in _EXPONENTS for sign in ("", "-") for end in (",", "\n")]
+    + ["%s,", "%s\n"],
+    dtype=object,
 )
 
 
-def _specs(values: np.ndarray) -> np.ndarray:
-    """Each value's printf spec for 12 significant digits, scientific once the exponent
-    after rounding reaches 6 in magnitude: 999999.9999999 prints as 1.00000000000e+06."""
-    magnitude = np.abs(values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log = np.log10(magnitude)
-        exponent = np.floor(log)
-        # rounding to 12 digits carries into the next decade only within a
-        # relative 5e-13 below it (2.2e-13 in log10), and log10 itself may be
-        # an ulp off; within 1e-12 of a decade on either side the exponent is
-        # read off the correctly rounded scientific form
-        near = abs(log - np.round(log)) < 1e-12
-    for i in zip(*np.nonzero(near)):
-        exponent[i] = int(("%.11e" % values[i]).partition("e")[2])
-    index = np.where(abs(exponent) < 6, exponent + 6, 0).astype(int)
-    index[magnitude == 0.0] = -1
-    return _SPECS[index]
+def _scalar(value: float) -> str:
+    """One value by the 12-digit rule, from the correctly rounded scientific form."""
+    if value == 0.0:
+        return "0"
+    text = "%.11e" % value
+    exponent = text.partition("e")[2]
+    if exponent and -6 < int(exponent) < 6:
+        return "%.*f" % (11 - int(exponent), value)
+    return text
+
+
+def _block_text(block: np.ndarray) -> str:
+    """`block`'s rows as CSV lines (see write_spectrum_csv)."""
+    values = block.ravel()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scaled = np.abs(values)
+        work = np.floor(np.log10(scaled))  # the exponent e, then the digits
+        fast = np.abs(work) <= _E_MAX
+        work[~fast] = 0
+        index = work.astype(np.int16)
+        index += _E_MAX
+        scaled *= _SCALE[index]
+        # the table's and the product's roundings leave `scaled` within 2.3e-4
+        # of |v| 10**(11 - e), so away from a rounding half and a decade edge
+        # both round to the same 12 digits; the rest, with zero, nan, inf and
+        # |e| > _E_MAX, go to _scalar
+        fast &= scaled >= 1e11 + 1e-3
+        fast &= scaled < 1e12 - 0.501
+        np.floor(scaled, out=work)
+        scaled -= work
+        fast &= np.abs(scaled - 0.5) >= 1e-3
+        work += scaled > 0.5
+        digits = work.astype(np.int64)
+    split = _SPLIT[index]
+    items = np.empty((values.size, 2), dtype=np.int64)
+    np.divmod(digits, split, out=(items[:, 0], items[:, 1]))
+    # every value prints its first item, and its remainder too if it was split;
+    # a _scalar text takes the first item's place
+    keep = np.empty_like(items, dtype=bool)
+    keep[:, 0] = True
+    second = np.logical_and(fast, split != 1, out=keep[:, 1])
+    items = items[keep].tolist()
+    for i in np.flatnonzero(~fast).tolist():
+        items[i + np.count_nonzero(second[:i])] = _scalar(float(values[i]))
+
+    spec = 4 * index.astype(np.intp) + 2 * np.signbit(values)
+    spec[~fast] = len(_SPECS) - 2
+    spec = spec.reshape(block.shape)
+    spec[:, -1] += 1
+    return "".join(_SPECS[spec.ravel()].tolist()) % tuple(items)
 
 
 def _frequencies(
@@ -169,15 +222,22 @@ def _scheme_config(values: Mapping[str, object]) -> SchemeConfig:
 def write_spectrum_csv(
     spectrum: noise.SensitivitySpectrum, fh: IO[str], metadata: Mapping[str, object]
 ):
+    """Write `metadata` as `# key = value` lines, the column header, then one row
+    per frequency.
+
+    Each value prints to 12 significant digits, its exact binary value rounded
+    half to even, in fixed notation while the decimal exponent after rounding
+    is below 6 in magnitude and in scientific notation from there:
+    999999.9999999 prints as 1.00000000000e+06.  ±0 prints as "0", and nan
+    and ±inf as Python prints them.
+    """
     for key, value in metadata.items():
         fh.write(f"# {key} = {value}\n")
     fh.write(",".join(spectrum.columns) + "\n")
     # the dataclass fields are the columns, in order
     columns = [getattr(spectrum, f.name) for f in fields(spectrum)]
     for start in range(0, len(spectrum.omegas), _CSV_BLOCK):
-        block = np.column_stack([c[start:start + _CSV_BLOCK] for c in columns])
-        template = "".join(",".join(row) + "\n" for row in _specs(block).tolist())
-        fh.write(template % tuple(block.ravel().tolist()))
+        fh.write(_block_text(np.column_stack([c[start:start + _CSV_BLOCK] for c in columns])))
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:

@@ -107,6 +107,44 @@ class TestFmt12:
             expected = [twelve_digits(v) if v != 0.0 else "0" for v in row.tolist()]
             assert line.split(",") == expected
 
+    @pytest.mark.parametrize("value, text", [
+        (123456789012.5, "1.23456789012e+11"),
+        (123456789013.5, "1.23456789014e+11"),
+        (123456.0078125, "123456.007812"),
+        (123456.0234375, "123456.023438"),
+    ])
+    def test_exact_tie_rounds_to_even(self, value, text):
+        assert written(value, -value) == [text, "-" + text]
+        assert [twelve_digits(value), twelve_digits(-value)] == [text, "-" + text]
+
+    def test_edge_of_the_integer_path(self):
+        # the integer path covers decimal exponents up to 99 in magnitude
+        carry = 9.999999999995002e99  # the least float that rounds up to 1e100
+        values = [1e99, 9.99999999999e99, carry, *neighbours(carry, 2), 9.999999999998e99,
+                  1e100, 1e-99, 9.99999999999e-100, 1e-100]
+        values += [-v for v in values]
+        assert written(carry, 9.999999999998e99) == ["1.00000000000e+100"] * 2
+        assert written(*values) == [twelve_digits(v) for v in values]
+
+    def test_not_finite(self):
+        assert written(np.nan, -np.nan, np.inf, -np.inf) == ["nan", "nan", "inf", "-inf"]
+
+    @settings(derandomize=True, max_examples=400)
+    @given(st.integers(0, 2**64 - 1))
+    @example(1)                        # the smallest subnormal
+    @example(0x000FFFFFFFFFFFFF)       # the largest subnormal
+    @example(0x8000000000000001)
+    @example(0x8000000000000000)       # -0.0
+    @example(0x7FF8000000000001)       # a nan with a payload
+    @example(0xFFF0000000000000)       # -inf
+    def test_any_bit_pattern(self, bits):
+        value = float(np.uint64(bits).view(np.float64))
+        if not math.isfinite(value):
+            expected = "%.11e" % value
+        else:
+            expected = twelve_digits(value) if value else "0"
+        assert written(value) == [expected]
+
 
 def twelve_digits(value):
     """The 12-digit rule from exact decimal arithmetic, rounding half to even."""

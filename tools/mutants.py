@@ -100,17 +100,30 @@ MUTANTS = (
     ),
     Mutant(
         "zero-as-%.0f", "src/forcelimits/cli.py",
-        '"%d"], dtype=object',
-        '"%.0f"], dtype=object',
+        '        return "0"\n',
+        '        return "%.0f" % value\n',
         ("tests/test_cli.py::TestFmt12::test_zero",
          "tests/test_cli.py::TestFmt12::test_block_writer_matches_decimal_oracle"),
     ),
     Mutant(
         "no-near-decade-fix-up", "src/forcelimits/cli.py",
-        "    for i in zip(*np.nonzero(near)):\n"
-        "        exponent[i] = int((\"%.11e\" % values[i]).partition(\"e\")[2])\n",
-        "",
+        '    exponent = text.partition("e")[2]\n',
+        "    exponent = str(math.floor(math.log10(abs(value)))) if math.isfinite(value) else \"\"\n",
         ("tests/test_cli.py::TestFmt12::test_decade_carry",),
+    ),
+    Mutant(
+        "no-half-margin", "src/forcelimits/cli.py",
+        "        fast &= np.abs(scaled - 0.5) >= 1e-3\n",
+        "",
+        ("tests/test_cli.py::TestFmt12::test_exact_tie_rounds_to_even[123456789013.5-1.23456789014e+11]",
+         "tests/test_cli.py::TestFmt12::test_exact_tie_rounds_to_even[123456.0234375-123456.023438]"),
+    ),
+    Mutant(
+        "no-upper-decade-margin", "src/forcelimits/cli.py",
+        "scaled < 1e12 - 0.501",
+        "scaled < 1e12",
+        ("tests/test_cli.py::TestFmt12::test_decade_carry",
+         "tests/test_cli.py::TestFmt12::test_edge_of_the_integer_path"),
     ),
     Mutant(
         "no-variant-case-fold", "src/forcelimits/cli.py",
@@ -275,8 +288,15 @@ BROKEN = ("NameError", "ImportError", "SyntaxError")
 
 
 def _pytest(workdir: Path, ids) -> tuple[int, str]:
-    """Exit status and combined output of one pytest run of `ids`."""
-    env = dict(os.environ, PYTHONPATH=str(workdir / "src"))
+    """Exit status and combined output of one pytest run of `ids`.
+
+    The bytecode cache sits beside the work directories, so runs after the
+    first skip compiling numpy, hypothesis and pytest; each copy's own files
+    have their own paths and so their own cache entries.
+    """
+    env = dict(os.environ, PYTHONPATH=str(workdir / "src"),
+               PYTHONPYCACHEPREFIX=str(workdir.parent / "pycache"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *ids]
     run = subprocess.run(command, cwd=workdir, env=env, capture_output=True, text=True)
     return run.returncode, run.stdout + run.stderr
