@@ -233,9 +233,10 @@ def write_spectrum_csv(
     """
     for key, value in metadata.items():
         fh.write(f"# {key} = {value}\n")
-    fh.write(",".join(spectrum.columns) + "\n")
-    # the dataclass fields are the columns, in order
-    columns = [getattr(spectrum, f.name) for f in fields(spectrum)]
+    # the dataclass fields are the columns, in order; the grid heads its column "omega"
+    names = [f.name for f in fields(spectrum)]
+    fh.write(",".join(["omega", *names[1:]]) + "\n")
+    columns = [getattr(spectrum, name) for name in names]
     for start in range(0, len(spectrum.omegas), _CSV_BLOCK):
         fh.write(_block_text(np.column_stack([c[start:start + _CSV_BLOCK] for c in columns])))
 

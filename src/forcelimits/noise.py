@@ -60,26 +60,19 @@ def added_noise(resp: FrequencyResponse, phi: float) -> dict[str, tuple]:
 def power_density(
     coeffs: Mapping[str, tuple], spectra: Mapping[str, QuadratureSpectrum]
 ) -> float | NDArray[np.float64]:
-    """Added-noise power summed over the channels present in `spectra`.
+    """Added-noise power summed over every channel in `coeffs`, each against
+    its spectrum in `spectra`.
 
-    Channels without an entry in `spectra` are left out, so a subset of
-    channels gives its own share of the power.  Array-valued pairs give the
-    power at every frequency.
+    Array-valued pairs give the power at every frequency.
     """
     total = 0.0
     for cid, pair in coeffs.items():
-        spec = spectra.get(cid)
-        if spec is not None:
-            total = total + spec.form(pair, pair).real
+        total = total + spectra[cid].form(pair, pair).real
     return total
 
 
-def noise_budget(
-    config: SchemeConfig, model: LinearModel | None = None
-) -> dict[str, QuadratureSpectrum]:
-    """Spectra of the channels entering S_f: every channel of the model."""
-    if model is None:
-        model = build(config)
+def noise_budget(config: SchemeConfig, model: LinearModel) -> dict[str, QuadratureSpectrum]:
+    """Spectra of the channels entering S_f: every channel of the model (`config` is not read)."""
     return {ch.id: ch.spectrum for ch in model.channels}
 
 
@@ -124,8 +117,6 @@ class SensitivitySpectrum:
     uql: NDArray[np.float64]
     guql: NDArray[np.float64]
     opt_uql: NDArray[np.float64]
-
-    columns = ("omega", "s_f", "sql", "uql", "guql", "opt_uql")
 
     def __post_init__(self):
         # the instance holds only the fields; fields(self) would add 2 us per call

@@ -53,9 +53,7 @@ def unused_imports(source):
 
 @pytest.mark.parametrize(
     "path",
-    # __init__.py imports in order to re-export
-    [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    + sorted(Path(__file__).resolve().parent.glob("*.py")),
+    sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).resolve().parent.glob("*.py")),
     ids=lambda p: p.name,
 )
 def test_no_unused_imports(path):
@@ -169,10 +167,8 @@ def test_channel_ids_stay_in_schemes():
     # schemes.build decides which inputs are channels; the rest of the package
     # reads the model's channels and never picks one out by its id
     found = {p.name: channel_id_uses(ast.parse(p.read_text(encoding="utf-8")))
-             for p in sorted(PACKAGE.glob("*.py")) if p.name not in ("schemes.py", "__init__.py")}
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "schemes.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
-    exported = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    assert {n.name for n in ast.walk(exported) if isinstance(n, ast.alias)} >= CHANNEL_IDS.keys()
 
 
 def test_channel_id_detector():

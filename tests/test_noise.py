@@ -333,7 +333,7 @@ class TestSensitivitySpectrum:
         for config in (SchemeConfig("standard", FIG2A), presets.fig2a_configs()["cqnc"],
                        presets.fig2b_config()):
             model = build(config)
-            assert [ch.id for ch in model.channels] == list(noise.noise_budget(config))
+            assert [ch.id for ch in model.channels] == list(noise.noise_budget(config, model))
             assert MECHANICAL not in noise.noise_budget(config, model)
             for n_th in (0.0, 1e6):
                 warm = build(replace(config, params=replace(config.params, n_th=n_th)))

@@ -58,7 +58,7 @@ def test_probe_verify_calls(perfbench):
         results = verify.run_suite(suite, seed=1)
         assert results and all(type(r.passed) is bool for r in results)
     params, omega = verify.random_stable_standard(np.random.default_rng(0))
-    assert isinstance(params, forcelimits.DetectorParams) and omega > 0.0
+    assert isinstance(params, forcelimits.schemes.DetectorParams) and omega > 0.0
 
 
 def test_import_probe_times_each_module(perfbench, tmp_path):

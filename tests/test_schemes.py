@@ -176,7 +176,7 @@ class TestCqncResidualNoise:
         for omega in (0.002, 0.01, 0.5, 4.0, 10.0):
             coeffs = noise.added_noise(transfer(model, omega), 0.0)
             ancilla_only = noise.power_density(
-                coeffs, {ANCILLA: vacuum()}
+                {ANCILLA: coeffs[ANCILLA]}, {ANCILLA: vacuum()}
             )
             floor = p.Gamma / (2 * p.Omega**2) * (
                 omega**2 + p.Omega**2 + p.Gamma**2 / 4

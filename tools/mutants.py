@@ -267,6 +267,13 @@ MUTANTS = (
         "",
         ("tests/test_verify.py::test_draw_near_parametric_divergence_is_redrawn",),
     ),
+    Mutant(
+        "init-re-export", "src/forcelimits/__init__.py",
+        '"""Quantum-noise force-sensitivity spectra and limit bounds for linear detectors."""\n',
+        '"""Quantum-noise force-sensitivity spectra and limit bounds for linear detectors."""\n'
+        "\nfrom .noise import sensitivity_spectrum\n",
+        ("tests/test_imports.py::test_no_unused_imports[__init__.py]",),
+    ),
 )
 
 
