@@ -53,7 +53,7 @@ _DEFAULTS: dict[str, dict[str, object]] = {
 }
 
 
-#: rows per printf call; keeps the template's memory fixed for any grid size
+#: rows per block; keeps the byte matrix's memory fixed for any grid size
 _CSV_BLOCK = 256
 
 #: the integer path takes decimal exponents e with |e| <= _E_MAX
@@ -61,26 +61,25 @@ _E_MAX = 99
 _EXPONENTS = range(-_E_MAX, _E_MAX + 1)
 
 
-def _form(e: int) -> tuple[str, int]:
-    """The printf spec of a value with exponent e, and the power of ten whose
-    quotient and remainder of the value's 12 digits it prints (1: the digits)."""
-    if 0 <= e < 6:
-        return f"%d.%0{11 - e}d", 10 ** (11 - e)
+def _template(e: int) -> str:
+    """The field of a value with exponent e on the integer path: its 30 columns
+    are the sign (0), "0." and the leading zeros of -6 < e < 0 (1-6), the 12
+    digits with a gap for the point after each of the first six (7-24), the
+    exponent (25-28) and the separator.  A space stands for NUL, the no-text byte."""
     if -6 < e < 0:
-        return f"0.{'0' * (-e - 1)}%d", 1
-    return f"%d.%011de{e:+03d}", 10**11
+        return f" {'0.' + '0' * (-e - 1):6}{' ' * 18}    ,"
+    if 0 <= e < 6:
+        return f"{' ' * (8 + 2 * e)}.{' ' * (16 - 2 * e)}    ,"
+    return f"        .{' ' * 16}e{e:+03d},"
 
 
-#: entry e + _E_MAX: 10**(11 - e) correctly rounded, and _form's divisor
+#: entry e + _E_MAX: 10**(11 - e) correctly rounded, and the field of exponent e
 _SCALE = np.array([float(10 ** (11 - e)) if e <= 11 else 1 / 10 ** (e - 11) for e in _EXPONENTS])
-_SPLIT = np.array([_form(e)[1] for e in _EXPONENTS], dtype=np.int64)
-#: entry 4 (e + _E_MAX) + 2 (value < 0) + (value ends its row), then the two
-#: specs that print a _scalar text
-_SPECS = np.array(
-    [sign + _form(e)[0] + end for e in _EXPONENTS for sign in ("", "-") for end in (",", "\n")]
-    + ["%s,", "%s\n"],
-    dtype=object,
-)
+_TEMPLATES = np.frombuffer(
+    "".join(map(_template, _EXPONENTS)).replace(" ", "\0").encode(), dtype="V30")
+#: entry n: the three digits of n
+_GROUPS = np.ravel(
+    (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint8).view("V3"))
 
 
 def _scalar(value: float) -> str:
@@ -116,23 +115,23 @@ def _block_text(block: np.ndarray) -> str:
         fast &= np.abs(scaled - 0.5) >= 1e-3
         work += scaled > 0.5
         digits = work.astype(np.int64)
-    split = _SPLIT[index]
-    items = np.empty((values.size, 2), dtype=np.int64)
-    np.divmod(digits, split, out=(items[:, 0], items[:, 1]))
-    # every value prints its first item, and its remainder too if it was split;
-    # a _scalar text takes the first item's place
-    keep = np.empty_like(items, dtype=bool)
-    keep[:, 0] = True
-    second = np.logical_and(fast, split != 1, out=keep[:, 1])
-    items = items[keep].tolist()
-    for i in np.flatnonzero(~fast).tolist():
-        items[i + np.count_nonzero(second[:i])] = _scalar(float(values[i]))
+    # the digits as four 3-digit groups, most significant first; a _scalar
+    # value's may fall outside the table, and its text is written over its field
+    groups = np.empty((values.size, 2, 2), dtype=np.int64)
+    np.divmod(digits, 10**6, out=(groups[:, 0, 0], groups[:, 1, 0]))
+    np.divmod(groups[:, :, 0], 1000, out=(groups[:, :, 0], groups[:, :, 1]))
+    text = _GROUPS.take(groups.reshape(-1, 4), mode="clip").view(np.uint8)
 
-    spec = 4 * index.astype(np.intp) + 2 * np.signbit(values)
-    spec[~fast] = len(_SPECS) - 2
-    spec = spec.reshape(block.shape)
-    spec[:, -1] += 1
-    return "".join(_SPECS[spec.ravel()].tolist()) % tuple(items)
+    field = _TEMPLATES.take(index).view(np.uint8).reshape(values.size, -1)
+    field[np.signbit(values), 0] = ord("-")
+    field[:, 7:18:2] = text[:, :6]
+    field[:, 19:25] = text[:, 6:]
+    field.reshape(*block.shape, -1)[:, -1, -1] = ord("\n")
+    scalar = np.flatnonzero(~fast)
+    field[scalar, :-1] = np.frombuffer(b"".join(
+        _scalar(v).encode().ljust(29, b"\0") for v in values[scalar].tolist()
+    ), dtype=np.uint8).reshape(-1, 29)
+    return field.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _frequencies(

@@ -129,6 +129,46 @@ class TestFmt12:
     def test_not_finite(self):
         assert written(np.nan, -np.nan, np.inf, -np.inf) == ["nan", "nan", "inf", "-inf"]
 
+    def test_every_template(self, monkeypatch):
+        # for every exponent and sign: the decade's first float, the first and
+        # the last float on the integer path and one mid-decade value, each once
+        # in every column, so that every exponent's field ends in "," and in "\n"
+        scalar = []
+        monkeypatch.setattr(cli, "_scalar", lambda v, f=cli._scalar: scalar.append(v) or f(v))
+        firsts, windows = [], []
+        for e in range(-99, 100):
+            first = float(Decimal(10) ** e)
+            firsts.append(first if first >= Decimal(10) ** e else float(np.nextafter(first, 1)))
+            # the integer path's edges are within a few floats of these
+            low = float(Decimal(10) ** e * (1 + Decimal("1.01e-14")))
+            high = float(Decimal(10) ** (e + 1) * (1 - Decimal("5.01e-13")))
+            windows += [sorted([low, *neighbours(low, 12)]),
+                        sorted([high, *neighbours(high, 12)], reverse=True)]
+        written(*[v for window in windows for v in window])
+        on_scalar = set(scalar)
+        edges = []
+        for window in windows:
+            # from outside the integer path to its last float
+            assert window[0] in on_scalar and window[-1] not in on_scalar
+            edges.append(next(v for v in window if v not in on_scalar))
+        mids = [float(Decimal("1.23456789012345") * Decimal(10) ** e) for e in range(-99, 100)]
+        values = [v for quad in zip(firsts, edges[::2], mids, edges[1::2]) for v in quad]
+        values += [-v for v in values]
+
+        scalar.clear()
+        ends = [np.nan, -np.inf, 0.0, 1e-100]
+        table = np.array([np.roll(values, -k) for k in range(6)]).T
+        table = np.vstack([table, [[*mids[:5], end] for end in ends]])
+        buffer = io.StringIO()
+        cli.write_spectrum_csv(noise.SensitivitySpectrum(*table.T), buffer, {})
+        lines = buffer.getvalue().split("\n")
+        assert lines[-1] == "" and len(lines) == len(table) + 2
+        expected = [["%.11e" % v if not math.isfinite(v) else twelve_digits(v) if v else "0"
+                     for v in row] for row in table.tolist()]
+        assert [line.split(",") for line in lines[1:-1]] == expected
+        # only each decade's first float and the row ends took the _scalar path
+        assert sorted(map(repr, scalar)) == sorted(map(repr, 6 * values[::4] + ends))
+
     @settings(derandomize=True, max_examples=400)
     @given(st.integers(0, 2**64 - 1))
     @example(1)                        # the smallest subnormal

@@ -4,6 +4,8 @@ names (running the mutants themselves is `python tools/mutants.py`)."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -38,3 +40,17 @@ def test_a_mutant_that_breaks_the_code_is_no_kill():
     assert verdict(1, "E   ImportError: cannot import name 'Singular'") == "ERROR"
     assert verdict(0, "1 passed") == "SURVIVED"
     assert verdict(4, "") == "ERROR 4"
+
+
+def test_rows_are_selected_by_file():
+    table = load_table()
+    cli_rows = [m for m in table.MUTANTS if m.path == "src/forcelimits/cli.py"]
+    assert cli_rows and len(cli_rows) < len(table.MUTANTS)
+    assert table.select([]) == list(table.MUTANTS)
+    assert table.select([str(ROOT / "src/forcelimits/cli.py")]) == cli_rows
+    both = table.select([str(ROOT / "src/forcelimits" / name) for name in ("errors.py", "cli.py")])
+    assert both == [m for m in table.MUTANTS if m in cli_rows or m.path.endswith("errors.py")]
+    # a file with no row, or none at all, is an error rather than an empty run
+    for path in ("README.md", "src/forcelimits/no_such_module.py"):
+        with pytest.raises(ValueError, match="no row names"):
+            table.select([str(ROOT / "src/forcelimits/cli.py"), str(ROOT / path)])

@@ -8,14 +8,16 @@ substitution there and runs each listed id in its own pytest process, one at
 a time.  A listed id that still passes is a survivor: a guard is missing,
 so add the test that kills it and keep the row.
 
-    python tools/mutants.py
+    python tools/mutants.py [PATH ...]
 
-Before any mutant, the listed ids run once on an unmutated copy; they must
-pass there.  Exit status 0 when every listed id fails under its mutant, 1 on
-a survivor, a stale row (its old text not found exactly once), a listed id
-that fails unmutated or a pytest run that errors instead of failing.  A
-failing run whose output shows a NameError, ImportError or SyntaxError is an
-error too: the mutant broke the code, not a guard.
+With paths (for example src/forcelimits/cli.py) only the rows of those files
+run.  Before any mutant, the listed ids run once on an unmutated copy; they
+must pass there.  Exit status 0 when every listed id fails under its mutant,
+1 on a path that no row names, a survivor, a stale row (its old text not
+found exactly once), a listed id that fails unmutated or a pytest run that
+errors instead of failing.  A failing run whose output shows a NameError,
+ImportError or SyntaxError is an error too: the mutant broke the code, not a
+guard.
 """
 
 from __future__ import annotations
@@ -124,6 +126,34 @@ MUTANTS = (
         "scaled < 1e12",
         ("tests/test_cli.py::TestFmt12::test_decade_carry",
          "tests/test_cli.py::TestFmt12::test_edge_of_the_integer_path"),
+    ),
+    Mutant(
+        "csv-point-a-digit-late", "src/forcelimits/cli.py",
+        "(8 + 2 * e)}.{' ' * (16 - 2 * e)}",
+        "(10 + 2 * e)}.{' ' * (14 - 2 * e)}",
+        ("tests/test_cli.py::TestFmt12::test_every_template",
+         "tests/test_cli.py::TestFmt12::test_twelve_significant_digits"),
+    ),
+    Mutant(
+        "csv-comma-ends-the-row", "src/forcelimits/cli.py",
+        '[:, -1, -1] = ord("\\n")',
+        '[:, -1, -1] = ord(",")',
+        ("tests/test_cli.py::TestFmt12::test_every_template",
+         "tests/test_cli.py::TestFmt12::test_block_writer_matches_decimal_oracle"),
+    ),
+    Mutant(
+        "csv-digit-groups-swapped", "src/forcelimits/cli.py",
+        "out=(groups[:, :, 0], groups[:, :, 1])",
+        "out=(groups[:, :, 1], groups[:, :, 0])",
+        ("tests/test_cli.py::TestFmt12::test_every_template",
+         "tests/test_cli.py::TestFmt12::test_twelve_significant_digits"),
+    ),
+    Mutant(
+        "csv-pad-not-nul", "src/forcelimits/cli.py",
+        '.replace(" ", "\\0")',
+        '.replace(" ", "\\1")',
+        ("tests/test_cli.py::TestFmt12::test_every_template",
+         "tests/test_cli.py::TestFmt12::test_scientific_threshold"),
     ),
     Mutant(
         "no-variant-case-fold", "src/forcelimits/cli.py",
@@ -277,6 +307,18 @@ MUTANTS = (
 )
 
 
+def select(paths: list[str]) -> list[Mutant]:
+    """The rows whose file is one of `paths`, every row when there are none.
+
+    A path that no row names raises ValueError.
+    """
+    files = {Path(p).resolve() for p in paths}
+    unknown = files - {(ROOT / m.path).resolve() for m in MUTANTS}
+    if unknown:
+        raise ValueError(f"no row names {', '.join(sorted(map(str, unknown)))}")
+    return [m for m in MUTANTS if not files or (ROOT / m.path).resolve() in files]
+
+
 def stale(mutant: Mutant) -> bool:
     """True when the row's old text does not occur exactly once in its file."""
     return (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old) != 1
@@ -315,8 +357,13 @@ def _verdict(code: int, output: str) -> str:
     return {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")
 
 
-def main() -> int:
-    stale_rows = [m for m in MUTANTS if stale(m)]
+def main(paths: list[str]) -> int:
+    try:
+        rows = select(paths)
+    except ValueError as exc:
+        print(f"ERROR     {exc}")
+        return 1
+    stale_rows = [m for m in rows if stale(m)]
     for mutant in stale_rows:
         print(f"STALE     {mutant.name}: old text not found exactly once in {mutant.path}")
     if stale_rows:
@@ -326,10 +373,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         baseline = Path(tmp) / "baseline"
         _copy(baseline)
-        if _pytest(baseline, dict.fromkeys(i for m in MUTANTS for i in m.killers))[0] != 0:
+        if _pytest(baseline, dict.fromkeys(i for m in rows for i in m.killers))[0] != 0:
             print("ERROR     the listed ids do not all pass unmutated")
             return 1
-        for k, mutant in enumerate(MUTANTS):
+        for k, mutant in enumerate(rows):
             workdir = Path(tmp) / f"mutant-{k}"
             _copy(workdir)
             target = workdir / mutant.path
@@ -342,10 +389,10 @@ def main() -> int:
                 survived += verdict == "SURVIVED"
                 errors += verdict.startswith("ERROR")
             shutil.rmtree(workdir)
-    print(f"{len(MUTANTS)} rows, {killed + survived + errors} runs: "
+    print(f"{len(rows)} rows, {killed + survived + errors} runs: "
           f"{killed} killed, {survived} survived, {errors} errors")
     return 1 if survived or errors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
