@@ -10,6 +10,7 @@ import argparse
 import configparser
 import math
 import os
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -151,8 +152,11 @@ def _frequencies(
 
 
 def _config_parser() -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    # keys are case sensitive: Gamma (mechanical) and gamma (cavity) differ
+    # `key = value` and `#` comments, each value as written: no header can name the empty
+    # default section.  Keys are case sensitive: Gamma (mechanical) and gamma (cavity) differ
+    parser = configparser.ConfigParser(
+        delimiters=("=",), comment_prefixes=("#",), inline_comment_prefixes=("#",),
+        interpolation=None, default_section="")
     parser.optionxform = str
     return parser
 
@@ -167,19 +171,16 @@ def _read_config_file(path: str) -> dict[str, dict[str, object]]:
         message = " ".join(line.strip() for line in str(exc).splitlines())
         raise InvalidConfig(f"cannot read config file {path!r}: {message}") from exc
 
-    for name in parser.sections():
+    values: dict[str, dict[str, object]] = {name: {} for name in parser.sections()}
+    for name, section in values.items():
         if name not in _DEFAULTS:
             raise InvalidConfig(f"unknown config section {name!r}")
-    values: dict[str, dict[str, object]] = {name: {} for name in _DEFAULTS}
-    for name, defaults in _DEFAULTS.items():
-        if not parser.has_section(name):
-            continue
-        for key in parser.options(name):
-            if key not in defaults:
+        for key, text in parser.items(name):
+            if key not in _DEFAULTS[name]:
                 raise InvalidConfig(f"unknown {name} key {key!r}")
             try:
-                values[name][key] = type(defaults[key])(parser.get(name, key).strip())
-            except (ValueError, configparser.Error) as exc:
+                section[key] = type(_DEFAULTS[name][key])(text)
+            except ValueError as exc:
                 raise InvalidConfig(f"bad value in config file {path!r}: {exc}") from exc
     return values
 
@@ -313,6 +314,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse with each usage error on one stderr line (exit 2)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        # no flag starts like a negative float (-1e-05, -.5, -inf): such a token is a value
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.I)
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")

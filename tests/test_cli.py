@@ -294,8 +294,13 @@ class TestSpectrumCommand:
 
     def test_bad_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "broken.cfg"
-        cfg.write_text("[scheme]\nOmega = not-a-number\n")
-        assert main_in_process(capsys, "spectrum", "--config", str(cfg)).returncode == 2
+        # a value is read as written: a %(key)s reference is no number either
+        for text in ["[scheme]\nOmega = not-a-number\n", "[scheme]\nOmega = 2\ng = %(Omega)s\n"]:
+            cfg.write_text(text)
+            result = main_in_process(capsys, "spectrum", "--config", str(cfg))
+            assert result.returncode == 2
+            assert result.stderr.startswith(
+                f"configuration error: bad value in config file {str(cfg)!r}: ")
         missing = tmp_path / "nope.cfg"
         assert main_in_process(capsys, "spectrum", "--config", str(missing)).returncode == 2
 
@@ -366,19 +371,27 @@ class TestRunKeys:
         assert captured.out == ""
         assert captured.err == "configuration error: unknown variant 'bogus'\n"
 
-    def test_unknown_file_section(self, tmp_path, capsys):
-        cfg = tmp_path / "grids.cfg"
-        cfg.write_text("[grids]\npoints = 5\n", encoding="utf-8")
+    # DEFAULT is no section that others inherit from, but one more unknown one
+    @pytest.mark.parametrize("content, section", [
+        ("[grids]\npoints = 5\n", "grids"),
+        ("[DEFAULT]\nOmega = 5\n", "DEFAULT"),
+    ], ids=["grids", "DEFAULT"])
+    def test_unknown_file_section(self, tmp_path, capsys, content, section):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(content, encoding="utf-8")
         assert cli.main(["spectrum", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "configuration error: unknown config section 'grids'\n"
+        assert captured.err == f"configuration error: unknown config section {section!r}\n"
 
     @pytest.mark.parametrize("content, message", [
         (b"[scheme]\nvariant = \xff\n", "'utf-8' codec can't decode byte 0xff"),
         (b"points = 3\n", "File contains no section headers. file: "),
         (b"[grid]\n= 3\n", "Source contains parsing errors: "),
-    ], ids=["not-utf-8", "no-section-header", "no-key"])
+        # `=` is the one delimiter and `#` the one comment prefix
+        (b"[scheme]\ng: 1\n", "Source contains parsing errors: "),
+        (b"[scheme]\n; note\n", "Source contains parsing errors: "),
+    ], ids=["not-utf-8", "no-section-header", "no-key", "colon", "semicolon"])
     def test_unreadable_file_is_one_line(self, tmp_path, capsys, content, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(content)
@@ -608,6 +621,14 @@ def test_invalid_number_is_a_configuration_error(capsys, flags, message):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("flag, value", [("--Om", "0.5"), ("--out", "out.csv")])
+def test_abbreviated_flag_is_a_usage_error(tmp_path, monkeypatch, flag, value):
+    # a flag is named in full: --Om is not --Omega, nor --out --output
+    monkeypatch.chdir(tmp_path)
+    code, err = run_main(["spectrum", "--points", "3", flag, value])
+    assert (code, err) == (2, f"forcelimits: error: unrecognized arguments: {flag} {value}\n")
+
+
 @pytest.mark.parametrize("argv, path", [
     (["spectrum", "--points", "3", "--output", "/nonexistent/x.csv"], "/nonexistent/x.csv"),
     (["spectrum", "--points", "3", "--dump-config", "/nonexistent/x.ini"],
@@ -691,16 +712,22 @@ EDGE_FLOATS = st.sampled_from(
     numbers=st.dictionaries(
         st.sampled_from(NUMERIC_FLAGS), EDGE_FLOATS | st.floats(), max_size=4
     ),
+    joined=st.booleans(),
 )
-@example(scheme="toy", spacing="log", points=5, numbers={"eta": 1e308})
-@example(scheme="standard", spacing="log", points=3, numbers={"omega_max": 1e60})
-@example(scheme="standard", spacing="log", points=3, numbers={"gamma": 1e308})
+@example(scheme="toy", spacing="log", points=5, numbers={"eta": 1e308}, joined=True)
+@example(scheme="standard", spacing="log", points=3, numbers={"omega_max": 1e60}, joined=True)
+@example(scheme="standard", spacing="log", points=3, numbers={"gamma": 1e308}, joined=True)
+# a negative value in exponent notation, as --dump-config writes it, after its flag
+@example(scheme="standard", spacing="log", points=3, numbers={"g": -1e-05}, joined=False)
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_spectrum_ends_in_csv_or_one_line(scheme, spacing, points, numbers):
-    # any numbers end in a finite CSV or one stderr line with exit 2, 3 or 4,
-    # and the dumped configuration reproduces the run
+def test_spectrum_ends_in_csv_or_one_line(scheme, spacing, points, numbers, joined):
+    # any numbers, each joined to its flag by "=" or the next token, end in a
+    # finite CSV or one stderr line with exit 2, 3 or 4, and the dumped
+    # configuration reproduces the run
     argv = ["spectrum", f"--scheme={scheme}", f"--spacing={spacing}", f"--points={points}"]
-    argv += [f"--{key.replace('_', '-')}={value!r}" for key, value in numbers.items()]
+    for key, value in numbers.items():
+        flag = f"--{key.replace('_', '-')}"
+        argv += [f"{flag}={value!r}"] if joined else [flag, repr(value)]
     with tempfile.TemporaryDirectory() as tmp:
         dump, first, second = (Path(tmp) / name for name in ("run.cfg", "a.csv", "b.csv"))
         code, err = run_main([*argv, "--dump-config", str(dump), "--output", str(first)])

@@ -162,6 +162,42 @@ MUTANTS = (
         ("tests/test_cli.py::TestRunKeys::test_file_variant_recorded_in_lower_case",),
     ),
     Mutant(
+        "config-default-section-inherited", "src/forcelimits/cli.py",
+        'interpolation=None, default_section="")',
+        "interpolation=None)",
+        ("tests/test_cli.py::TestRunKeys::test_unknown_file_section[DEFAULT]",),
+    ),
+    Mutant(
+        "config-percent-interpolation", "src/forcelimits/cli.py",
+        "interpolation=None, ",
+        "",
+        ("tests/test_cli.py::TestSpectrumCommand::test_bad_config_file",),
+    ),
+    Mutant(
+        "config-colon-delimiter", "src/forcelimits/cli.py",
+        'delimiters=("=",), ',
+        "",
+        ("tests/test_cli.py::TestRunKeys::test_unreadable_file_is_one_line[colon]",),
+    ),
+    Mutant(
+        "config-semicolon-comment", "src/forcelimits/cli.py",
+        ' comment_prefixes=("#",),',
+        "",
+        ("tests/test_cli.py::TestRunKeys::test_unreadable_file_is_one_line[semicolon]",),
+    ),
+    Mutant(
+        "argparse-negative-number-rule", "src/forcelimits/cli.py",
+        '        self._negative_number_matcher = re.compile(r"^-(\\d|\\.\\d|inf|nan)", re.I)\n',
+        "",
+        ("tests/test_cli.py::test_spectrum_ends_in_csv_or_one_line",),
+    ),
+    Mutant(
+        "flag-abbreviations", "src/forcelimits/cli.py",
+        "super().__init__(allow_abbrev=False, **kwargs)",
+        "super().__init__(**kwargs)",
+        ("tests/test_cli.py::test_abbreviated_flag_is_a_usage_error[--Om-0.5]",),
+    ),
+    Mutant(
         "readout-rows-swapped", "src/forcelimits/linsys.py",
         "b[list(readout.rows)] =",
         "b[list(readout.rows)[::-1]] =",
