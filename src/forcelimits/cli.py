@@ -29,6 +29,12 @@ MAX_POINTS = 10**7
 
 _SPACINGS = {"linear": np.linspace, "log": np.geomspace}
 
+
+def _run_keys(config: SchemeConfig) -> dict[str, object]:
+    rates = {k: getattr(config.params, k) for k in ("Omega", "Gamma", "gamma", "Delta", "g")}
+    return {"variant": config.variant, **rates, "phi": config.readout_angle}
+
+
 _STANDARD = presets.fig2a_configs()["standard"]
 
 #: every spectrum run key, by config section, with its default: the fig2a
@@ -36,10 +42,7 @@ _STANDARD = presets.fig2a_configs()["standard"]
 #: value given in a file parses as the type of its default: str, int or float.
 _DEFAULTS: dict[str, dict[str, object]] = {
     "scheme": {
-        "variant": _STANDARD.variant,
-        **{k: getattr(_STANDARD.params, k)
-           for k in ("Omega", "Gamma", "gamma", "Delta", "g")},
-        "phi": _STANDARD.readout_angle,
+        **_run_keys(_STANDARD),
         "eta": _STANDARD.eta,
         "squeeze": 0.0,
         "squeeze_angle": 0.0,
@@ -270,15 +273,8 @@ def _write_preset(
     config: SchemeConfig, grid: np.ndarray, path: Path, extra: Mapping[str, object]
 ):
     spectrum = noise.sensitivity_spectrum(config, grid)
-    p = config.params
-    metadata = {
-        "variant": config.variant,
-        "Omega": p.Omega, "Gamma": p.Gamma, "gamma": p.gamma,
-        "Delta": p.Delta, "g": p.g, "phi": config.readout_angle,
-        "omega_min": grid[0], "omega_max": grid[-1], "points": len(grid),
-        "spacing": "log",
-    }
-    metadata.update(extra)
+    metadata = {**_run_keys(config), "omega_min": grid[0], "omega_max": grid[-1],
+                "points": len(grid), "spacing": "log", **extra}
     with _open_output(path, make_dir=True) as fh:
         write_spectrum_csv(spectrum, fh, metadata)
     print(f"wrote {path}")

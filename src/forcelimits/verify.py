@@ -246,8 +246,8 @@ def suite_identities(check, seed: int) -> list[CheckResult]:
 def suite_cqnc(check, seed: int) -> list[CheckResult]:
     grid = presets.fig2a_grid()
 
-    cfg = SchemeConfig("cqnc", presets.FIG2A_PARAMS)
-    bare = replace(cfg, params=replace(cfg.params, g=0.0))
+    cfg = presets.fig2a_configs()["cqnc"]
+    bare, strong = (replace(cfg, params=replace(cfg.params, g=g)) for g in (0.0, 1e3))
     backaction = transfer(build(cfg), grid).M - transfer(build(bare), grid).M
     worst_block = float(np.max(np.abs(backaction)))
     cancelled = check(
@@ -255,7 +255,6 @@ def suite_cqnc(check, seed: int) -> list[CheckResult]:
         f"max |readout backaction block| = {worst_block:.3e} over the grid",
     )
 
-    strong = SchemeConfig("cqnc", replace(presets.FIG2A_PARAMS, g=1e3))
     spec = noise.sensitivity_spectrum(strong, grid)
     p = strong.params
     ancilla_floor = (

@@ -4,10 +4,12 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
@@ -301,6 +303,11 @@ class TestSpectrumCommand:
             assert result.returncode == 2
             assert result.stderr.startswith(
                 f"configuration error: bad value in config file {str(cfg)!r}: ")
+        # --spacing takes only its choices; a file's spacing meets the grid's own check
+        cfg.write_text("[grid]\nspacing = cubic\n")
+        result = main_in_process(capsys, "spectrum", "--config", str(cfg))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "configuration error: spacing must be 'linear' or 'log'\n"
         missing = tmp_path / "nope.cfg"
         assert main_in_process(capsys, "spectrum", "--config", str(missing)).returncode == 2
 
@@ -697,12 +704,15 @@ def run_main(argv):
     )
 
 
-NUMERIC_FLAGS = ("Omega", "Gamma", "gamma", "Delta", "g", "phi", "eta", "squeeze",
-                 "squeeze_angle", "n_th", "omega_min", "omega_max")
+RUN_KEYS = [key for section in cli._DEFAULTS.values() for key in section]
 
-EDGE_FLOATS = st.sampled_from(
-    [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-308, -1.0, -1e-3, 0.0]
+NUMERIC_FLAGS = tuple(
+    key for section in cli._DEFAULTS.values() for key, value in section.items()
+    if type(value) is float
 )
+
+EDGE_VALUES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-308, -1.0, -1e-3, 0.0]
+EDGE_FLOATS = st.sampled_from(EDGE_VALUES)
 
 
 @given(
@@ -744,56 +754,102 @@ def test_spectrum_ends_in_csv_or_one_line(scheme, spacing, points, numbers, join
         assert code or second.read_bytes() == first.read_bytes()
 
 
-
-RUN_KEYS = [key for section in cli._DEFAULTS.values() for key in section]
-
-CONFIG_VALUES = st.one_of(
-    st.sampled_from(["standard", "cqnc", "toy", "Toy", "linear", "log", "", "%"]),
-    st.integers(-3, 40).map(str),
-    (EDGE_FLOATS | st.floats()).map(repr),
-    st.text(max_size=8),
-)
-
-CONFIG_PAIRS = st.builds(
-    "{}{}{}".format, st.sampled_from(RUN_KEYS) | st.text(min_size=1, max_size=6),
-    st.sampled_from(["=", " = ", ":", " : "]), CONFIG_VALUES,
-)
-
-CONFIG_LINES = st.one_of(
-    CONFIG_PAIRS, CONFIG_PAIRS, CONFIG_PAIRS,  # most lines are key-value pairs
-    st.text(max_size=8).map(" {}".format),  # a continuation line
-    st.sampled_from(["", "# comment", "; comment", "[scheme", "= 3"]),
-)
-
-CONFIG_SECTIONS = st.lists(st.tuples(
-    st.sampled_from(["scheme", "grid"]) | st.just("Grid") | st.text(min_size=1, max_size=6),
-    st.lists(CONFIG_LINES, max_size=6),
-), max_size=3, unique_by=lambda section: section[0])
+#: what junk_config draws from; an entry listed n times is drawn n times as often
+CONFIG_WORDS = ["standard", "cqnc", "toy", "Toy", "linear", "log", "", "%"]
+#: `=` is the one delimiter: a `:` pair is a parse error, and one pair in twenty has it
+CONFIG_DELIMITERS = ["=", " = "] * 19 + [":", " : "]
+#: `; comment` is a parse error too, like a header without its `]` and a pair without a key
+CONFIG_ODD_LINES = ["", "# comment"] * 3 + ["[scheme", "= 3", "; comment"]
+CONFIG_SECTION_NAMES = ["scheme", "grid"] * 3 + ["Grid"]
+#: free text: the dialect's characters, line breaks that str.splitlines knows, and others
+CONFIG_CHARS = "ag09.-+e =:;#%[]\t\r\x0b\x0c\x1c\x85\u2028\x00\xe9"
 
 
-@given(sections=CONFIG_SECTIONS, junk=st.just(b"") | st.binary(min_size=1, max_size=3),
-       at=st.integers(0, 200))
-@example(sections=[("scheme", ["variant = cqnc"]), ("grid", ["points = 3"])], junk=b"", at=0)
-@example(sections=[("grid", ["points = 3"])], junk=b"\xff", at=9)
-@example(sections=[("scheme", ["g = 1", " 2"])], junk=b"", at=0)
-@settings(max_examples=100, deadline=None, derandomize=True)
-def test_config_file_ends_in_csv_or_one_line(sections, junk, at):
-    # a --config file of junk ends like any flags do: a finite CSV with exit 0,
-    # or one stderr line with exit 2, 3 or 4
-    lines = [line for name, body in sections for line in (f"[{name}]", *body)]
+def junk_config(rng: random.Random) -> bytes:
+    """A config file of up to three sections of up to six lines each, and one time in
+    eight a few random bytes set anywhere in it.  Most lines are pairs of the section's
+    own keys, each once, with values of every kind; the rest are comments, odd lines and
+    continuation lines of free text."""
+    def text(most, least=0):
+        return "".join(rng.choices(CONFIG_CHARS, k=rng.randint(least, most)))
+
+    def value():
+        return [
+            lambda: str(rng.randint(-3, 40)),
+            lambda: rng.choice(CONFIG_WORDS),
+            lambda: repr(rng.choice(EDGE_VALUES)),
+            lambda: repr(float(np.frombuffer(rng.randbytes(8))[0])),  # any bit pattern
+            lambda: text(8),
+        ][rng.randrange(5)]()
+
+    def line(own):
+        kind = rng.randrange(20)
+        if kind < 17:  # a key twice is a parse error, and one of another section unknown
+            mine = own and rng.randrange(10) < 9
+            key = own.pop() if mine else rng.choice(RUN_KEYS + [text(6, 1)])
+            return f"{key}{rng.choice(CONFIG_DELIMITERS)}{value()}"
+        return " " + text(8) if kind == 17 else rng.choice(CONFIG_ODD_LINES)
+
+    sections: dict[str, list[str]] = {}
+    for _ in range(rng.randint(0, 3)):
+        name = rng.choice(CONFIG_SECTION_NAMES) if rng.randrange(5) < 4 else text(6, 1)
+        own = list(cli._DEFAULTS.get(name, RUN_KEYS))
+        rng.shuffle(own)
+        sections.setdefault(name, [line(own) for _ in range(rng.randint(0, 6))])
+    lines = [line for name, body in sections.items() for line in (f"[{name}]", *body)]
     content = "\n".join(lines).encode("utf-8")
+    at = rng.randint(0, 200)
+    junk = b"" if rng.randrange(8) < 7 else rng.randbytes(rng.randint(1, 3))
+    return content[:at] + junk + content[at:]
+
+
+def run_config(content: bytes) -> tuple[int, str, str]:
+    """cli.main on a --config file of `content`: its exit code, stderr and CSV text."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "out.csv"
-        cfg.write_bytes(content[:at] + junk + content[at:])
+        cfg.write_bytes(content)
         code, err = run_main(["spectrum", "--config", str(cfg), "--output", str(out)])
-        assert code in (0, 2, 3, 4)
-        if code:
-            assert err.count("\n") == 1 and err.endswith("\n"), err
-            assert "Traceback" not in err
-        else:
-            assert err == ""
-            _, data = parse_csv(out.read_text(encoding="utf-8"))
-            assert data.ndim == 2 and data.shape[1] == 6 and np.isfinite(data).all()
+        return code, err, out.read_text(encoding="utf-8") if out.exists() else ""
+
+
+@given(content=st.randoms(use_true_random=False).map(junk_config))
+@example(content=b"[scheme]\nvariant = cqnc\n[grid]\npoints = 3")
+@example(content=b"[grid]\npo\xffints = 3")
+@example(content=b"[scheme]\ng = 1\n 2")
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_config_file_ends_in_csv_or_one_line(content):
+    # a --config file of junk ends like any flags do: a finite CSV with exit 0,
+    # or one stderr line with exit 2, 3 or 4
+    code, err, csv = run_config(content)
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert "Traceback" not in err
+    else:
+        assert err == ""
+        _, data = parse_csv(csv)
+        assert data.ndim == 2 and data.shape[1] == 6 and np.isfinite(data).all()
+
+
+def end_stage(code: int, err: str) -> str:
+    """Where a --config run ended: in the reader's parse, name or value stage, in a check
+    of the run (any other exit 2), in the model (exit 3 or 4) or in a CSV (exit 0)."""
+    stages = {"cannot read config file": "parse", "unknown config section": "name",
+              "unknown scheme key": "name", "unknown grid key": "name",
+              "bad value in config file": "value"}
+    for message, stage in stages.items():
+        if err.startswith(f"configuration error: {message}"):
+            return stage
+    return {0: "csv", 2: "check"}.get(code, "model")
+
+
+def test_junk_config_reaches_past_the_parser():
+    # junk_config's files reach the value stage and the CSV, not only the parse error
+    # that a `:` or `;` line gives: 200 files from seed 0 ended parse 90, name 31,
+    # value 21, check 6, model 0 and csv 52
+    rng = random.Random(0)
+    stages = Counter(end_stage(*run_config(junk_config(rng))[:2]) for _ in range(200))
+    assert stages["csv"] >= 40 and stages["value"] >= 15 and stages["parse"] >= 50, stages
 
 
 def test_large_squeezing_runs():

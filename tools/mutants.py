@@ -198,6 +198,26 @@ MUTANTS = (
         ("tests/test_cli.py::test_abbreviated_flag_is_a_usage_error[--Om-0.5]",),
     ),
     Mutant(
+        "grid-spacing-unchecked", "src/forcelimits/cli.py",
+        "    if spacing not in _SPACINGS:\n"
+        "        raise InvalidConfig(f\"spacing must be {' or '.join(map(repr, _SPACINGS))}\")\n",
+        "",
+        ("tests/test_cli.py::TestSpectrumCommand::test_bad_config_file",),
+    ),
+    Mutant(
+        "run-keys-delta-g-swapped", "src/forcelimits/cli.py",
+        '"Delta", "g")',
+        '"g", "Delta")',
+        ("tests/test_cli.py::test_csv_bytes_match_recorded_digests[fig2a]",
+         "tests/test_cli.py::TestRunKeys::test_default_dump_config"),
+    ),
+    Mutant(
+        "preset-metadata-without-extra", "src/forcelimits/cli.py",
+        '"spacing": "log", **extra}',
+        '"spacing": "log"}',
+        ("tests/test_cli.py::test_csv_bytes_match_recorded_digests[fig2b]",),
+    ),
+    Mutant(
         "readout-rows-swapped", "src/forcelimits/linsys.py",
         "b[list(readout.rows)] =",
         "b[list(readout.rows)[::-1]] =",
