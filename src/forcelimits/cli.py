@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import re
 import sys
@@ -24,10 +23,6 @@ from . import noise, presets, verify
 from .errors import InvalidConfig, NumericalFailure, UnstableModel
 from .schemes import VARIANTS, DetectorParams, SchemeConfig
 from .spectra import squeeze_spectrum
-
-MAX_POINTS = 10**7
-
-_SPACINGS = {"linear": np.linspace, "log": np.geomspace}
 
 
 def _run_keys(config: SchemeConfig) -> dict[str, object]:
@@ -48,12 +43,7 @@ _DEFAULTS: dict[str, dict[str, object]] = {
         "squeeze_angle": 0.0,
         "n_th": _STANDARD.params.n_th,
     },
-    "grid": {
-        "omega_min": presets.FIG2A_BAND[0],
-        "omega_max": presets.FIG2A_BAND[1],
-        "points": presets.GRID_POINTS,
-        "spacing": "log",
-    },
+    "grid": presets.FIG2A_GRID,
 }
 
 
@@ -136,22 +126,6 @@ def _block_text(block: np.ndarray) -> str:
         _scalar(v).encode().ljust(29, b"\0") for v in values[scalar].tolist()
     ), dtype=np.uint8).reshape(-1, 29)
     return field.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _frequencies(
-    omega_min: float, omega_max: float, points: int, spacing: str
-) -> np.ndarray:
-    if not omega_min > 0.0:
-        raise InvalidConfig("omega_min must be positive")
-    if not math.isfinite(omega_max):
-        raise InvalidConfig("omega_max must be finite")
-    if not omega_max > omega_min:
-        raise InvalidConfig("omega_max must exceed omega_min")
-    if not 2 <= points <= MAX_POINTS:
-        raise InvalidConfig(f"points must lie in [2, {MAX_POINTS}]")
-    if spacing not in _SPACINGS:
-        raise InvalidConfig(f"spacing must be {' or '.join(map(repr, _SPACINGS))}")
-    return _SPACINGS[spacing](omega_min, omega_max, points)
 
 
 def _config_parser() -> configparser.ConfigParser:
@@ -259,7 +233,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         _dump_config(args.dump_config, values)
 
     config = _scheme_config(values["scheme"])
-    spectrum = noise.sensitivity_spectrum(config, _frequencies(**values["grid"]))
+    spectrum = noise.sensitivity_spectrum(config, presets.frequencies(**values["grid"]))
     metadata = {**values["scheme"], **values["grid"]}
     if args.output:
         with _open_output(args.output) as fh:
@@ -269,28 +243,26 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_preset(
-    config: SchemeConfig, grid: np.ndarray, path: Path, extra: Mapping[str, object]
-):
-    spectrum = noise.sensitivity_spectrum(config, grid)
-    metadata = {**_run_keys(config), "omega_min": grid[0], "omega_max": grid[-1],
-                "points": len(grid), "spacing": "log", **extra}
+def _write_preset(config: SchemeConfig, grid_keys: Mapping[str, object], path: Path,
+                  extra: Mapping[str, object]):
+    spectrum = noise.sensitivity_spectrum(config, presets.frequencies(**grid_keys))
+    metadata = {**_run_keys(config), **grid_keys, **extra}
     with _open_output(path, make_dir=True) as fh:
         write_spectrum_csv(spectrum, fh, metadata)
     print(f"wrote {path}")
 
 
 def cmd_fig2a(args: argparse.Namespace) -> int:
-    grid = presets.fig2a_grid()
     for name, config in presets.fig2a_configs().items():
-        _write_preset(config, grid, Path(args.outdir, f"fig2a_{name}.csv"), {"curve": name})
+        path = Path(args.outdir, f"fig2a_{name}.csv")
+        _write_preset(config, presets.FIG2A_GRID, path, {"curve": name})
     return 0
 
 
 def cmd_fig2b(args: argparse.Namespace) -> int:
     config = presets.fig2b_config()
     path = Path(args.outdir, "fig2b_toy.csv")
-    _write_preset(config, presets.fig2b_grid(), path, {"curve": "toy", "eta": config.eta})
+    _write_preset(config, presets.FIG2B_GRID, path, {"curve": "toy", "eta": config.eta})
     return 0
 
 
@@ -338,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum = sub.add_parser(
         "spectrum", help="write the sensitivity spectrum of one scheme as CSV"
     )
-    choices = {"variant": VARIANTS, "spacing": _SPACINGS}
+    choices = {"variant": VARIANTS, "spacing": presets.SPACINGS}
     for key, default in {**_DEFAULTS["scheme"], **_DEFAULTS["grid"]}.items():
         flag = "--scheme" if key == "variant" else "--" + key.replace("_", "-")
         kind = {"choices": choices[key]} if key in choices else {"type": type(default)}

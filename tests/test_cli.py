@@ -619,6 +619,11 @@ class TestNumericalFailureInProcess:
     # u*v and w^2 both overflow: their NaN difference fails the Heisenberg check
     (["--squeeze", "200", "--squeeze-angle", "0.3"],
      "squeeze = 200.0 gives no valid input state: spectrum violates u*v - w^2 >= 1/4"),
+    # each grid key is checked before its grid is built: np.geomspace raises on a zero
+    # end point, and 10**7 + 1 points are refused before the (unstable) model is reached
+    (["--omega-min", "0"], "omega_min must be positive"),
+    (["--omega-max", "0.0005"], "omega_max must exceed omega_min"),
+    (["--points", "10000001", "--Delta", "2.3"], "points must lie in [2, 10000000]"),
 ])
 def test_invalid_number_is_a_configuration_error(capsys, flags, message):
     code = cli.main(["spectrum", "--points", "3", *flags])
@@ -765,11 +770,28 @@ CONFIG_SECTION_NAMES = ["scheme", "grid"] * 3 + ["Grid"]
 CONFIG_CHARS = "ag09.-+e =:;#%[]\t\r\x0b\x0c\x1c\x85\u2028\x00\xe9"
 
 
+def plain_scheme(rng: random.Random) -> bytes:
+    """A [scheme] section of in-range values: positive rates, a signed coupling and, for
+    the standard model only, a detuning; cqnc and toy reject one.  Half the sections are
+    standard, and its blue detunings are unstable."""
+    variant = rng.choice(["standard", "standard", "cqnc", "toy"])
+    pairs = {k: 10 ** rng.uniform(-2, 2) for k in ("Omega", "Gamma", "gamma")}
+    pairs["g"] = rng.choice([-1, 1]) * 10 ** rng.uniform(-1, 2)
+    if variant == "standard":
+        pairs["Delta"] = pairs["Omega"] * rng.uniform(-2, 2)
+    lines = ["[scheme]", f"variant = {variant}", *(f"{k} = {v!r}" for k, v in pairs.items())]
+    return "\n".join(lines).encode("utf-8")
+
+
 def junk_config(rng: random.Random) -> bytes:
-    """A config file of up to three sections of up to six lines each, and one time in
-    eight a few random bytes set anywhere in it.  Most lines are pairs of the section's
-    own keys, each once, with values of every kind; the rest are comments, odd lines and
-    continuation lines of free text."""
+    """One file in four a plain_scheme, which reaches the model.  Otherwise a config file
+    of up to three sections of up to six lines each, and one time in eight a few random
+    bytes set anywhere in it.  Most lines are pairs of the section's own keys, each once,
+    with values of every kind; the rest are comments, odd lines and continuation lines of
+    free text."""
+    if rng.randrange(4) == 0:
+        return plain_scheme(rng)
+
     def text(most, least=0):
         return "".join(rng.choices(CONFIG_CHARS, k=rng.randint(least, most)))
 
@@ -844,12 +866,13 @@ def end_stage(code: int, err: str) -> str:
 
 
 def test_junk_config_reaches_past_the_parser():
-    # junk_config's files reach the value stage and the CSV, not only the parse error
-    # that a `:` or `;` line gives: 200 files from seed 0 ended parse 90, name 31,
-    # value 21, check 6, model 0 and csv 52
+    # junk_config's files reach the value stage, the model and the CSV, not only the
+    # parse error that a `:` or `;` line gives: 200 files from seed 0 ended parse 74,
+    # name 18, value 20, check 3, model 12 and csv 73
     rng = random.Random(0)
     stages = Counter(end_stage(*run_config(junk_config(rng))[:2]) for _ in range(200))
     assert stages["csv"] >= 40 and stages["value"] >= 15 and stages["parse"] >= 50, stages
+    assert stages["model"] >= 8, stages
 
 
 def test_large_squeezing_runs():

@@ -110,7 +110,7 @@ MUTANTS = (
     Mutant(
         "no-near-decade-fix-up", "src/forcelimits/cli.py",
         '    exponent = text.partition("e")[2]\n',
-        "    exponent = str(math.floor(math.log10(abs(value)))) if math.isfinite(value) else \"\"\n",
+        "    exponent = str(int(np.log10(abs(value)) // 1)) if np.isfinite(value) else \"\"\n",
         ("tests/test_cli.py::TestFmt12::test_decade_carry",),
     ),
     Mutant(
@@ -198,11 +198,43 @@ MUTANTS = (
         ("tests/test_cli.py::test_abbreviated_flag_is_a_usage_error[--Om-0.5]",),
     ),
     Mutant(
-        "grid-spacing-unchecked", "src/forcelimits/cli.py",
-        "    if spacing not in _SPACINGS:\n"
-        "        raise InvalidConfig(f\"spacing must be {' or '.join(map(repr, _SPACINGS))}\")\n",
+        "grid-spacing-unchecked", "src/forcelimits/presets.py",
+        "    if spacing not in SPACINGS:\n"
+        "        raise InvalidConfig(f\"spacing must be {' or '.join(map(repr, SPACINGS))}\")\n",
         "",
         ("tests/test_cli.py::TestSpectrumCommand::test_bad_config_file",),
+    ),
+    Mutant(
+        "omega-min-unchecked", "src/forcelimits/presets.py",
+        "    if not omega_min > 0.0:\n"
+        "        raise InvalidConfig(\"omega_min must be positive\")\n",
+        "",
+        ("tests/test_cli.py::test_invalid_number_is_a_configuration_error"
+         "[flags15-omega_min must be positive]",),
+    ),
+    Mutant(
+        "omega-max-order-unchecked", "src/forcelimits/presets.py",
+        "    if not omega_max > omega_min:\n"
+        "        raise InvalidConfig(\"omega_max must exceed omega_min\")\n",
+        "",
+        ("tests/test_cli.py::test_invalid_number_is_a_configuration_error"
+         "[flags16-omega_max must exceed omega_min]",),
+    ),
+    Mutant(
+        "points-unchecked", "src/forcelimits/presets.py",
+        "    if not 2 <= points <= MAX_POINTS:\n"
+        "        raise InvalidConfig(f\"points must lie in [2, {MAX_POINTS}]\")\n",
+        "",
+        ("tests/test_cli.py::test_invalid_number_is_a_configuration_error"
+         "[flags17-points must lie in [2, 10000000]]",
+         "tests/test_cli.py::TestSpectrumCommand::test_single_point_grid_rejected"),
+    ),
+    Mutant(
+        "fig2b-grid-is-fig2a's", "src/forcelimits/presets.py",
+        'FIG2B_GRID = {**FIG2A_GRID, "omega_min": 1e-2 * FIG2B_PARAMS.Omega,\n'
+        '              "omega_max": 1e2 * FIG2B_PARAMS.Omega}',
+        "FIG2B_GRID = {**FIG2A_GRID}",
+        ("tests/test_cli.py::test_csv_bytes_match_recorded_digests[fig2b]",),
     ),
     Mutant(
         "run-keys-delta-g-swapped", "src/forcelimits/cli.py",
@@ -213,9 +245,15 @@ MUTANTS = (
     ),
     Mutant(
         "preset-metadata-without-extra", "src/forcelimits/cli.py",
-        '"spacing": "log", **extra}',
-        '"spacing": "log"}',
+        "**grid_keys, **extra}",
+        "**grid_keys}",
         ("tests/test_cli.py::test_csv_bytes_match_recorded_digests[fig2b]",),
+    ),
+    Mutant(
+        "preset-metadata-without-grid-keys", "src/forcelimits/cli.py",
+        "**grid_keys, **extra}",
+        "**extra}",
+        ("tests/test_cli.py::test_csv_bytes_match_recorded_digests[fig2a]",),
     ),
     Mutant(
         "readout-rows-swapped", "src/forcelimits/linsys.py",
