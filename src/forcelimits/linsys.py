@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
@@ -78,17 +78,20 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class FrequencyResponse:
-    """Transfer blocks from every input to the readout output, frequency axis first."""
+    """Adjoint response y of both readout output quadratures, frequency axis first:
+    M is the readout channel's own in -> out block, v the force -> out 2-vector."""
 
     omega: float | NDArray[np.float64]
-    blocks: Mapping[str, NDArray[np.complex128]]  # by channel id: its in -> readout out, 2x2
-    v: NDArray[np.complex128]          # classical force -> readout out, 2-vector
-    readout_id: str
+    y: NDArray[np.complex128]  # (..., 2, n): output quadrature k's response to every state row
+    model: LinearModel
 
     @property
     def M(self) -> NDArray[np.complex128]:
-        """The readout channel's own block."""
-        return self.blocks[self.readout_id]
+        return channel_output(self.model.readout, self.y, np.eye(2))
+
+    @property
+    def v(self) -> NDArray[np.complex128]:
+        return self.y[..., self.model.force_row]
 
 
 def stability_check(drift: NDArray[np.float64]) -> tuple[bool, NDArray[np.complex128]]:
@@ -205,18 +208,9 @@ def channel_output(
 
 
 def transfer(model: LinearModel, omega: float | NDArray[np.float64]) -> FrequencyResponse:
-    """Transfer blocks from every input to the readout output at omega.
-
-    One adjoint solve of both output quadratures (d = I): row k of y is
-    output quadrature k's response to every state row, so a channel's block
-    is its channel_output and the force response is y[..., force_row].  An
-    array of omega is one stacked solve, its blocks indexed by frequency first.
-    """
-    eye = np.eye(2)
+    """The response of both readout output quadratures at omega: one adjoint
+    solve with d = I; an array of omega is one stacked solve, frequency first."""
     omegas = np.asarray(omega, dtype=float)
-    y = adjoint_response(model, omegas.reshape(-1), readout_drive(model, eye))
+    y = adjoint_response(model, omegas.reshape(-1), readout_drive(model, np.eye(2)))
     y = np.swapaxes(y, -1, -2).reshape(omegas.shape + (2, len(model.drift)))
-    return FrequencyResponse(
-        omega=omega, blocks={ch.id: channel_output(ch, y, eye) for ch in model.channels},
-        v=y[..., model.force_row], readout_id=model.readout.id,
-    )
+    return FrequencyResponse(omega, y, model)

@@ -47,14 +47,20 @@ def _visible(response, v, omega):
     return response[..., None]
 
 
+def _coefficients(model: LinearModel, y, d, v, omega) -> dict[str, tuple]:
+    """Each channel's coefficient pair in the read quadrature d, per unit force response;
+    y is d's response to every state row, v the force response of both quadratures."""
+    response = _visible(y[..., model.force_row], v, omega)
+    return {ch.id: tuple((channel_output(ch, y, d) / response).T) for ch in model.channels}
+
+
 def added_noise(resp: FrequencyResponse, phi: float) -> dict[str, tuple]:
     """Every input's coefficient pair in the phi quadrature, per unit force response.
 
     A response at an array of frequencies gives pairs of arrays.
     """
     d = quadrature(phi)
-    response = _visible(resp.v @ d, resp.v, resp.omega)
-    return {cid: tuple((d @ m / response).T) for cid, m in resp.blocks.items()}
+    return _coefficients(resp.model, d @ resp.y, d, resp.v, resp.omega)
 
 
 def power_density(
@@ -80,25 +86,21 @@ def _sensitivity(model: LinearModel, phi: float, omegas: NDArray[np.float64]) ->
     """S_f of any model read out in the phi quadrature, one stacked adjoint solve per block.
 
     The refined solve gives the readout quadrature's response y to every
-    state row, from which channel_output assembles each channel's coefficients
-    to pair with its spectrum.  Row force_row of the inverse, w, gives the force
-    response to a drive b as -w . b, so v is minus the readout's channel_output
-    of w; the visibility floor takes only its magnitude.
+    state row, which _coefficients and power_density turn into S_f.  Row
+    force_row of the inverse, w, gives the force response to a drive b as
+    -w . b, so v is minus the readout's channel_output of w; the visibility
+    floor takes only its magnitude.
     """
     d = quadrature(phi)
     b = readout_drive(model, d)
+    budget = noise_budget(None, model)
     s_f = np.empty_like(omegas)
     for start in range(0, len(omegas), _BLOCK):
         block = omegas[start:start + _BLOCK]
         inv = inverted_system(model, block)
         y = refined_solve(model.drift, inv, block, b)
         minus_v = channel_output(model.readout, inv[:, model.force_row])
-        response = _visible(y[:, model.force_row], minus_v, block)
-        power = 0.0
-        for ch in model.channels:
-            pair = (channel_output(ch, y, d) / response).T
-            power = power + ch.spectrum.form(pair, pair).real
-        s_f[start:start + _BLOCK] = power
+        s_f[start:start + _BLOCK] = power_density(_coefficients(model, y, d, minus_v, block), budget)
     return s_f
 
 

@@ -329,6 +329,15 @@ def test_extended_precision_detector():
     ]
 
 
+def test_noise_assembles_s_f_in_one_place():
+    # the visibility floor and the coefficient rule live in _coefficients, the
+    # sum over channel spectra in power_density; _sensitivity and added_noise
+    # call them and state neither again
+    tree = ast.parse((PACKAGE / "noise.py").read_text(encoding="utf-8"))
+    assert [where for where, _ in name_uses(tree, ("form",))] == ["power_density"]
+    assert [where for where, _ in name_uses(tree, ("_visible",))] == ["_coefficients"]
+
+
 def test_units_are_chosen_in_one_place():
     # frexp and ldexp pick a power-of-four unit; any other use of them is a
     # second unit rule next to bounds._unit

@@ -20,7 +20,9 @@ import pytest
 from test_noise import preset_cases
 
 from forcelimits import bounds, noise, presets
-from forcelimits.linsys import LinearModel, NoiseChannel, stability_check, transfer
+from forcelimits.linsys import (
+    LinearModel, NoiseChannel, channel_output, stability_check, transfer,
+)
 from forcelimits.schemes import DetectorParams, build, conjugate_drive, coupling_drift
 from forcelimits.spectra import squeeze_spectrum, vacuum
 
@@ -111,7 +113,7 @@ def with_bath(model, Gamma):
 def commutator_error(model, omegas):
     """|sum_c B_c C B_c^H - C| over max |B|^2, per omega, B over the transfer blocks."""
     resp = transfer(model, omegas)
-    blocks = np.stack(list(resp.blocks.values()))
+    blocks = np.stack([channel_output(ch, resp.y, np.eye(2)) for ch in model.channels])
     total = (blocks @ COMMUTATOR @ np.conj(blocks).swapaxes(-1, -2)).sum(axis=0)
     scale = (np.abs(blocks) ** 2).max(axis=(0, 2, 3))
     return np.abs(total - COMMUTATOR).max(axis=(1, 2)) / scale

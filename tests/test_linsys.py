@@ -6,7 +6,7 @@ import pytest
 
 from forcelimits import linsys, presets
 from forcelimits.errors import ZERO, FailureAtFrequency, UnstableModel
-from forcelimits.schemes import DetectorParams, SchemeConfig, build, closed_form_transfer
+from forcelimits.schemes import DetectorParams, SchemeConfig, build
 from forcelimits.spectra import vacuum
 
 
@@ -149,29 +149,6 @@ class TestTransfer:
             assert np.allclose(resp.M, phase * np.eye(2), atol=5e-15)
             assert np.allclose(resp.v, 0.0, atol=1e-15)
 
-    def test_matches_closed_form(self):
-        rng = np.random.default_rng(8)
-        checked = 0
-        while checked < 15:
-            params = DetectorParams(
-                Omega=rng.uniform(0.05, 2.0),
-                Gamma=rng.uniform(0.01, 1.0),
-                gamma=rng.uniform(0.5, 5.0),
-                Delta=rng.uniform(-4.0, 4.0),
-                g=rng.uniform(-4.0, 4.0),
-            )
-            try:
-                model = build(SchemeConfig("standard", params))
-            except Exception:
-                continue
-            omega = rng.uniform(0.01, 8.0)
-            resp = linsys.transfer(model, omega)
-            m_shot, m_back, v = closed_form_transfer(params, omega)
-            scale = np.max(np.abs(m_shot + m_back))
-            assert np.max(np.abs(resp.M - (m_shot + m_back))) < 1e-10 * scale
-            assert np.max(np.abs(resp.v - v)) < 1e-10 * max(np.max(np.abs(v)), scale)
-            checked += 1
-
     def test_cqnc_backaction_block_vanishes(self):
         params = DetectorParams(Omega=0.01, Gamma=0.01, gamma=3.0, g=-10.0)
         coupled = build(SchemeConfig("cqnc", params))
@@ -214,7 +191,8 @@ class TestReadoutAdjoint:
                     adjoint = np.sqrt(ch.rate) * row[list(ch.rows)]
                     if ch.is_readout:
                         adjoint = adjoint - d
-                    assert np.max(np.abs(adjoint - d @ resp.blocks[ch.id])) < 1e-12 * scale
+                    block = linsys.channel_output(ch, resp.y, np.eye(2))
+                    assert np.max(np.abs(adjoint - d @ block)) < 1e-12 * scale
 
     def test_first_singular_frequency_raises(self):
         params = DetectorParams(Omega=1.0, Gamma=0.0, gamma=3.0, g=0.5)
@@ -379,8 +357,7 @@ def test_array_transfer_equals_pointwise_calls(variant):
     stacked = linsys.transfer(model, grid.reshape(20, -1))
     points = [linsys.transfer(model, omega) for omega in grid]
     assert stacked.M.shape == (20, len(grid) // 20, 2, 2)
+    assert stacked.y.shape == (20, len(grid) // 20, 2, len(model.drift))
+    assert np.array_equal(stacked.y.reshape(-1, 2, len(model.drift)), [p.y for p in points])
     assert np.array_equal(stacked.M.reshape(-1, 2, 2), [p.M for p in points])
     assert np.array_equal(stacked.v.reshape(-1, 2), [p.v for p in points])
-    assert stacked.blocks.keys() == points[0].blocks.keys()
-    for cid, block in stacked.blocks.items():
-        assert np.array_equal(block.reshape(-1, 2, 2), [p.blocks[cid] for p in points])

@@ -277,9 +277,17 @@ MUTANTS = (
     ),
     Mutant(
         "engine-drops-a-channel", "src/forcelimits/noise.py",
-        "        for ch in model.channels:\n",
-        "        for ch in (model.readout,):\n",
-        ("tests/test_linear_detectors.py::test_sensitivity_obeys_the_theorem[2]",),
+        "/ response).T) for ch in model.channels}",
+        "/ response).T) for ch in (model.readout,)}",
+        ("tests/test_linear_detectors.py::test_sensitivity_obeys_the_theorem[2]",
+         "tests/test_schemes.py::TestCqncResidualNoise::test_ancilla_term_matches_floor_exactly"),
+    ),
+    Mutant(
+        "coefficients-not-per-unit-force", "src/forcelimits/noise.py",
+        "tuple((channel_output(ch, y, d) / response).T)",
+        "tuple(channel_output(ch, y, d).T)",
+        ("tests/test_noise.py::test_sensitivity_against_50_digit_oracle[cqnc]",
+         "tests/test_noise.py::TestAddedNoise::test_resonant_coefficients"),
     ),
     Mutant(
         "optimal-uql-omega-unit", "src/forcelimits/bounds.py",
