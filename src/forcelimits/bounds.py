@@ -54,13 +54,6 @@ def chi_cav(params: DetectorParams, omega: FloatOrArray):
     return 1.0 / (params.gamma / 2.0 - 1j * omega)
 
 
-def inverse_chi_mech(params: DetectorParams, omega: FloatOrArray):
-    """1/chi_mech, whose imaginary part -w*Gamma/Omega sets the dissipation bound."""
-    om, gm, w, s = _in_unit(params, omega)
-    d = gm / 2.0 - 1j * w
-    return (d * d + om * om) / om * s
-
-
 def sql(params: DetectorParams, omega: FloatOrArray):
     """Standard quantum limit 1/|chi_mech|: the shot/backaction optimum (inf where chi is 0)."""
     return coupling_susceptibilities(params, 0.0, omega).sql

@@ -143,8 +143,9 @@ def combined_quantities(
                                    C=c * (s2 * math.sqrt(s)), H=h, K=k * s, L=ell / s)
 
 
-def _detector_model(config: SchemeConfig) -> LinearModel:
-    """The built model less the oscillator's own coupling -g q F, q = x + eta*p.
+def _detector_model(config: SchemeConfig) -> tuple[LinearModel, NDArray[np.float64]]:
+    """The built model less the oscillator's own coupling -g q F, q = x + eta*p,
+    and the input functional f of F = f . x.
 
     That coupling is the variant's first; any further one (the cqnc
     ancilla's to the cavity) stays part of the detector.
@@ -152,7 +153,7 @@ def _detector_model(config: SchemeConfig) -> LinearModel:
     model = build(config)
     x, f = VARIANTS[config.variant].couplings[0]
     q = x + config.coupling_mix * conjugate_drive(x)  # J x is p
-    return replace(model, drift=model.drift - config.params.g * coupling_drift(q, f))
+    return replace(model, drift=model.drift - config.params.g * coupling_drift(q, f)), f
 
 
 def extract_detector(
@@ -171,8 +172,7 @@ def extract_detector(
     """
     if input_spectrum is not None:
         config = replace(config, input_spectrum=input_spectrum)
-    model = _detector_model(config)
-    f = VARIANTS[config.variant].couplings[0][1]
+    model, f = _detector_model(config)
     d = quadrature(config.readout_angle)
 
     # one adjoint solve for the state functionals F = f . x, d . out and d_perp . out

@@ -332,10 +332,7 @@ def suite_linresp(check, seed: int) -> list[CheckResult]:
     for _ in range(50):
         params, omega = random_stable_standard(rng)
         phi = float(rng.uniform(-1.3, 1.3))
-        det = linresp.extract_detector(
-            SchemeConfig("standard", params, readout_angle=phi), omega,
-            input_spectrum=vacuum(),
-        )
+        det = linresp.extract_detector(SchemeConfig("standard", params, readout_angle=phi), omega)
         worst_extraction = min(worst_extraction, linresp.uncertainty_slack(det))
     return [
         check(

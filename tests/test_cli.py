@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import parse_csv
 
 from forcelimits import bounds, cli, errors, linresp, linsys, noise, presets
 from forcelimits.schemes import DetectorParams, build, closed_form_transfer
@@ -204,13 +205,6 @@ def neighbours(value, count):
         below.append(np.nextafter(below[-1], -np.inf))
         above.append(np.nextafter(above[-1], np.inf))
     return [float(v) for v in below[1:] + above[1:] if v != 0.0]
-
-
-def parse_csv(text):
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    header = lines[0].split(",")
-    data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
-    return header, data
 
 
 class TestSpectrumCommand:

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_noise import preset_cases
+from oracles import preset_cases
 
 from forcelimits import bounds, noise, presets
 from forcelimits.linsys import (
@@ -55,22 +55,43 @@ def detector_model(Omega, Gamma, eta, g, h, rates, f, readout_spectrum):
     return LinearModel(drift, channels, force_row=1)
 
 
+def detector_draw(rng, modes):
+    """One random model with `modes` detector modes: (model, Omega, Gamma, eta), or
+    None when it is unstable."""
+    Omega, Gamma = rng.uniform(0.2, 3.0), rng.uniform(0.01, 1.0)
+    m = rng.normal(size=(2 * modes, 2 * modes))
+    spectrum = vacuum()
+    if rng.random() < 0.5:
+        spectrum = squeeze_spectrum(rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi))
+    eta = 0.0 if rng.random() < 0.5 else rng.uniform(-2.0, 2.0)
+    model = detector_model(
+        Omega, Gamma, eta, rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0]),
+        m @ m.T + 0.05 * np.eye(2 * modes), rng.uniform(0.1, 3.0, modes),
+        rng.normal(size=2 * modes), spectrum,
+    )
+    return (model, Omega, Gamma, eta) if stability_check(model.drift)[0] else None
+
+
 def random_detector(rng, modes):
     """A stable random model with `modes` detector modes: (model, Omega, Gamma, eta)."""
-    while True:
-        Omega, Gamma = rng.uniform(0.2, 3.0), rng.uniform(0.01, 1.0)
-        m = rng.normal(size=(2 * modes, 2 * modes))
-        spectrum = vacuum()
-        if rng.random() < 0.5:
-            spectrum = squeeze_spectrum(rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi))
-        eta = 0.0 if rng.random() < 0.5 else rng.uniform(-2.0, 2.0)
-        model = detector_model(
-            Omega, Gamma, eta, rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0]),
-            m @ m.T + 0.05 * np.eye(2 * modes), rng.uniform(0.1, 3.0, modes),
-            rng.normal(size=2 * modes), spectrum,
-        )
-        if stability_check(model.drift)[0]:
-            return model, Omega, Gamma, eta
+    while (drawn := detector_draw(rng, modes)) is None:
+        pass
+    return drawn
+
+
+@pytest.mark.parametrize("modes", [1, 2])
+def test_the_generator_reaches_both_sides_of_the_stability_check(modes):
+    # 200 stable models come within 1000 draws per mode, and enough draws are unstable
+    # that the check is exercised: seed 0 took 478 draws (278 unstable) with one mode
+    # and 850 (650 unstable) with two; seeds 1-5 rejected 283-344 and 542-644
+    rng = np.random.default_rng(0)
+    stable = unstable = 0
+    while stable < 200 and stable + unstable < 1000 * modes:
+        if detector_draw(rng, modes) is None:
+            unstable += 1
+        else:
+            stable += 1
+    assert stable >= 200 and unstable >= {1: 200, 2: 450}[modes], (stable, unstable)
 
 
 @pytest.mark.parametrize("name", ["standard", "cd"])

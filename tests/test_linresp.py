@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import optimize
-from test_linsys import _mp_resolvent, _oracle_draw
+from oracles import FIG2A, _mp_resolvent, _oracle_draw
 
 from forcelimits import bounds, linresp, noise, presets
 from forcelimits.errors import FailureAtFrequency, NumericalFailure
@@ -16,9 +16,6 @@ from forcelimits.verify import (
     random_detector,
     random_stable_standard,
 )
-
-
-FIG2A = DetectorParams(Omega=0.01, Gamma=0.01, gamma=3.0, Delta=0.0, g=-10.0)
 
 
 def make_detector(**kw):
@@ -97,7 +94,7 @@ class TestSprimeF:
             config, _ = _oracle_draw(rng, variant, k)
             uncoupled = build(replace(config, params=replace(config.params, g=0.0)))
             drift = build(config).drift
-            detector = linresp._detector_model(config).drift
+            detector = linresp._detector_model(config)[0].drift
             assert detector.tobytes() == uncoupled.drift.tobytes()
             linresp.extract_detector(config, 0.5)
             assert build(config).drift.tobytes() == drift.tobytes()
@@ -353,7 +350,7 @@ class TestUncertainty:
 
 def combined_sensitivity(params, omega, cq):
     """S_f reassembled from the combined-scheme quantities."""
-    inv_chi = bounds.inverse_chi_mech(params, omega)
+    inv_chi = 1 / bounds.chi_mech(params, omega)
     return 2.0 * inv_chi.real * cq.H + cq.K + abs(inv_chi) ** 2 * cq.L
 
 

@@ -3,9 +3,10 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from oracles import _mp_resolvent, _oracle_draw
 
 from forcelimits import linsys, presets
-from forcelimits.errors import ZERO, FailureAtFrequency, UnstableModel
+from forcelimits.errors import ZERO, FailureAtFrequency
 from forcelimits.schemes import DetectorParams, SchemeConfig, build
 from forcelimits.spectra import vacuum
 
@@ -285,42 +286,6 @@ def test_condition_number_of_a_lopsided_drift():
     m = model.drift.T + 1j * omegas[:, None, None] * np.eye(2)
     cond = linsys._cond1(model.drift, omegas, inv)
     assert np.allclose(cond, np.linalg.cond(m, 1), rtol=1e-12, atol=0)
-
-
-def _oracle_draw(rng, variant, k):
-    """Stable draw k of a variant and its frequency for the 50-digit oracle.
-
-    Gamma is log-uniform down to 1e-6 (exactly 1e-6 every third draw) and
-    every even draw sits at Omega (1 +- 1e-3), next to the lightly damped
-    resonance.  Returns the configuration and the frequency.
-    """
-    while True:
-        params = DetectorParams(
-            Omega=rng.uniform(0.05, 3.0),
-            Gamma=1e-6 if k % 3 == 0 else 10.0 ** rng.uniform(-6.0, 0.0),
-            gamma=rng.uniform(0.3, 6.0),
-            Delta=rng.uniform(-4.0, 4.0) if variant == "standard" else 0.0,
-            g=rng.uniform(0.2, 4.0) * rng.choice([-1.0, 1.0]),
-        )
-        config = SchemeConfig(variant, params, eta=rng.uniform(-2.0, 2.0))
-        try:
-            build(config)
-        except UnstableModel:
-            continue
-        if k % 2 == 0:
-            return config, params.Omega * (1.0 + rng.choice([-1e-3, 1e-3]))
-        return config, rng.uniform(0.01, 12.0)
-
-
-def _mp_resolvent(model, omega):
-    """-(A + i w I)^(-1) at mpmath's working precision, from the float64 drift."""
-    n = len(model.drift)
-    m = mpmath.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = mpmath.mpf(model.drift[i, j])
-        m[i, i] += mpmath.mpc(0, omega)
-    return -mpmath.inverse(m)
 
 
 def _mp_transfer(model, omega):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_linsys import _mp_resolvent, _oracle_draw
+from oracles import FIG2A, _mp_resolvent, _oracle_draw, preset_cases
 
 from forcelimits import bounds, noise, presets
 from forcelimits.errors import (
@@ -19,9 +19,6 @@ from forcelimits.errors import (
 from forcelimits.linsys import quadrature, transfer
 from forcelimits.schemes import MECHANICAL, DetectorParams, SchemeConfig, build
 from forcelimits.spectra import QuadratureSpectrum, squeeze_spectrum, vacuum
-
-
-FIG2A = DetectorParams(Omega=0.01, Gamma=0.01, gamma=3.0, Delta=0.0, g=-10.0)
 
 
 class TestQuadratureSpectrum:
@@ -192,7 +189,7 @@ class TestPowerDensity:
             xi = math.tan(phi)
             ca2 = abs(bounds.chi_mech(p, omega)) ** 2
             cb2 = abs(bounds.chi_cav(p, omega)) ** 2
-            closed = xi * bounds.inverse_chi_mech(p, omega).real + 0.5 * (
+            closed = xi * (1 / bounds.chi_mech(p, omega)).real + 0.5 * (
                 p.g**2 * p.gamma * cb2
                 + (1 + xi**2) / (p.g**2 * p.gamma * ca2 * cb2)
             )
@@ -220,7 +217,7 @@ class TestPowerDensity:
             ca2 = abs(bounds.chi_mech(p, omega)) ** 2
             cb2 = abs(bounds.chi_cav(p, omega)) ** 2
             closed = (
-                2 * (xi * u + w) * bounds.inverse_chi_mech(p, omega).real
+                2 * (xi * u + w) * (1 / bounds.chi_mech(p, omega)).real
                 + p.g**2 * p.gamma * cb2 * u
                 + (xi**2 * u + 2 * xi * w + v) / (p.g**2 * p.gamma * ca2 * cb2)
             )
@@ -380,20 +377,6 @@ def outcome(evaluate, *args):
 def undamped(Omega, g):
     """The standard scheme with an undamped oscillator."""
     return SchemeConfig("standard", DetectorParams(Omega=Omega, Gamma=0.0, gamma=3.0, g=g))
-
-
-def preset_cases():
-    from forcelimits import presets
-
-    cases = {name: (cfg, presets.fig2a_grid())
-             for name, cfg in presets.fig2a_configs().items()}
-    cases["squeezed"] = (
-        SchemeConfig("standard", FIG2A, readout_angle=0.4,
-                     input_spectrum=squeeze_spectrum(0.8, 0.3)),
-        presets.fig2a_grid(),
-    )
-    cases["toy"] = (presets.fig2b_config(), presets.fig2b_grid())
-    return cases
 
 
 def random_stable_configs(variant, count, seed):

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import FIG2A
 
 from forcelimits import bounds, noise
 from forcelimits.errors import FailureAtFrequency, InvalidConfig, UnstableModel
@@ -15,9 +16,6 @@ from forcelimits.schemes import (
     closed_form_transfer,
 )
 from forcelimits.spectra import vacuum
-
-
-FIG2A = DetectorParams(Omega=0.01, Gamma=0.01, gamma=3.0, Delta=0.0, g=-10.0)
 
 
 class TestBuild:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_cli import parse_csv
+from oracles import parse_csv
 
 from forcelimits import bounds, cli, linresp, noise, presets
 from forcelimits.errors import FailureAtFrequency, ForceLimitsError, UnstableModel
@@ -127,16 +127,6 @@ def test_chi_mech_in_a_tiny_unit():
     assert bounds.chi_mech(small, lam * 0.9) == bounds.chi_mech(p, 0.9) / lam
 
 
-@pytest.mark.parametrize("k", [-300, 300])
-def test_inverse_chi_mech_in_any_unit(k):
-    # (Gamma/2 - i w)^2 once underflowed at 4^-300 and overflowed at 4^300
-    p = DetectorParams(Omega=1.3, Gamma=0.2, gamma=1.0)
-    lam = 4.0**k
-    for omega in (0.0, 0.9, 1e3):
-        moved = bounds.inverse_chi_mech(scaled_params(p, lam), lam * omega)
-        assert moved == lam * bounds.inverse_chi_mech(p, omega)
-
-
 @st.composite
 def far_rates(draw):
     """Parameters, eta, three frequencies and k: Gamma/Omega and w/Omega span
@@ -157,7 +147,6 @@ BOUNDS = {
     "chi_mech": (-1, lambda p, eta, w: bounds.chi_mech(p, w)),
     "chi_qq": (-1, lambda p, eta, w: bounds.coupling_susceptibilities(p, eta, w).chi_qq),
     "chi_qx": (-1, lambda p, eta, w: bounds.coupling_susceptibilities(p, eta, w).chi_qx),
-    "inverse_chi_mech": (1, lambda p, eta, w: bounds.inverse_chi_mech(p, w)),
     "sql": (1, lambda p, eta, w: bounds.sql(p, w)),
     "uql": (1, lambda p, eta, w: bounds.uql(p, w)),
     "generalized_uql": (

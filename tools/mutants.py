@@ -369,6 +369,12 @@ MUTANTS = (
          "::test_message_is_stated_at_its_site[linresp-unresponsive-output]"),
     ),
     Mutant(
+        "detector-coupling-without-mix", "src/forcelimits/linresp.py",
+        "q = x + config.coupling_mix * conjugate_drive(x)  # J x is p",
+        "q = x",
+        ("tests/test_linresp.py::TestSprimeF::test_detector_drift_is_the_uncoupled_build[toy]",),
+    ),
+    Mutant(
         "invalid-config-not-a-value-error", "src/forcelimits/errors.py",
         "class InvalidConfig(ForceLimitsError, ValueError):",
         "class InvalidConfig(ForceLimitsError):",
