@@ -111,9 +111,8 @@ def combined_quantities(
     omega: float,
     xi: float,
     uvw: QuadratureSpectrum,
-    g: float,
 ) -> CombinedProofQuantities:
-    """Closed-form quantities of the combined scheme at one frequency.
+    """Closed-form quantities of the combined scheme at one frequency and the params' g.
 
     They satisfy E*X - D*Y = |C|^2 and K*L - H^2 = u*v - w^2, from which
     S_f = 2 Re(1/chi_mech) H + K + |1/chi_mech|^2 L dominates the
@@ -122,8 +121,8 @@ def combined_quantities(
     They are computed in the unit s = bounds._unit(gamma, Delta, omega, g) and
     scaled back: D and X by s^2, E and Y by s^3, C by s^2.5, K by s, L by 1/s.
     """
-    s = bounds._unit(params.gamma, params.Delta, omega, g)
-    gamma, delta, omega_s, g_s = params.gamma / s, params.Delta / s, omega / s, g / s
+    s = bounds._unit(params.gamma, params.Delta, omega, params.g)
+    gamma, delta, omega_s, g_s = params.gamma / s, params.Delta / s, omega / s, params.g / s
     r = gamma / 2.0 - 1j * omega_s
     r2 = gamma * gamma / 4.0 + omega_s * omega_s  # |r|^2
     d = xi * (r2 - delta * delta) - gamma * delta

@@ -22,6 +22,9 @@ from .errors import ZERO, FailureAtFrequency, InvalidConfig
 if TYPE_CHECKING:
     from .spectra import QuadratureSpectrum
 
+#: the state row the force drives: the oscillator's momentum p, with x on row 0
+FORCE_ROW = 1
+
 
 @dataclass(frozen=True)
 class NoiseChannel:
@@ -50,7 +53,6 @@ class LinearModel:
 
     drift: NDArray[np.float64]
     channels: tuple[NoiseChannel, ...]
-    force_row: int
 
     def __post_init__(self):
         drift = np.array(self.drift, dtype=float)
@@ -63,8 +65,6 @@ class LinearModel:
             raise InvalidConfig("state dimension must be a positive even number")
         if not np.isfinite(drift).all():
             raise InvalidConfig("drift entries must be finite")
-        if not 0 <= self.force_row < n:
-            raise InvalidConfig("force_row out of range")
         if sum(ch.is_readout for ch in self.channels) != 1:
             raise InvalidConfig("exactly one channel must be the readout")
         for ch in self.channels:
@@ -91,7 +91,7 @@ class FrequencyResponse:
 
     @property
     def v(self) -> NDArray[np.complex128]:
-        return self.y[..., self.model.force_row]
+        return self.y[..., FORCE_ROW]
 
 
 def stability_check(drift: NDArray[np.float64]) -> tuple[bool, NDArray[np.complex128]]:

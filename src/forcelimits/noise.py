@@ -17,6 +17,7 @@ from numpy.typing import NDArray
 from . import bounds
 from .errors import ZERO, FailureAtFrequency, InvalidConfig
 from .linsys import (
+    FORCE_ROW,
     FrequencyResponse,
     LinearModel,
     channel_output,
@@ -50,7 +51,7 @@ def _visible(response, v, omega):
 def _coefficients(model: LinearModel, y, d, v, omega) -> dict[str, tuple]:
     """Each channel's coefficient pair in the read quadrature d, per unit force response;
     y is d's response to every state row, v the force response of both quadratures."""
-    response = _visible(y[..., model.force_row], v, omega)
+    response = _visible(y[..., FORCE_ROW], v, omega)
     return {ch.id: tuple((channel_output(ch, y, d) / response).T) for ch in model.channels}
 
 
@@ -87,7 +88,7 @@ def _sensitivity(model: LinearModel, phi: float, omegas: NDArray[np.float64]) ->
 
     The refined solve gives the readout quadrature's response y to every
     state row, which _coefficients and power_density turn into S_f.  Row
-    force_row of the inverse, w, gives the force response to a drive b as
+    FORCE_ROW of the inverse, w, gives the force response to a drive b as
     -w . b, so v is minus the readout's channel_output of w; the visibility
     floor takes only its magnitude.
     """
@@ -99,7 +100,7 @@ def _sensitivity(model: LinearModel, phi: float, omegas: NDArray[np.float64]) ->
         block = omegas[start:start + _BLOCK]
         inv = inverted_system(model, block)
         y = refined_solve(model.drift, inv, block, b)
-        minus_v = channel_output(model.readout, inv[:, model.force_row])
+        minus_v = channel_output(model.readout, inv[:, FORCE_ROW])
         s_f[start:start + _BLOCK] = power_density(_coefficients(model, y, d, minus_v, block), budget)
     return s_f
 

@@ -163,7 +163,7 @@ def build(config: SchemeConfig) -> LinearModel:
         if spectrum is not None:
             channels.append(NoiseChannel(c, rate, (2 * k, 2 * k + 1), spectrum, c == READOUT))
     coefficients += p.g, mix
-    model = LinearModel(variant.basis @ coefficients, tuple(channels), force_row=1)
+    model = LinearModel(variant.basis @ coefficients, tuple(channels))
 
     stable, eigenvalues = stability_check(model.drift)
     if not stable:

@@ -216,7 +216,7 @@ def suite_identities(check, seed: int) -> list[CheckResult]:
                                    float(rng.uniform(-math.pi, math.pi)))
         else:
             uvw = vacuum()
-        cq = linresp.combined_quantities(params, omega, xi, uvw, params.g)
+        cq = linresp.combined_quantities(params, omega, xi, uvw)
         c2 = abs(cq.C) ** 2
         worst_first = max(worst_first, abs(cq.E * cq.X - cq.D * cq.Y - c2) / c2)
         worst_second = max(

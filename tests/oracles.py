@@ -1,17 +1,20 @@
 """Oracles and draws that more than one test module uses.
 
 `_oracle_draw` and `_mp_resolvent` feed the 50-digit oracles of the linear
-solve, the noise budget and the detector extraction; `preset_cases` names the
-preset curves; `parse_csv` reads a written spectrum back.
+solve, the noise budget and the detector extraction; `standard_s_f` is the
+resonant standard scheme's closed form; `preset_cases` names the preset
+curves; `parse_csv` reads a written spectrum back.
 """
+
+import math
 
 import mpmath
 import numpy as np
 
-from forcelimits import presets
+from forcelimits import bounds, presets
 from forcelimits.errors import UnstableModel
 from forcelimits.schemes import DetectorParams, SchemeConfig, build
-from forcelimits.spectra import squeeze_spectrum
+from forcelimits.spectra import squeeze_spectrum, vacuum
 
 FIG2A = DetectorParams(Omega=0.01, Gamma=0.01, gamma=3.0, Delta=0.0, g=-10.0)
 
@@ -50,6 +53,22 @@ def _mp_resolvent(model, omega):
             m[i, j] = mpmath.mpf(model.drift[i, j])
         m[i, i] += mpmath.mpc(0, omega)
     return -mpmath.inverse(m)
+
+
+def standard_s_f(params, omega, phi=0.0, spectrum=vacuum()):
+    """S_f of the resonant (Delta = 0) standard scheme read in the phi quadrature:
+
+    2(xi u + w) Re(1/chi_mech) + g^2 gamma |chi_cav|^2 u
+        + (xi^2 u + 2 xi w + v) / (g^2 gamma |chi_mech|^2 |chi_cav|^2),
+
+    with xi = tan phi and (u, v, w) the readout input's spectrum.
+    """
+    xi = math.tan(phi)
+    u, v, w = spectrum.u, spectrum.v, spectrum.w
+    chi_a = bounds.chi_mech(params, omega)
+    gain = params.g**2 * params.gamma * abs(bounds.chi_cav(params, omega)) ** 2
+    return (2 * (xi * u + w) * (1 / chi_a).real + gain * u
+            + (xi**2 * u + 2 * xi * w + v) / (gain * abs(chi_a) ** 2))
 
 
 def preset_cases():

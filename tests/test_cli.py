@@ -462,7 +462,7 @@ FAILURE_SITES = [
             bounds.coupling_susceptibilities(_standard(Omega=1.0, Gamma=1.0).params, -2.0, 0.0)),
         "chi_qx vanished at omega = 0.0", 0.0, id="bounds-chi-qx-vanished"),
     pytest.param(
-        lambda: linresp.combined_quantities(_standard().params, 0.2, 0.0, vacuum(), 0.0),
+        lambda: linresp.combined_quantities(_standard(g=0.0).params, 0.2, 0.0, vacuum()),
         "readout normalization C vanished at omega = 0.2", 0.2, id="linresp-C-vanished"),
     pytest.param(  # the amplitude quadrature at Delta = 0 is blind to the input
         lambda: linresp.extract_detector(replace(_standard(), readout_angle=math.pi / 2), 0.2),

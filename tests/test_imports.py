@@ -10,6 +10,14 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "forcelimits"
 
 
+def findings(find, skip=None):
+    """{module: hits} of `find` over the package's parsed modules (less `skip`),
+    for each module where it finds something."""
+    found = {p.name: find(ast.parse(p.read_text(encoding="utf-8")))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != skip}
+    return {name: hits for name, hits in found.items() if hits}
+
+
 def imported_names(tree):
     """(bound name, line) of each import outside `from __future__`."""
     for node in ast.walk(tree):
@@ -133,9 +141,7 @@ def variant_comparisons(tree):
 def test_variant_facts_stay_in_schemes():
     # schemes.VARIANTS states each variant's facts once; elsewhere a scheme is
     # read through those facts, never by testing its name
-    found = {p.name: variant_comparisons(ast.parse(p.read_text(encoding="utf-8")))
-             for p in sorted(PACKAGE.glob("*.py")) if p.name != "schemes.py"}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert findings(variant_comparisons, skip="schemes.py") == {}
 
 
 def test_variant_comparison_detector():
@@ -166,9 +172,7 @@ def channel_id_uses(tree):
 def test_channel_ids_stay_in_schemes():
     # schemes.build decides which inputs are channels; the rest of the package
     # reads the model's channels and never picks one out by its id
-    found = {p.name: channel_id_uses(ast.parse(p.read_text(encoding="utf-8")))
-             for p in sorted(PACKAGE.glob("*.py")) if p.name != "schemes.py"}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert findings(channel_id_uses, skip="schemes.py") == {}
 
 
 def test_channel_id_detector():
@@ -195,9 +199,7 @@ def hand_located_raises(tree):
 def test_frequency_failures_use_the_locator():
     # errors.FailureAtFrequency states how a failure names its frequency, and
     # its at_first picks the first one in grid order; no message is hand-written
-    found = {p.name: hand_located_raises(ast.parse(p.read_text(encoding="utf-8")))
-             for p in sorted(PACKAGE.glob("*.py")) if p.name != "errors.py"}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert findings(hand_located_raises, skip="errors.py") == {}
 
 
 def test_hand_located_raise_detector():
@@ -227,9 +229,7 @@ def builtin_raises(tree):
 def test_failures_are_package_types():
     # rejected input is InvalidConfig where it is checked, a breakdown a
     # NumericalFailure: a builtin exception would escape main's exit codes
-    found = {p.name: builtin_raises(ast.parse(p.read_text(encoding="utf-8")))
-             for p in sorted(PACKAGE.glob("*.py"))}
-    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert findings(builtin_raises) == {}
 
 
 def test_builtin_raise_detector():
@@ -266,9 +266,7 @@ def test_one_failure_type_per_exit_code():
     # message, stated where the failure is raised, not a subclass
     errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
     assert tuple(n.name for n in ast.walk(errors) if isinstance(n, ast.ClassDef)) == ERROR_TYPES
-    found = {p.name: error_subclasses(ast.parse(p.read_text(encoding="utf-8")))
-             for p in sorted(PACKAGE.glob("*.py")) if p.name != "errors.py"}
-    assert {name: classes for name, classes in found.items() if classes} == {}
+    assert findings(error_subclasses, skip="errors.py") == {}
 
 
 def test_error_subclass_detector():

@@ -17,8 +17,8 @@ GRID_RULE = "grid must be finite, strictly increasing and positive, got "
 READOUT = NoiseChannel("a", 1.0, (0, 1), vacuum(), is_readout=True)
 
 
-def model(drift=-np.eye(4), channels=(READOUT,), force_row=1):
-    return LinearModel(drift=drift, channels=channels, force_row=force_row)
+def model(drift=-np.eye(4), channels=(READOUT,)):
+    return LinearModel(drift=drift, channels=channels)
 
 
 CASES = {
@@ -68,7 +68,6 @@ CASES = {
                    "state dimension must be a positive even number"),
     "model-finite": (lambda: model(drift=np.diag([-1.0, np.nan])),
                      "drift entries must be finite"),
-    "model-force-row": (lambda: model(force_row=4), "force_row out of range"),
     "model-readout": (lambda: model(channels=(NoiseChannel("b", 1.0, (0, 1), vacuum()),)),
                       "exactly one channel must be the readout"),
     "model-rows": (lambda: model(channels=(NoiseChannel("r", 1.0, (4, 5), vacuum(), True),)),

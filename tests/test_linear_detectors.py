@@ -52,7 +52,7 @@ def detector_model(Omega, Gamma, eta, g, h, rates, f, readout_spectrum):
                      readout_spectrum if k == 0 else vacuum(), k == 0)
         for k, rate in enumerate(rates)
     )
-    return LinearModel(drift, channels, force_row=1)
+    return LinearModel(drift, channels)
 
 
 def detector_draw(rng, modes):
@@ -106,7 +106,6 @@ def test_the_generator_rebuilds_the_standard_scheme(name):
         built = build(config)
         assert np.array_equal(model.drift, built.drift)
         assert model.channels == (replace(built.readout, id="mode0"),)
-        assert model.force_row == built.force_row
 
 
 @pytest.mark.parametrize("modes", [1, 2])

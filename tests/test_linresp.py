@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import optimize
-from oracles import FIG2A, _mp_resolvent, _oracle_draw
+from oracles import FIG2A, _mp_resolvent, _oracle_draw, standard_s_f
 
 from forcelimits import bounds, linresp, noise, presets
 from forcelimits.errors import FailureAtFrequency, NumericalFailure
@@ -358,7 +358,7 @@ class TestCombinedQuantities:
     def test_resonant_phase_readout_values(self):
         p = replace(FIG2A, Delta=0.0)
         omega = 0.4
-        cq = linresp.combined_quantities(p, omega, 0.0, vacuum(), p.g)
+        cq = linresp.combined_quantities(p, omega, 0.0, vacuum())
         assert cq.D == 0.0
         assert cq.Y == 0.0
         r2 = p.gamma**2 / 4 + omega**2
@@ -373,7 +373,7 @@ class TestCombinedQuantities:
             uvw = squeeze_spectrum(
                 float(rng.uniform(0, 1.5)), float(rng.uniform(-math.pi, math.pi))
             )
-            cq = linresp.combined_quantities(params, omega, xi, uvw, params.g)
+            cq = linresp.combined_quantities(params, omega, xi, uvw)
             c2 = abs(cq.C) ** 2
             assert abs(cq.E * cq.X - cq.D * cq.Y - c2) / c2 < 1e-10
             assert abs(cq.K * cq.L - cq.H**2 - (uvw.u * uvw.v - uvw.w**2)) < 1e-10
@@ -389,9 +389,7 @@ class TestCombinedQuantities:
             cfg = SchemeConfig(
                 "standard", params, readout_angle=phi, input_spectrum=uvw
             )
-            cq = linresp.combined_quantities(
-                params, omega, math.tan(phi), uvw, params.g
-            )
+            cq = linresp.combined_quantities(params, omega, math.tan(phi), uvw)
             assert combined_sensitivity(params, omega, cq) == pytest.approx(
                 noise.sensitivity_at(cfg, omega), rel=1e-9
             )
@@ -424,13 +422,8 @@ class TestFeedback:
         p = FIG2A
         omega = 0.6
         det = linresp.extract_detector(SchemeConfig("standard", p), omega)
-        ca2 = abs(bounds.chi_mech(p, omega)) ** 2
-        cb2 = abs(bounds.chi_cav(p, omega)) ** 2
-        closed = 0.5 * (
-            p.g**2 * p.gamma * cb2 + 1.0 / (p.g**2 * p.gamma * ca2 * cb2)
-        )
         assert linresp.feedback_added_noise(det, 1.0) == pytest.approx(
-            closed, rel=1e-9
+            standard_s_f(p, omega), rel=1e-9
         )
 
     def test_zero_frequency_rejected(self):

@@ -50,13 +50,13 @@ class TestStability:
             (np.diag([-1.0, np.inf]), "drift entries must be finite"),
         ]:
             with pytest.raises(ValueError, match=f"^{message}$"):
-                linsys.LinearModel(drift=entries, channels=channels, force_row=1)
+                linsys.LinearModel(drift=entries, channels=channels)
 
     def test_drift_is_a_read_only_copy(self):
         # a validated model cannot be changed through its drift or the caller's array
         entries = -np.eye(4)
         channels = (linsys.NoiseChannel("a", 1.0, (0, 1), vacuum(), is_readout=True),)
-        model = linsys.LinearModel(drift=entries, channels=channels, force_row=1)
+        model = linsys.LinearModel(drift=entries, channels=channels)
         with pytest.raises(ValueError, match="read-only"):
             model.drift[0, 0] = 1.0
         entries[0, 0] = 1.0
@@ -93,7 +93,6 @@ class TestSolveFrequency:
                 linsys.NoiseChannel("a", 1.0, (0, 1), vacuum()),
                 linsys.NoiseChannel("b", 1.0, (2, 3), vacuum(), is_readout=True),
             ),
-            force_row=1,
         )
         x = solve(model, 0.0, np.array([1.0, 0, 0, 0]))
         assert np.allclose(x, [1.0, 0, 0, 0])
@@ -168,7 +167,7 @@ class TestTransfer:
             linsys.NoiseChannel("b", 1.0, (2, 3), vacuum()),
         )
         with pytest.raises(ValueError):
-            linsys.LinearModel(drift=-np.eye(4), channels=channels, force_row=1)
+            linsys.LinearModel(drift=-np.eye(4), channels=channels)
         with pytest.raises(ValueError):
             linsys.NoiseChannel("a", 1.0, (2, 2), vacuum())
 
@@ -187,7 +186,7 @@ class TestReadoutAdjoint:
             for omega, row in zip(omegas, y):
                 resp = linsys.transfer(model, omega)
                 scale = np.max(np.abs(row))
-                assert abs(row[model.force_row] - d @ resp.v) < 1e-12 * scale
+                assert abs(row[linsys.FORCE_ROW] - d @ resp.v) < 1e-12 * scale
                 for ch in model.channels:
                     adjoint = np.sqrt(ch.rate) * row[list(ch.rows)]
                     if ch.is_readout:
@@ -280,7 +279,7 @@ def test_condition_number_of_a_lopsided_drift():
     # off-diagonal sums are its two columns', so ||m||_1 = ||m||_inf there; here
     # the rows of A (||m||_1) and its columns (||m||_inf) give different norms
     channels = (linsys.NoiseChannel("a", 1.0, (0, 1), vacuum(), is_readout=True),)
-    model = linsys.LinearModel(np.array([[-1.0, 50.0], [0.0, -3.0]]), channels, force_row=1)
+    model = linsys.LinearModel(np.array([[-1.0, 50.0], [0.0, -3.0]]), channels)
     omegas = np.array([0.0, 0.5, 2.0, 30.0])
     inv = linsys.inverted_system(model, omegas)
     m = model.drift.T + 1j * omegas[:, None, None] * np.eye(2)
@@ -294,7 +293,7 @@ def _mp_transfer(model, omega):
     with mpmath.workdps(50):
         response = _mp_resolvent(model, omega)
         rate = mpmath.mpf(readout.rate)
-        v = [mpmath.sqrt(rate) * response[r, model.force_row] for r in readout.rows]
+        v = [mpmath.sqrt(rate) * response[r, linsys.FORCE_ROW] for r in readout.rows]
         M = [[rate * response[r, c] - (i == j) for j, c in enumerate(readout.rows)]
              for i, r in enumerate(readout.rows)]
         return np.array(M, dtype=complex), np.array(v, dtype=complex)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import FIG2A, _mp_resolvent, _oracle_draw, preset_cases
+from oracles import FIG2A, _mp_resolvent, _oracle_draw, preset_cases, standard_s_f
 
 from forcelimits import bounds, noise, presets
 from forcelimits.errors import (
@@ -16,7 +16,7 @@ from forcelimits.errors import (
     InvalidConfig,
     UnstableModel,
 )
-from forcelimits.linsys import quadrature, transfer
+from forcelimits.linsys import FORCE_ROW, quadrature, transfer
 from forcelimits.schemes import MECHANICAL, DetectorParams, SchemeConfig, build
 from forcelimits.spectra import QuadratureSpectrum, squeeze_spectrum, vacuum
 
@@ -166,11 +166,7 @@ class TestPowerDensity:
         p = FIG2A
         cfg = SchemeConfig("standard", p)
         for omega in (0.003, 0.05, 0.97, 7.0):
-            ca2 = abs(bounds.chi_mech(p, omega)) ** 2
-            cb2 = abs(bounds.chi_cav(p, omega)) ** 2
-            closed = 0.5 * (
-                p.g**2 * p.gamma * cb2 + 1.0 / (p.g**2 * p.gamma * ca2 * cb2)
-            )
+            closed = standard_s_f(p, omega)
             assert noise.sensitivity_at(cfg, omega) == pytest.approx(closed, rel=1e-10)
 
     def test_rotated_readout_closed_form(self):
@@ -186,21 +182,13 @@ class TestPowerDensity:
             )
             phi = rng.uniform(-1.2, 1.2)
             omega = rng.uniform(0.01, 8)
-            xi = math.tan(phi)
-            ca2 = abs(bounds.chi_mech(p, omega)) ** 2
-            cb2 = abs(bounds.chi_cav(p, omega)) ** 2
-            closed = xi * (1 / bounds.chi_mech(p, omega)).real + 0.5 * (
-                p.g**2 * p.gamma * cb2
-                + (1 + xi**2) / (p.g**2 * p.gamma * ca2 * cb2)
-            )
+            closed = standard_s_f(p, omega, phi)
             measured = noise.sensitivity_at(
                 SchemeConfig("standard", p, readout_angle=phi), omega
             )
             assert measured == pytest.approx(closed, rel=1e-10)
 
     def test_squeezed_rotated_closed_form(self):
-        # S_f = 2(xi u + w) Re(1/chi_a) + g^2 gamma |chi_b|^2 u
-        #       + (xi^2 u + 2 xi w + v)/(g^2 gamma |chi_a|^2 |chi_b|^2)
         rng = np.random.default_rng(43)
         for _ in range(100):
             p = DetectorParams(
@@ -212,15 +200,7 @@ class TestPowerDensity:
             phi = rng.uniform(-1.2, 1.2)
             uvw = squeeze_spectrum(rng.uniform(0, 1.5), rng.uniform(-math.pi, math.pi))
             omega = rng.uniform(0.01, 8)
-            xi = math.tan(phi)
-            u, v, w = uvw.u, uvw.v, uvw.w
-            ca2 = abs(bounds.chi_mech(p, omega)) ** 2
-            cb2 = abs(bounds.chi_cav(p, omega)) ** 2
-            closed = (
-                2 * (xi * u + w) * (1 / bounds.chi_mech(p, omega)).real
-                + p.g**2 * p.gamma * cb2 * u
-                + (xi**2 * u + 2 * xi * w + v) / (p.g**2 * p.gamma * ca2 * cb2)
-            )
+            closed = standard_s_f(p, omega, phi, uvw)
             measured = noise.sensitivity_at(
                 SchemeConfig("standard", p, readout_angle=phi, input_spectrum=uvw),
                 omega,
@@ -674,7 +654,7 @@ def _mp_sensitivity(config, omega):
             c = [mpmath.sqrt(ch.rate) * y[r] for r in ch.rows]
             if ch.is_readout:
                 c = [ck - dk for ck, dk in zip(c, d)]
-            c1, c2 = (ck / y[model.force_row] for ck in c)
+            c1, c2 = (ck / y[FORCE_ROW] for ck in c)
             s_f += (abs(c1) ** 2 * spec.u + abs(c2) ** 2 * spec.v
                     + 2 * mpmath.re(c1 * mpmath.conj(c2)) * spec.w)
         return float(s_f)

@@ -32,7 +32,6 @@ class TestBuild:
                 ]
             )
             assert np.array_equal(model.drift, expected)
-            assert model.force_row == 1
 
     def test_toy_drift_symmetric_mix(self):
         p = DetectorParams(Omega=1.0, Gamma=1.0, gamma=100.0, g=5.0)

@@ -223,9 +223,8 @@ def combined_draws(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_combined_quantities_in_any_unit(case, k):
     p, omega, xi, uvw = case
-    base = linresp.combined_quantities(p, omega, xi, uvw, p.g)
-    moved = linresp.combined_quantities(scaled_params(p, 4.0**k), 4.0**k * omega, xi, uvw,
-                                        4.0**k * p.g)
+    base = linresp.combined_quantities(p, omega, xi, uvw)
+    moved = linresp.combined_quantities(scaled_params(p, 4.0**k), 4.0**k * omega, xi, uvw)
     for name, power in COMBINED_POWERS.items():
         factor = math.ldexp(1.0, round(2 * k * power))  # (4^k)^power
         assert getattr(moved, name) == getattr(base, name) * factor, name
@@ -237,7 +236,7 @@ def test_combined_normalization_keeps_its_bits():
     for gamma in (50.0, 100.0, 200.0, 300.0):  # s = 16, 64, 64, 256
         p = DetectorParams(Omega=1.0, Gamma=1.0, gamma=gamma, Delta=0.3, g=5.0)
         for omega in (0.1, 0.7, 3.0):
-            c = linresp.combined_quantities(p, omega, 0.4, vacuum(), p.g).C
+            c = linresp.combined_quantities(p, omega, 0.4, vacuum()).C
             assert c == p.g * math.sqrt(p.gamma) * (p.gamma / 2.0 - 1j * omega + 0.4 * p.Delta)
 
 

@@ -262,6 +262,12 @@ MUTANTS = (
         ("tests/test_schemes.py::TestClosedFormTransfer::test_matches_numeric_solve",),
     ),
     Mutant(
+        "force-row-is-position", "src/forcelimits/linsys.py",
+        "FORCE_ROW = 1\n",
+        "FORCE_ROW = 0\n",
+        ("tests/test_noise.py::TestPowerDensity::test_resonant_phase_readout_closed_form",),
+    ),
+    Mutant(
         "conjugate-drive-sign-flipped", "src/forcelimits/schemes.py",
         "drive[1::2], drive[0::2] = f[0::2], -f[1::2]",
         "drive[1::2], drive[0::2] = -f[0::2], f[1::2]",
