@@ -162,17 +162,28 @@ def suite_uql_dominance(check, seed: int) -> list[CheckResult]:
 # identities: numeric transfer vs closed forms, combined-scheme identities
 
 
+#: the (low, high) range of each quantity the identities and linresp suites
+#: draw: the standard scheme's rates (g its magnitude; its sign is drawn
+#: apart), the analysis frequency omega, the readout angle phi, xi = tan(phi)
+#: of the combined scheme and a squeezed input's factor and angle
+DRAW_RANGES = {
+    "Omega": (0.05, 3.0), "Gamma": (0.01, 1.0), "gamma": (0.3, 6.0), "Delta": (-4.0, 4.0),
+    "g": (0.2, 4.0), "omega": (0.01, 12.0), "phi": (-1.3, 1.3), "xi": (-20.0, 20.0),
+    "squeeze": (0.0, 1.5), "squeeze_angle": (-math.pi, math.pi),
+}
+
+
 def random_stable_standard(rng: np.random.Generator) -> tuple[DetectorParams, float]:
-    """Draw a stable standard-scheme parameter set plus an analysis frequency."""
+    """Draw a stable standard-scheme parameter set and an analysis frequency from DRAW_RANGES."""
     while True:
         params = DetectorParams(
-            Omega=float(rng.uniform(0.05, 3.0)),
-            Gamma=float(rng.uniform(0.01, 1.0)),
-            gamma=float(rng.uniform(0.3, 6.0)),
-            Delta=float(rng.uniform(-4.0, 4.0)),
-            g=float(rng.uniform(0.2, 4.0) * rng.choice([-1.0, 1.0])),
+            Omega=float(rng.uniform(*DRAW_RANGES["Omega"])),
+            Gamma=float(rng.uniform(*DRAW_RANGES["Gamma"])),
+            gamma=float(rng.uniform(*DRAW_RANGES["gamma"])),
+            Delta=float(rng.uniform(*DRAW_RANGES["Delta"])),
+            g=float(rng.uniform(*DRAW_RANGES["g"]) * rng.choice([-1.0, 1.0])),
         )
-        omega = float(rng.uniform(0.01, 12.0))
+        omega = float(rng.uniform(*DRAW_RANGES["omega"]))
         try:
             build(SchemeConfig("standard", params))
         except UnstableModel:
@@ -210,10 +221,10 @@ def suite_identities(check, seed: int) -> list[CheckResult]:
     worst_second = 0.0
     for _ in range(200):
         params, omega = random_stable_standard(rng)
-        xi = float(rng.uniform(-20.0, 20.0))
+        xi = float(rng.uniform(*DRAW_RANGES["xi"]))
         if rng.uniform() < 0.5:
-            uvw = squeeze_spectrum(float(rng.uniform(0.0, 1.5)),
-                                   float(rng.uniform(-math.pi, math.pi)))
+            uvw = squeeze_spectrum(float(rng.uniform(*DRAW_RANGES["squeeze"])),
+                                   float(rng.uniform(*DRAW_RANGES["squeeze_angle"])))
         else:
             uvw = vacuum()
         cq = linresp.combined_quantities(params, omega, xi, uvw)
@@ -331,7 +342,7 @@ def suite_linresp(check, seed: int) -> list[CheckResult]:
     worst_extraction = np.inf
     for _ in range(50):
         params, omega = random_stable_standard(rng)
-        phi = float(rng.uniform(-1.3, 1.3))
+        phi = float(rng.uniform(*DRAW_RANGES["phi"]))
         det = linresp.extract_detector(SchemeConfig("standard", params, readout_angle=phi), omega)
         worst_extraction = min(worst_extraction, linresp.uncertainty_slack(det))
     return [

@@ -15,33 +15,34 @@ from forcelimits import bounds, presets
 from forcelimits.errors import UnstableModel
 from forcelimits.schemes import DetectorParams, SchemeConfig, build
 from forcelimits.spectra import squeeze_spectrum, vacuum
+from forcelimits.verify import DRAW_RANGES
 
-FIG2A = DetectorParams(Omega=0.01, Gamma=0.01, gamma=3.0, Delta=0.0, g=-10.0)
+ETA_RANGE = (-2.0, 2.0)  # the toy scheme's coupling mix eta, as the tests draw it
 
 
 def _oracle_draw(rng, variant, k):
     """Stable draw k of a variant and its frequency for the 50-digit oracle.
 
-    Gamma is log-uniform down to 1e-6 (exactly 1e-6 every third draw) and
-    every even draw sits at Omega (1 +- 1e-3), next to the lightly damped
-    resonance.  Returns the configuration and the frequency.
+    Drawn from DRAW_RANGES and ETA_RANGE, except Gamma: log-uniform down to
+    1e-6, exactly 1e-6 every third draw.  Every even draw sits at Omega
+    (1 +- 1e-3), next to the lightly damped resonance.  Returns (config, omega).
     """
     while True:
         params = DetectorParams(
-            Omega=rng.uniform(0.05, 3.0),
+            Omega=rng.uniform(*DRAW_RANGES["Omega"]),
             Gamma=1e-6 if k % 3 == 0 else 10.0 ** rng.uniform(-6.0, 0.0),
-            gamma=rng.uniform(0.3, 6.0),
-            Delta=rng.uniform(-4.0, 4.0) if variant == "standard" else 0.0,
-            g=rng.uniform(0.2, 4.0) * rng.choice([-1.0, 1.0]),
+            gamma=rng.uniform(*DRAW_RANGES["gamma"]),
+            Delta=rng.uniform(*DRAW_RANGES["Delta"]) if variant == "standard" else 0.0,
+            g=rng.uniform(*DRAW_RANGES["g"]) * rng.choice([-1.0, 1.0]),
         )
-        config = SchemeConfig(variant, params, eta=rng.uniform(-2.0, 2.0))
+        config = SchemeConfig(variant, params, eta=rng.uniform(*ETA_RANGE))
         try:
             build(config)
         except UnstableModel:
             continue
         if k % 2 == 0:
             return config, params.Omega * (1.0 + rng.choice([-1e-3, 1e-3]))
-        return config, rng.uniform(0.01, 12.0)
+        return config, rng.uniform(*DRAW_RANGES["omega"])
 
 
 def _mp_resolvent(model, omega):
@@ -76,7 +77,7 @@ def preset_cases():
     cases = {name: (cfg, presets.fig2a_grid())
              for name, cfg in presets.fig2a_configs().items()}
     cases["squeezed"] = (
-        SchemeConfig("standard", FIG2A, readout_angle=0.4,
+        SchemeConfig("standard", presets.FIG2A_PARAMS, readout_angle=0.4,
                      input_spectrum=squeeze_spectrum(0.8, 0.3)),
         presets.fig2a_grid(),
     )

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import preset_cases
+from oracles import DRAW_RANGES, ETA_RANGE, preset_cases
 
 from forcelimits import bounds, noise, presets
 from forcelimits.linsys import (
@@ -56,14 +56,14 @@ def detector_model(Omega, Gamma, eta, g, h, rates, f, readout_spectrum):
 
 
 def detector_draw(rng, modes):
-    """One random model with `modes` detector modes: (model, Omega, Gamma, eta), or
-    None when it is unstable."""
+    """One random model with `modes` detector modes: (model, Omega, Gamma, eta), or None
+    when unstable; only its squeezing and eta come from DRAW_RANGES and ETA_RANGE."""
     Omega, Gamma = rng.uniform(0.2, 3.0), rng.uniform(0.01, 1.0)
     m = rng.normal(size=(2 * modes, 2 * modes))
-    spectrum = vacuum()
-    if rng.random() < 0.5:
-        spectrum = squeeze_spectrum(rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi))
-    eta = 0.0 if rng.random() < 0.5 else rng.uniform(-2.0, 2.0)
+    spectrum = (squeeze_spectrum(rng.uniform(*DRAW_RANGES["squeeze"]),
+                                 rng.uniform(*DRAW_RANGES["squeeze_angle"]))
+                if rng.random() < 0.5 else vacuum())
+    eta = 0.0 if rng.random() < 0.5 else rng.uniform(*ETA_RANGE)
     model = detector_model(
         Omega, Gamma, eta, rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0]),
         m @ m.T + 0.05 * np.eye(2 * modes), rng.uniform(0.1, 3.0, modes),

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import optimize
-from oracles import FIG2A, _mp_resolvent, _oracle_draw, standard_s_f
+from oracles import DRAW_RANGES, ETA_RANGE, _mp_resolvent, _oracle_draw, standard_s_f
 
 from forcelimits import bounds, linresp, noise, presets
 from forcelimits.errors import FailureAtFrequency, NumericalFailure
@@ -81,7 +81,7 @@ class TestSprimeF:
         # the ancilla is part of the cqnc detector and cancels the input
         # operator's response to its own drive exactly
         for g in (-10.0, 3.7, 1e3, 1e4):
-            cfg = SchemeConfig("cqnc", replace(FIG2A, g=g))
+            cfg = SchemeConfig("cqnc", replace(presets.FIG2A_PARAMS, g=g))
             for omega in (1e-3, 0.01, 0.5, 10.0):
                 assert linresp.extract_detector(cfg, omega).chi_FF == 0.0
 
@@ -110,7 +110,7 @@ class TestSprimeF:
                 gamma=float(rng.uniform(5.0, 100.0)),
                 g=float(rng.uniform(0.5, 6.0)),
             )
-            eta = float(rng.uniform(-2.0, 2.0))
+            eta = float(rng.uniform(*ETA_RANGE))
             cfg = SchemeConfig("toy", p, eta=eta)
             omega = float(rng.uniform(0.05, 10.0))
             det = linresp.extract_detector(cfg, omega)
@@ -193,9 +193,8 @@ def test_extract_detector_against_50_digit_oracle(variant):
     for k in range(16):
         config, omega = _oracle_draw(rng, variant, k)
         config = replace(config, readout_angle=rng.uniform(-math.pi, math.pi))
-        spectrum = squeeze_spectrum(
-            rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi)
-        )
+        spectrum = squeeze_spectrum(rng.uniform(*DRAW_RANGES["squeeze"]),
+                                    rng.uniform(*DRAW_RANGES["squeeze_angle"]))
         det = linresp.extract_detector(config, omega, input_spectrum=spectrum)
         chi_ff, s_ff, s_zz, s_zf, chi_scale = _mp_detector(config, omega, spectrum)
         assert abs(det.chi_FF - chi_ff) <= 1e-12 * chi_scale
@@ -316,13 +315,14 @@ class TestUncertainty:
         rng = np.random.default_rng(["standard", "cqnc", "toy"].index(variant) + 113)
         for k in range(24):
             config, omega = _oracle_draw(rng, variant, k)
-            config = replace(config, readout_angle=rng.uniform(-1.3, 1.3))
-            spectrum = squeeze_spectrum(rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi))
+            config = replace(config, readout_angle=rng.uniform(*DRAW_RANGES["phi"]))
+            spectrum = squeeze_spectrum(rng.uniform(*DRAW_RANGES["squeeze"]),
+                                        rng.uniform(*DRAW_RANGES["squeeze_angle"]))
             det = linresp.extract_detector(config, omega, input_spectrum=spectrum)
             assert linresp.uncertainty_slack(det) >= -1e-9
         for g in (-10.0, 3.7, 1e3):
-            det = linresp.extract_detector(SchemeConfig(variant, replace(FIG2A, g=g)), 0.5)
-            assert linresp.uncertainty_slack(det) >= -1e-9
+            config = SchemeConfig(variant, replace(presets.FIG2A_PARAMS, g=g))
+            assert linresp.uncertainty_slack(linresp.extract_detector(config, 0.5)) >= -1e-9
 
     def test_matrix_positivity_equals_scalar_relations(self):
         # positivity of the 2x2 spectral matrix is the same predicate as the
@@ -356,7 +356,7 @@ def combined_sensitivity(params, omega, cq):
 
 class TestCombinedQuantities:
     def test_resonant_phase_readout_values(self):
-        p = replace(FIG2A, Delta=0.0)
+        p = replace(presets.FIG2A_PARAMS, Delta=0.0)
         omega = 0.4
         cq = linresp.combined_quantities(p, omega, 0.0, vacuum())
         assert cq.D == 0.0
@@ -369,10 +369,9 @@ class TestCombinedQuantities:
         rng = np.random.default_rng(73)
         for _ in range(100):
             params, omega = random_stable_standard(rng)
-            xi = float(rng.uniform(-20, 20))
-            uvw = squeeze_spectrum(
-                float(rng.uniform(0, 1.5)), float(rng.uniform(-math.pi, math.pi))
-            )
+            xi = float(rng.uniform(*DRAW_RANGES["xi"]))
+            uvw = squeeze_spectrum(float(rng.uniform(*DRAW_RANGES["squeeze"])),
+                                   float(rng.uniform(*DRAW_RANGES["squeeze_angle"])))
             cq = linresp.combined_quantities(params, omega, xi, uvw)
             c2 = abs(cq.C) ** 2
             assert abs(cq.E * cq.X - cq.D * cq.Y - c2) / c2 < 1e-10
@@ -384,7 +383,7 @@ class TestCombinedQuantities:
             params, omega = random_stable_standard(rng)
             phi = float(rng.uniform(-1.2, 1.2))
             uvw = squeeze_spectrum(
-                float(rng.uniform(0, 1.2)), float(rng.uniform(-math.pi, math.pi))
+                float(rng.uniform(0, 1.2)), float(rng.uniform(*DRAW_RANGES["squeeze_angle"]))
             )
             cfg = SchemeConfig(
                 "standard", params, readout_angle=phi, input_spectrum=uvw
@@ -419,7 +418,7 @@ class TestFeedback:
                 )
 
     def test_standard_detector_with_feedback_matches_closed_form(self):
-        p = FIG2A
+        p = presets.FIG2A_PARAMS
         omega = 0.6
         det = linresp.extract_detector(SchemeConfig("standard", p), omega)
         assert linresp.feedback_added_noise(det, 1.0) == pytest.approx(

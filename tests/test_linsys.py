@@ -3,7 +3,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from oracles import _mp_resolvent, _oracle_draw
+from oracles import DRAW_RANGES, _mp_resolvent, _oracle_draw
 
 from forcelimits import linsys, presets
 from forcelimits.errors import ZERO, FailureAtFrequency
@@ -266,7 +266,7 @@ def test_condition_number_against_numpy(variant):
     rng = np.random.default_rng(["standard", "cqnc", "toy"].index(variant) + 21)
     for k in range(8):
         config, omega = _oracle_draw(rng, variant, k)
-        omegas = np.append(rng.uniform(0.01, 12.0, size=15), omega)
+        omegas = np.append(rng.uniform(*DRAW_RANGES["omega"], size=15), omega)
         model = build(config)
         inv = linsys.inverted_system(model, omegas)
         m = model.drift.T + 1j * omegas[:, None, None] * np.eye(len(model.drift))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import FIG2A, _mp_resolvent, _oracle_draw, preset_cases, standard_s_f
+from oracles import DRAW_RANGES, ETA_RANGE, _mp_resolvent, _oracle_draw, preset_cases, standard_s_f
 
 from forcelimits import bounds, noise, presets
 from forcelimits.errors import (
@@ -99,7 +99,7 @@ class TestAddedNoise:
 
     def test_steep_readout_angle_shot_term(self):
         # xi = 20 adds 20/(g sqrt(gamma) chi_a chi_b*) of extra shot noise on b1
-        p = FIG2A
+        p = presets.FIG2A_PARAMS
         model = build(SchemeConfig("standard", p))
         omega = 0.43
         coeffs = noise.added_noise(transfer(model, omega), math.atan(20.0))
@@ -111,7 +111,7 @@ class TestAddedNoise:
         assert c2 == pytest.approx(shot, rel=1e-10)
 
     def test_uncoupled_force_is_invisible(self):
-        model = build(SchemeConfig("standard", replace(FIG2A, g=0.0)))
+        model = build(SchemeConfig("standard", replace(presets.FIG2A_PARAMS, g=0.0)))
         with pytest.raises(FailureAtFrequency, match=r"^force invisible at readout, omega = "):
             noise.added_noise(transfer(model, 0.2), 0.0)
 
@@ -119,11 +119,11 @@ class TestAddedNoise:
         # phi = pi/2 is a valid angle (no tan division anywhere); on
         # resonance the force is invisible on that quadrature, detuned it
         # is not
-        resonant = build(SchemeConfig("standard", FIG2A))
+        resonant = build(SchemeConfig("standard", presets.FIG2A_PARAMS))
         with pytest.raises(FailureAtFrequency, match=r"^force invisible at readout, omega = "):
             noise.added_noise(transfer(resonant, 0.2), math.pi / 2)
         detuned_cfg = SchemeConfig(
-            "standard", replace(FIG2A, Delta=-7.0), readout_angle=math.pi / 2
+            "standard", replace(presets.FIG2A_PARAMS, Delta=-7.0), readout_angle=math.pi / 2
         )
         assert noise.sensitivity_at(detuned_cfg, 0.2) > 0.0
 
@@ -136,7 +136,7 @@ class TestPowerDensity:
     @given(
         re1=st.floats(-5, 5), im1=st.floats(-5, 5),
         re2=st.floats(-5, 5), im2=st.floats(-5, 5),
-        s=st.floats(0, 1.5), theta=st.floats(-math.pi, math.pi),
+        s=st.floats(*DRAW_RANGES["squeeze"]), theta=st.floats(*DRAW_RANGES["squeeze_angle"]),
     )
     @settings(max_examples=200)
     def test_never_negative(self, re1, im1, re2, im2, s, theta):
@@ -149,7 +149,7 @@ class TestPowerDensity:
         for _ in range(20):
             c1 = complex(rng.normal(), rng.normal())
             c2 = complex(rng.normal(), rng.normal())
-            spec = squeeze_spectrum(rng.uniform(0, 1.5), rng.uniform(-3, 3))
+            spec = squeeze_spectrum(rng.uniform(*DRAW_RANGES["squeeze"]), rng.uniform(-3, 3))
             alpha = rng.uniform(0, 2 * math.pi)
             rotated = (
                 c1 * complex(math.cos(alpha), math.sin(alpha)),
@@ -163,7 +163,7 @@ class TestPowerDensity:
 
     def test_resonant_phase_readout_closed_form(self):
         # vacuum, phi = 0: S_f = (g^2 gamma |chi_b|^2 + 1/(g^2 gamma |chi_a|^2 |chi_b|^2))/2
-        p = FIG2A
+        p = presets.FIG2A_PARAMS
         cfg = SchemeConfig("standard", p)
         for omega in (0.003, 0.05, 0.97, 7.0):
             closed = standard_s_f(p, omega)
@@ -198,7 +198,8 @@ class TestPowerDensity:
                 g=rng.uniform(0.3, 4) * rng.choice([-1, 1]),
             )
             phi = rng.uniform(-1.2, 1.2)
-            uvw = squeeze_spectrum(rng.uniform(0, 1.5), rng.uniform(-math.pi, math.pi))
+            uvw = squeeze_spectrum(rng.uniform(*DRAW_RANGES["squeeze"]),
+                                   rng.uniform(*DRAW_RANGES["squeeze_angle"]))
             omega = rng.uniform(0.01, 8)
             closed = standard_s_f(p, omega, phi, uvw)
             measured = noise.sensitivity_at(
@@ -219,10 +220,9 @@ class TestPowerDensity:
             cfg = SchemeConfig(
                 "standard",
                 p,
-                readout_angle=rng.uniform(-1.3, 1.3),
-                input_spectrum=squeeze_spectrum(
-                    rng.uniform(0, 1.5), rng.uniform(-math.pi, math.pi)
-                ),
+                readout_angle=rng.uniform(*DRAW_RANGES["phi"]),
+                input_spectrum=squeeze_spectrum(rng.uniform(*DRAW_RANGES["squeeze"]),
+                                                rng.uniform(*DRAW_RANGES["squeeze_angle"])),
             )
             omega = rng.uniform(0.01, 8)
             s_f = noise.sensitivity_at(cfg, omega)
@@ -232,7 +232,7 @@ class TestPowerDensity:
 class TestSensitivitySpectrum:
     def test_standard_orders_above_bounds(self):
         grid = np.geomspace(1e-3, 10, 120)
-        spec = noise.sensitivity_spectrum(SchemeConfig("standard", FIG2A), grid)
+        spec = noise.sensitivity_spectrum(SchemeConfig("standard", presets.FIG2A_PARAMS), grid)
         assert np.all(spec.s_f >= 0.0)
         assert np.all(spec.s_f >= spec.sql * (1 - 1e-9))
         assert np.all(spec.sql >= spec.uql * (1 - 1e-12))
@@ -243,7 +243,7 @@ class TestSensitivitySpectrum:
         # residual shot noise shrinks as 1/g^2, so the worst deviation from
         # the ancilla floor decreases monotonically with the pump
         grid = np.geomspace(1e-3, 10, 60)
-        p = FIG2A
+        p = presets.FIG2A_PARAMS
         floor = p.Gamma / (2 * p.Omega**2) * (grid**2 + p.Omega**2 + p.Gamma**2 / 4)
         worst = []
         for g in (10.0, 100.0, 1000.0, 10000.0):
@@ -259,9 +259,9 @@ class TestSensitivitySpectrum:
         # (relative shot grows as 0.75 omega^2 at g = -10) the ancilla floor
         # dominates and S_f grows as omega^2
         spec = noise.sensitivity_spectrum(
-            SchemeConfig("cqnc", FIG2A), np.geomspace(0.05, 0.3, 40)
+            SchemeConfig("cqnc", presets.FIG2A_PARAMS), np.geomspace(0.05, 0.3, 40)
         )
-        p = FIG2A
+        p = presets.FIG2A_PARAMS
         quadratic = p.Gamma / (2 * p.Omega**2) * spec.omegas**2
         assert np.all(np.abs(spec.s_f / quadratic - 1.0) < 0.1)
         slope = np.polyfit(np.log(spec.omegas), np.log(spec.s_f), 1)[0]
@@ -279,11 +279,11 @@ class TestSensitivitySpectrum:
         grid = np.geomspace(1e-3, 1, 10)
         with pytest.raises(UnstableModel):
             noise.sensitivity_spectrum(
-                SchemeConfig("standard", replace(FIG2A, Delta=2.3)), grid
+                SchemeConfig("standard", replace(presets.FIG2A_PARAMS, Delta=2.3)), grid
             )
 
     def test_grid_validation(self):
-        spec_cfg = SchemeConfig("standard", FIG2A)
+        spec_cfg = SchemeConfig("standard", presets.FIG2A_PARAMS)
         with pytest.raises(ValueError):
             noise.sensitivity_spectrum(spec_cfg, np.array([1.0, 0.5]))
         with pytest.raises(ValueError):
@@ -307,8 +307,8 @@ class TestSensitivitySpectrum:
     def test_mechanical_bath_not_counted(self):
         # the oscillator's bath decays it through the drift but is no channel:
         # the built channels are the budget, and the occupancy reaches neither
-        for config in (SchemeConfig("standard", FIG2A), presets.fig2a_configs()["cqnc"],
-                       presets.fig2b_config()):
+        for config in (SchemeConfig("standard", presets.FIG2A_PARAMS),
+                       presets.fig2a_configs()["cqnc"], presets.fig2b_config()):
             model = build(config)
             assert [ch.id for ch in model.channels] == list(noise.noise_budget(config, model))
             assert MECHANICAL not in noise.noise_budget(config, model)
@@ -316,8 +316,8 @@ class TestSensitivitySpectrum:
                 warm = build(replace(config, params=replace(config.params, n_th=n_th)))
                 assert warm.drift.tobytes() == model.drift.tobytes()
                 assert warm.channels == model.channels
-        hot = replace(FIG2A, n_th=1e6)
-        cold = FIG2A
+        hot = replace(presets.FIG2A_PARAMS, n_th=1e6)
+        cold = presets.FIG2A_PARAMS
         omega = 0.21
         assert noise.sensitivity_at(
             SchemeConfig("standard", hot), omega
@@ -360,23 +360,23 @@ def undamped(Omega, g):
 
 
 def random_stable_configs(variant, count, seed):
-    """Stable draws of one variant, ranges as in verify.random_stable_standard."""
+    """Stable draws of one variant from DRAW_RANGES, half of them squeezed, eta in ETA_RANGE."""
     rng = np.random.default_rng(seed)
     configs = []
     while len(configs) < count:
         params = DetectorParams(
-            Omega=float(rng.uniform(0.05, 3.0)),
-            Gamma=float(rng.uniform(0.01, 1.0)),
-            gamma=float(rng.uniform(0.3, 6.0)),
-            Delta=float(rng.uniform(-4.0, 4.0)) if variant == "standard" else 0.0,
-            g=float(rng.uniform(0.2, 4.0) * rng.choice([-1.0, 1.0])),
+            Omega=float(rng.uniform(*DRAW_RANGES["Omega"])),
+            Gamma=float(rng.uniform(*DRAW_RANGES["Gamma"])),
+            gamma=float(rng.uniform(*DRAW_RANGES["gamma"])),
+            Delta=float(rng.uniform(*DRAW_RANGES["Delta"])) if variant == "standard" else 0.0,
+            g=float(rng.uniform(*DRAW_RANGES["g"]) * rng.choice([-1.0, 1.0])),
         )
-        spectrum = (squeeze_spectrum(float(rng.uniform(0.0, 1.5)),
-                                     float(rng.uniform(-math.pi, math.pi)))
+        spectrum = (squeeze_spectrum(float(rng.uniform(*DRAW_RANGES["squeeze"])),
+                                     float(rng.uniform(*DRAW_RANGES["squeeze_angle"])))
                     if rng.uniform() < 0.5 else vacuum())
         cfg = SchemeConfig(
-            variant, params, readout_angle=float(rng.uniform(-1.3, 1.3)),
-            input_spectrum=spectrum, eta=float(rng.uniform(-2.0, 2.0)),
+            variant, params, readout_angle=float(rng.uniform(*DRAW_RANGES["phi"])),
+            input_spectrum=spectrum, eta=float(rng.uniform(*ETA_RANGE)),
         )
         try:
             build(cfg)
@@ -405,7 +405,7 @@ class TestBlockedEngine:
 
     @pytest.mark.parametrize("variant", ["standard", "cqnc", "toy"])
     def test_random_draws_match_pointwise_path(self, variant):
-        grid = np.geomspace(0.01, 12.0, 24)
+        grid = np.geomspace(*DRAW_RANGES["omega"], 24)
         for cfg in random_stable_configs(variant, 32, seed=61):
             spec = noise.sensitivity_spectrum(cfg, grid)
             reference = pointwise_spectrum(cfg, grid)
@@ -425,7 +425,7 @@ class TestBlockedEngine:
     def test_bound_columns_are_the_public_array_calls(self):
         # the spectrum evaluates chi_mech once for its SQL and gUQL columns;
         # every bound column stays bit for bit the one bounds computes alone
-        grid = np.geomspace(0.01, 12.0, 24)
+        grid = np.geomspace(*DRAW_RANGES["omega"], 24)
         cases = list(preset_cases().values()) + [
             (cfg, grid) for variant in ("standard", "cqnc", "toy")
             for cfg in random_stable_configs(variant, 16, seed=67)
@@ -448,7 +448,7 @@ class TestBlockedEngine:
                       for w in grid]
             for cid, pair in stacked.items():
                 assert np.array_equal(np.transpose(pair), [p[cid] for p in points])
-        resonant = build(SchemeConfig("standard", FIG2A))
+        resonant = build(SchemeConfig("standard", presets.FIG2A_PARAMS))
         with pytest.raises(FailureAtFrequency,
                            match=r"^force invisible at readout, omega = 0\.2$"):
             noise.added_noise(transfer(resonant, np.array([0.2, 0.3])), math.pi / 2)
@@ -502,17 +502,17 @@ class TestBlockedEngine:
 
 @st.composite
 def scan_cases(draw):
-    """A scheme drawn as param-scan draws it, some undamped, on a log grid up to 1e160."""
+    """A scheme from DRAW_RANGES and ETA_RANGE but some with Gamma = 0, on a log grid to 1e160."""
     variant = draw(st.sampled_from(["standard", "cqnc", "toy"]))
     params = DetectorParams(
-        Omega=draw(st.floats(0.05, 3.0)),
-        Gamma=draw(st.just(0.0) | st.floats(0.01, 1.0)),
-        gamma=draw(st.floats(0.3, 6.0)),
-        Delta=draw(st.floats(-4.0, 4.0)) if variant == "standard" else 0.0,
-        g=draw(st.floats(0.2, 4.0)) * draw(st.sampled_from([-1.0, 1.0])),
+        Omega=draw(st.floats(*DRAW_RANGES["Omega"])),
+        Gamma=draw(st.just(0.0) | st.floats(*DRAW_RANGES["Gamma"])),
+        gamma=draw(st.floats(*DRAW_RANGES["gamma"])),
+        Delta=draw(st.floats(*DRAW_RANGES["Delta"])) if variant == "standard" else 0.0,
+        g=draw(st.floats(*DRAW_RANGES["g"])) * draw(st.sampled_from([-1.0, 1.0])),
     )
-    config = SchemeConfig(variant, params, readout_angle=draw(st.floats(-1.3, 1.3)),
-                          eta=draw(st.floats(-2.0, 2.0)))
+    config = SchemeConfig(variant, params, readout_angle=draw(st.floats(*DRAW_RANGES["phi"])),
+                          eta=draw(st.floats(*ETA_RANGE)))
     low = draw(st.floats(-3.0, 2.0))
     grid = np.geomspace(10.0**low, 10.0 ** draw(st.floats(low + 1.0, 160.0)),
                         draw(st.integers(2, 40)))
@@ -596,23 +596,23 @@ def test_grid_chain_is_the_full_mask_rule(grid):
 def stable_schemes(draw, variant):
     """A stable scheme: Omega, Gamma, gamma and |g| log-uniform over four decades.
 
-    standard gets a readout angle, a detuning and a squeezed input, toy a
-    readout angle and eta in [-5, 5]; unstable draws are rejected.
+    Readout angle (not cqnc's), detuning and squeezed input (standard only)
+    come from DRAW_RANGES, eta from [-5, 5]; unstable draws are rejected.
     """
     decade = st.floats(-2.0, 2.0)
     standard = variant == "standard"
     params = DetectorParams(
         Omega=10.0 ** draw(decade), Gamma=10.0 ** draw(decade), gamma=10.0 ** draw(decade),
-        Delta=draw(st.floats(-4.0, 4.0)) if standard else 0.0,
+        Delta=draw(st.floats(*DRAW_RANGES["Delta"])) if standard else 0.0,
         g=10.0 ** draw(decade) * draw(st.sampled_from([-1.0, 1.0])),
     )
     spectrum = vacuum()
     if standard:
-        spectrum = squeeze_spectrum(draw(st.floats(0.0, 1.5)),
-                                    draw(st.floats(-math.pi, math.pi)))
+        spectrum = squeeze_spectrum(draw(st.floats(*DRAW_RANGES["squeeze"])),
+                                    draw(st.floats(*DRAW_RANGES["squeeze_angle"])))
     config = SchemeConfig(
         variant, params, input_spectrum=spectrum, eta=draw(st.floats(-5.0, 5.0)),
-        readout_angle=0.0 if variant == "cqnc" else draw(st.floats(-1.3, 1.3)),
+        readout_angle=0.0 if variant == "cqnc" else draw(st.floats(*DRAW_RANGES["phi"])),
     )
     try:
         build(config)

@@ -3,9 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import FIG2A
 
-from forcelimits import bounds, noise
+from forcelimits import bounds, noise, presets
 from forcelimits.errors import FailureAtFrequency, InvalidConfig, UnstableModel
 from forcelimits.linsys import transfer
 from forcelimits.schemes import (
@@ -21,7 +20,7 @@ from forcelimits.spectra import vacuum
 class TestBuild:
     def test_standard_drift_entries(self):
         # the cd preset's Delta = -7 pins where the cavity block puts the detuning
-        for p in (FIG2A, replace(FIG2A, Delta=-7.0)):
+        for p in (presets.FIG2A_PARAMS, replace(presets.FIG2A_PARAMS, Delta=-7.0)):
             model = build(SchemeConfig("standard", p))
             expected = np.array(
                 [
@@ -60,8 +59,8 @@ class TestBuild:
         assert a[2, 1] == a[3, 1] * -1 == -p.g * eta
 
     def test_cqnc_drift_entries(self):
-        model = build(SchemeConfig("cqnc", FIG2A))
-        p = FIG2A
+        model = build(SchemeConfig("cqnc", presets.FIG2A_PARAMS))
+        p = presets.FIG2A_PARAMS
         expected = np.array(
             [
                 [-p.Gamma / 2, p.Omega, 0, 0, 0, 0],
@@ -81,22 +80,22 @@ class TestBuild:
         assert len(ancilla) == 1 and ancilla[0].rate == p.Gamma
 
     def test_unstable_configuration_rejected(self):
-        bad = replace(FIG2A, Delta=2.3)
+        bad = replace(presets.FIG2A_PARAMS, Delta=2.3)
         with pytest.raises(UnstableModel):
             build(SchemeConfig("standard", bad))
 
     def test_coupling_mix_is_toy_only(self):
-        assert SchemeConfig("toy", FIG2A, eta=-2.5).coupling_mix == -2.5
-        assert SchemeConfig("standard", FIG2A, eta=-2.5).coupling_mix == 0.0
-        assert SchemeConfig("cqnc", FIG2A, eta=-2.5).coupling_mix == 0.0
+        assert SchemeConfig("toy", presets.FIG2A_PARAMS, eta=-2.5).coupling_mix == -2.5
+        assert SchemeConfig("standard", presets.FIG2A_PARAMS, eta=-2.5).coupling_mix == 0.0
+        assert SchemeConfig("cqnc", presets.FIG2A_PARAMS, eta=-2.5).coupling_mix == 0.0
 
     def test_invalid_configs(self):
         with pytest.raises(InvalidConfig):
-            SchemeConfig("cqnc", replace(FIG2A, Delta=-1.0))
+            SchemeConfig("cqnc", replace(presets.FIG2A_PARAMS, Delta=-1.0))
         with pytest.raises(InvalidConfig):
-            SchemeConfig("toy", replace(FIG2A, Delta=-1.0))
+            SchemeConfig("toy", replace(presets.FIG2A_PARAMS, Delta=-1.0))
         with pytest.raises(InvalidConfig):
-            SchemeConfig("nonsense", FIG2A)
+            SchemeConfig("nonsense", presets.FIG2A_PARAMS)
         with pytest.raises(InvalidConfig):
             DetectorParams(Omega=-1.0, Gamma=0.1, gamma=1.0)
         with pytest.raises(InvalidConfig):
@@ -105,7 +104,7 @@ class TestBuild:
 
 class TestClosedFormTransfer:
     def test_coupling_off(self):
-        p = replace(FIG2A, g=0.0, Delta=1.2)
+        p = replace(presets.FIG2A_PARAMS, g=0.0, Delta=1.2)
         m_shot, m_back, v = closed_form_transfer(p, 0.7)
         assert np.allclose(m_back, 0.0)
         assert np.allclose(v, 0.0)
@@ -119,13 +118,13 @@ class TestClosedFormTransfer:
 
     def test_resonant_shot_block_is_unimodular(self):
         for omega in (0.01, 0.4, 6.0):
-            m_shot, _, _ = closed_form_transfer(FIG2A, omega)
+            m_shot, _, _ = closed_form_transfer(presets.FIG2A_PARAMS, omega)
             assert abs(np.linalg.det(m_shot)) == pytest.approx(1.0, rel=1e-12)
 
     def test_shot_block_unimodular_any_detuning(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            p = replace(FIG2A, Delta=rng.uniform(-8, 8))
+            p = replace(presets.FIG2A_PARAMS, Delta=rng.uniform(-8, 8))
             m_shot, _, _ = closed_form_transfer(p, rng.uniform(0.01, 9))
             assert abs(np.linalg.det(m_shot)) == pytest.approx(1.0, rel=1e-12)
 
@@ -167,7 +166,7 @@ class TestCqncResidualNoise:
     def test_ancilla_term_matches_floor_exactly(self):
         # the ancilla channel alone reproduces the analytic noise floor; the
         # 1 % margin is loose on purpose, the agreement is exact
-        p = replace(FIG2A, g=1e3)
+        p = replace(presets.FIG2A_PARAMS, g=1e3)
         cfg = SchemeConfig("cqnc", p)
         model = build(cfg)
         for omega in (0.002, 0.01, 0.5, 4.0, 10.0):
@@ -182,9 +181,9 @@ class TestCqncResidualNoise:
             assert abs(ancilla_only / floor - 1.0) < 0.01
 
     def test_added_noise_has_no_cavity_backaction(self):
-        cfg = SchemeConfig("cqnc", FIG2A)
+        cfg = SchemeConfig("cqnc", presets.FIG2A_PARAMS)
         model = build(cfg)
-        p = FIG2A
+        p = presets.FIG2A_PARAMS
         for omega in (0.005, 0.07, 1.1):
             coeffs = noise.added_noise(transfer(model, omega), 0.0)
             c1, c2 = coeffs["readout"]

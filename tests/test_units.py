@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import parse_csv
+from oracles import DRAW_RANGES, ETA_RANGE, parse_csv
 
 from forcelimits import bounds, cli, linresp, noise, presets
 from forcelimits.errors import FailureAtFrequency, ForceLimitsError, UnstableModel
@@ -47,18 +47,18 @@ def outcome_of(call, *args):
 
 @st.composite
 def draws(draw):
-    """A config drawn as perfbench's param-scan draws them, stable or not,
-    with Gamma = 0 about one time in five."""
+    """A config drawn from DRAW_RANGES and ETA_RANGE, stable or not, but with
+    Gamma = 0 about one time in five."""
     variant = draw(st.sampled_from(["standard", "cqnc", "toy"]))
     params = DetectorParams(
-        Omega=draw(st.floats(0.05, 3.0)),
-        Gamma=draw(st.floats(0.01, 1.0)) if draw(st.integers(0, 4)) else 0.0,
-        gamma=draw(st.floats(0.3, 6.0)),
-        Delta=draw(st.floats(-4.0, 4.0)) if variant == "standard" else 0.0,
-        g=draw(st.floats(0.2, 4.0)) * draw(st.sampled_from([-1.0, 1.0])),
+        Omega=draw(st.floats(*DRAW_RANGES["Omega"])),
+        Gamma=draw(st.floats(*DRAW_RANGES["Gamma"])) if draw(st.integers(0, 4)) else 0.0,
+        gamma=draw(st.floats(*DRAW_RANGES["gamma"])),
+        Delta=draw(st.floats(*DRAW_RANGES["Delta"])) if variant == "standard" else 0.0,
+        g=draw(st.floats(*DRAW_RANGES["g"])) * draw(st.sampled_from([-1.0, 1.0])),
     )
-    return SchemeConfig(variant, params, readout_angle=draw(st.floats(-1.3, 1.3)),
-                        eta=draw(st.floats(-2.0, 2.0)))
+    return SchemeConfig(variant, params, readout_angle=draw(st.floats(*DRAW_RANGES["phi"])),
+                        eta=draw(st.floats(*ETA_RANGE)))
 
 
 @given(config=draws(), k=st.integers(-400, 400))
@@ -202,14 +202,14 @@ FIG2B_DETUNED = (replace(presets.fig2b_config().params, Delta=0.3), 0.7, 0.4,
 
 @st.composite
 def combined_draws(draw):
-    """Parameters, omega, xi and input state as the identities suite draws them."""
+    """Parameters, omega, xi and a squeezed input state from DRAW_RANGES, stable or not."""
+    ranges = {k: st.floats(*DRAW_RANGES[k]) for k in DRAW_RANGES}
     params = DetectorParams(
-        Omega=draw(st.floats(0.05, 3.0)), Gamma=draw(st.floats(0.01, 1.0)),
-        gamma=draw(st.floats(0.3, 6.0)), Delta=draw(st.floats(-4.0, 4.0)),
-        g=draw(st.floats(0.2, 4.0)) * draw(st.sampled_from([-1.0, 1.0])),
+        Omega=draw(ranges["Omega"]), Gamma=draw(ranges["Gamma"]), gamma=draw(ranges["gamma"]),
+        Delta=draw(ranges["Delta"]), g=draw(ranges["g"]) * draw(st.sampled_from([-1.0, 1.0])),
     )
-    uvw = squeeze_spectrum(draw(st.floats(0.0, 1.5)), draw(st.floats(-math.pi, math.pi)))
-    return params, draw(st.floats(0.01, 12.0)), draw(st.floats(-20.0, 20.0)), uvw
+    uvw = squeeze_spectrum(draw(ranges["squeeze"]), draw(ranges["squeeze_angle"]))
+    return params, draw(ranges["omega"]), draw(ranges["xi"]), uvw
 
 
 # d*e*u multiplies five rates and |C|^2 squared a Python float: on FIG2B_DETUNED

@@ -412,6 +412,18 @@ MUTANTS = (
         ("tests/test_verify.py::test_draw_near_parametric_divergence_is_redrawn",),
     ),
     Mutant(
+        "draw-box-drops-red-detuning", "src/forcelimits/verify.py",
+        '"Delta": (-4.0, 4.0)',
+        '"Delta": (0.0, 4.0)',
+        ("tests/test_verify.py::test_draw_near_parametric_divergence_is_redrawn",),
+    ),
+    Mutant(
+        "draws-restate-omega-range", "tests/test_units.py",
+        'Omega=draw(st.floats(*DRAW_RANGES["Omega"])),',
+        "Omega=draw(st.floats(0.05, 3.0)),",
+        ("tests/test_draw_ranges.py::test_every_helper_draws_the_pinned_point",),
+    ),
+    Mutant(
         "init-re-export", "src/forcelimits/__init__.py",
         '"""Quantum-noise force-sensitivity spectra and limit bounds for linear detectors."""\n',
         '"""Quantum-noise force-sensitivity spectra and limit bounds for linear detectors."""\n'
